@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <iostream>
 
-#include "mem/coherency.h"
 #include "support.h"
 
 using namespace assoc;
@@ -41,34 +40,18 @@ main(int argc, char **argv)
             table.setHeader({"Assoc", "Invalidations", "Occupancy",
                              "Local miss"});
             for (unsigned a : {1u, 2u, 4u, 8u}) {
-                trace::AtumLikeConfig tcfg = traceConfig(args);
-                trace::AtumLikeGenerator gen(tcfg);
-                mem::HierarchyConfig hcfg{
-                    mem::CacheGeometry(16384, 16, 1),
-                    mem::CacheGeometry(262144, 32, a), true};
-                mem::TwoLevelHierarchy hier(hcfg);
-                mem::CoherencyTraffic remote(rate);
-
-                // Stream manually: one remote step per processor
-                // reference, sampling occupancy every 10k refs.
-                trace::MemRef r;
-                gen.reset();
-                double occupancy_sum = 0.0;
-                std::uint64_t samples = 0, n = 0;
-                while (gen.next(r)) {
-                    hier.access(r);
-                    remote.step(hier);
-                    if (++n % 10000 == 0) {
-                        occupancy_sum += mem::l2ValidFraction(hier);
-                        ++samples;
-                    }
-                }
+                trace::AtumLikeGenerator gen(traceConfig(args));
+                sim::RunSpec spec;
+                spec.hier = {mem::CacheGeometry(16384, 16, 1),
+                             mem::CacheGeometry(262144, 32, a), true};
+                spec.coherency_rate = rate;
+                spec.occupancy_sample_period = 10000;
+                sim::RunOutput out = sim::runTrace(gen, spec);
                 table.addRow(
                     {std::to_string(a),
-                     TextTable::num(remote.invalidations()),
-                     TextTable::num(occupancy_sum / samples, 4),
-                     TextTable::num(hier.stats().localMissRatio(),
-                                    4)});
+                     TextTable::num(out.coherency_invalidations),
+                     TextTable::num(out.mean_occupancy, 4),
+                     TextTable::num(out.stats.localMissRatio(), 4)});
             }
             std::printf("Invalidation rate %.3f per reference:\n\n",
                         rate);

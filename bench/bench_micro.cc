@@ -468,8 +468,8 @@ void
 BM_HierarchyBatchedReplay(benchmark::State &state)
 {
     // Whole-trace replay through TwoLevelHierarchy::run at a given
-    // RunSpec::batch_size (1 = the old per-reference loop; 64 = the
-    // default batched pull with set-plane prefetch).
+    // pull size (1 = one reference per nextBatch call, so nothing is
+    // prefetched; 64 = kReplayBatch, the pull every run uses).
     const std::vector<trace::MemRef> &refs = replayRefs();
     trace::VectorTraceSource src(refs);
     mem::HierarchyConfig hcfg{mem::CacheGeometry(16384, 16, 1),

@@ -21,8 +21,6 @@ kernelIsaName(KernelIsa isa)
         return "swar";
       case KernelIsa::Avx2:
         return "avx2";
-      case KernelIsa::Neon:
-        return "neon";
     }
     return "unknown";
 }
@@ -203,38 +201,12 @@ swarKernels()
  */
 const LookupKernels *avx2KernelsOrNull();
 
-const LookupKernels *
-neonKernelsOrNull()
-{
-#if defined(__aarch64__)
-    // NEON stub: registered so AArch64 exercises the same dispatch
-    // path, currently backed by the portable SWAR bodies until real
-    // NEON bodies land (docs/KERNELS.md "Adding an ISA").
-    static const LookupKernels k = {
-        KernelIsa::Neon,
-        "neon",
-        swarEqMaskFn,
-        swarEqMaskBitsFn,
-        swarEqMaskBitsRelaxedFn,
-        swarPartialMaskFn,
-        swarExpandBitsFn,
-        swarExpandNibblesFn,
-        swarShiftTagsFn,
-    };
-    return &k;
-#else
-    return nullptr;
-#endif
-}
-
 std::vector<const LookupKernels *>
 registeredKernels()
 {
     std::vector<const LookupKernels *> v;
     if (const LookupKernels *avx2 = avx2KernelsOrNull())
         v.push_back(avx2);
-    if (const LookupKernels *neon = neonKernelsOrNull())
-        v.push_back(neon);
     v.push_back(&swarKernels());
     v.push_back(&scalarKernels());
     return v;

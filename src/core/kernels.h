@@ -21,13 +21,10 @@
  *  - avx2    — 8-way AVX2 intrinsics (x86-64; compiled behind a
  *              function target attribute, selected only when CPUID
  *              reports AVX2 at runtime).
- *  - neon    — AArch64 registry entry; currently a stub that routes
- *              to the SWAR bodies so the dispatch path exists while
- *              real NEON bodies are pending.
  *
  * activeKernels() picks the best registered table at first use:
- * explicit ASSOC_KERNELS=<name> override, else avx2 > neon > swar >
- * scalar. Every candidate must pass kernelSelfCheck() — a smoke
+ * explicit ASSOC_KERNELS=<name> override, else avx2 > swar > scalar.
+ * Every candidate must pass kernelSelfCheck() — a smoke
  * vector sweep (including misaligned plane offsets) compared against
  * the scalar reference — before it may be selected; a failing
  * candidate is skipped with a warn()ed reason instead of crashing,
@@ -59,10 +56,9 @@ enum class KernelIsa : std::uint8_t {
     Scalar, ///< reference loops (always registered)
     Swar,   ///< portable branch-free word parallelism (always registered)
     Avx2,   ///< x86-64 AVX2 (registered when compiled in)
-    Neon,   ///< AArch64 NEON (stub; registered on AArch64)
 };
 
-/** Printable lower-case name ("scalar", "swar", "avx2", "neon"). */
+/** Printable lower-case name ("scalar", "swar", "avx2"). */
 const char *kernelIsaName(KernelIsa isa);
 
 /**
@@ -155,7 +151,7 @@ const LookupKernels &swarKernels();
 /**
  * Every table compiled into this binary, in dispatch-preference
  * order (vector ISAs first, scalar last). AVX2 appears when it was
- * compiled in *and* CPUID reports support; NEON on AArch64.
+ * compiled in *and* CPUID reports support.
  */
 std::vector<const LookupKernels *> registeredKernels();
 
@@ -185,7 +181,7 @@ chooseKernels(const char *env,
  * The table every strategy and plane decode dispatches through,
  * selected once at first use (thread-safe) and logged via warn()
  * when the choice involved a fallback. Override per-process with
- * ASSOC_KERNELS=scalar|swar|avx2|neon.
+ * ASSOC_KERNELS=scalar|swar|avx2.
  */
 const LookupKernels &activeKernels();
 

@@ -86,14 +86,14 @@ namespace {
  * a pure function of (plan, access index), so a retried attempt
  * misbehaves identically.
  */
-class RunawayTraceSource : public trace::TraceSource
+class RunawayTraceSource : public trace::ForwardingTraceSource
 {
   public:
     RunawayTraceSource(std::unique_ptr<trace::TraceSource> inner,
                        const FaultPlan &plan, const CancelToken *token,
                        MemBudget *budget)
-        : inner_(std::move(inner)), plan_(plan), token_(token),
-          budget_(budget)
+        : ForwardingTraceSource(*inner), owned_(std::move(inner)),
+          plan_(plan), token_(token), budget_(budget)
     {}
 
     bool
@@ -107,7 +107,7 @@ class RunawayTraceSource : public trace::TraceSource
             n_ >= plan_.runaway_at &&
             (n_ - plan_.runaway_at) % plan_.slow_every == 0)
             stall();
-        if (!inner_->next(ref))
+        if (!inner_.next(ref))
             return false;
         ++n_;
         return true;
@@ -116,7 +116,7 @@ class RunawayTraceSource : public trace::TraceSource
     void
     reset() override
     {
-        inner_->reset();
+        inner_.reset();
         n_ = 0;
         error_ = Error();
         balloon_.clear();
@@ -125,13 +125,7 @@ class RunawayTraceSource : public trace::TraceSource
     const Error &
     error() const override
     {
-        return error_.failed() ? error_ : inner_->error();
-    }
-
-    std::uint64_t
-    skippedRecords() const override
-    {
-        return inner_->skippedRecords();
+        return error_.failed() ? error_ : inner_.error();
     }
 
   private:
@@ -216,7 +210,7 @@ class RunawayTraceSource : public trace::TraceSource
         }
     }
 
-    std::unique_ptr<trace::TraceSource> inner_;
+    std::unique_ptr<trace::TraceSource> owned_;
     FaultPlan plan_;
     const CancelToken *token_;
     MemBudget *budget_;

@@ -201,14 +201,9 @@ runOneJob(const std::vector<sim::RunSpec> &specs,
             (opts.job_mem_budget != 0 || guards.budget)
                 ? &job_budget
                 : nullptr;
-        bool guarded = guards.cancel != nullptr ||
-                       opts.job_timeout_ns != 0;
-
         sim::RunSpec spec = specs[i];
-        if (guarded) {
-            spec.cancel = &token;
-            spec.checkpoint_every = opts.checkpoint_every;
-        }
+        spec.cancel = &token;
+        spec.checkpoint_every = opts.checkpoint_every;
         spec.budget = budget;
 
         if (guards.watchdog)
@@ -223,8 +218,7 @@ runOneJob(const std::vector<sim::RunSpec> &specs,
             if (opts.inject)
                 opts.inject->onJobStart(i, attempt);
             std::unique_ptr<trace::TraceSource> src = make_trace(i);
-            if (guarded)
-                src->setCancelToken(&token);
+            src->setCancelToken(&token);
             if (budget)
                 src->setMemBudget(budget);
             if (opts.inject)

@@ -1,5 +1,8 @@
 #include "mem/hierarchy.h"
 
+#include <algorithm>
+
+#include "mem/coherency.h"
 #include "util/logging.h"
 
 namespace assoc {
@@ -270,30 +273,29 @@ TwoLevelHierarchy::access(const trace::MemRef &ref)
 }
 
 void
+TwoLevelHierarchy::replay(const trace::MemRef *refs, std::size_t n,
+                          CoherencyTraffic *remote)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        // Warm the next reference's set planes while this one
+        // executes; flush markers touch no set.
+        if (i + 1 < n && !refs[i + 1].isFlush()) {
+            l1_.prefetchSet(cfg_.l1.blockAddrOf(refs[i + 1].addr));
+            l2_.prefetchSet(cfg_.l2.blockAddrOf(refs[i + 1].addr));
+        }
+        access(refs[i]);
+        if (remote)
+            remote->step(*this);
+    }
+}
+
+void
 TwoLevelHierarchy::run(trace::TraceSource &src, unsigned batch)
 {
     src.reset();
-    if (batch <= 1) {
-        trace::MemRef r;
-        while (src.next(r))
-            access(r);
-        return;
-    }
-    std::vector<trace::MemRef> buf(batch);
-    for (;;) {
-        std::size_t n = src.nextBatch(buf.data(), batch);
-        if (n == 0)
-            return;
-        for (std::size_t i = 0; i < n; ++i) {
-            // Warm the next reference's set planes while this one
-            // executes; flush markers touch no set.
-            if (i + 1 < n && !buf[i + 1].isFlush()) {
-                l1_.prefetchSet(cfg_.l1.blockAddrOf(buf[i + 1].addr));
-                l2_.prefetchSet(cfg_.l2.blockAddrOf(buf[i + 1].addr));
-            }
-            access(buf[i]);
-        }
-    }
+    std::vector<trace::MemRef> buf(std::max(batch, 1u));
+    while (std::size_t n = src.nextBatch(buf.data(), buf.size()))
+        replay(buf.data(), n);
 }
 
 bool

@@ -27,6 +27,8 @@
 namespace assoc {
 namespace mem {
 
+class CoherencyTraffic;
+
 /** Kind of request the level-one cache sends to the level-two. */
 enum class L2ReqType : std::uint8_t {
     ReadIn,    ///< fetch a block missing from the level-one cache
@@ -200,20 +202,32 @@ class TwoLevelHierarchy
     /** Install the level-two's memory side (not owned; optional). */
     void setMemorySide(MemorySide *mem);
 
+    /** References pulled per TraceSource::nextBatch call by run()
+     *  and sim::runTrace. */
+    static constexpr unsigned kReplayBatch = 64;
+
     /** Apply one processor reference (or flush marker). */
     void access(const trace::MemRef &ref);
 
     /**
-     * Stream an entire trace through the hierarchy. With @p batch
-     * > 1, references are pulled @p batch at a time (one
-     * TraceSource::nextBatch call instead of @p batch virtual
-     * next() calls) and each access prefetches the next
-     * reference's level-one and level-two set planes while the
-     * current one executes. Accesses still commit strictly in
-     * trace order, one at a time — the statistics are bit-for-bit
-     * identical for every batch size (tests/kernels enforces it).
+     * Apply @p n references in trace order: the one replay loop
+     * every trace-driven run goes through. Each access prefetches
+     * the next reference's level-one and level-two set planes while
+     * the current one executes; accesses still commit strictly one
+     * at a time, so the statistics do not depend on how a trace is
+     * cut into calls. With @p remote set, one remote coherency step
+     * (CoherencyTraffic::step) follows every reference.
      */
-    void run(trace::TraceSource &src, unsigned batch = 1);
+    void replay(const trace::MemRef *refs, std::size_t n,
+                CoherencyTraffic *remote = nullptr);
+
+    /**
+     * Stream an entire trace (reset first) through replay(), pulling
+     * @p batch references per TraceSource::nextBatch call (0 counts
+     * as 1). The statistics are bit-for-bit identical for every batch
+     * size (tests/kernels enforces it).
+     */
+    void run(trace::TraceSource &src, unsigned batch = kReplayBatch);
 
     /** Invalidate both levels (cold start). */
     void flushAll();

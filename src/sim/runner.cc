@@ -1,5 +1,7 @@
 #include "sim/runner.h"
 
+#include <algorithm>
+
 #include "util/logging.h"
 
 namespace assoc {
@@ -47,57 +49,58 @@ runTrace(trace::TraceSource &src, const RunSpec &spec)
     }
 
     RunOutput out;
+    mem::CoherencyTraffic remote(spec.coherency_rate);
+    mem::CoherencyTraffic *step =
+        spec.coherency_rate > 0.0 ? &remote : nullptr;
+    const CancelToken *cancel = spec.cancel;
+    const std::uint64_t every =
+        cancel ? std::max<std::uint64_t>(spec.checkpoint_every, 1) : 0;
+    const std::uint64_t period = spec.occupancy_sample_period;
 
-    if (spec.cancel == nullptr && spec.coherency_rate == 0.0 &&
-        spec.occupancy_sample_period == 0) {
-        // Fast path: plain streaming, exactly as without any of the
-        // optional machinery. Cancellation checkpoints only exist on
-        // the manual loop below, so specs without a token (every
-        // benchmark) pay nothing.
-        hier.run(src, spec.batch_size);
-    } else {
-        mem::CoherencyTraffic remote(spec.coherency_rate);
-        trace::MemRef r;
-        src.reset();
-        std::uint64_t n = 0;
-        double occ_sum = 0.0;
-        std::uint64_t occ_samples = 0;
-        const CancelToken *cancel = spec.cancel;
-        const std::uint64_t every =
-            spec.checkpoint_every ? spec.checkpoint_every : 1;
-        std::uint64_t until_checkpoint = every;
-        if (cancel) {
-            // Checkpoint zero: a token tripped before the stream
-            // starts stops the job without touching the trace.
+    src.reset();
+    if (cancel) {
+        // Checkpoint zero: a token tripped before the stream starts
+        // stops the job without touching the trace.
+        Expected<void> go = cancel->checkpoint();
+        if (!go.ok())
+            throwError(Error(go.error()).withContext("before streaming"));
+    }
+
+    constexpr std::uint64_t kBatch = RunSpec::batch_size;
+    trace::MemRef buf[kBatch];
+    std::uint64_t n = 0;
+    double occ_sum = 0.0;
+    std::uint64_t occ_samples = 0;
+    for (;;) {
+        // Never pull past the next checkpoint or occupancy sample, so
+        // both land after exactly the access a per-reference loop
+        // would have taken them at.
+        std::uint64_t want = kBatch;
+        if (every != 0)
+            want = std::min(want, every - n % every);
+        if (period != 0)
+            want = std::min(want, period - n % period);
+        std::size_t got = src.nextBatch(buf, want);
+        hier.replay(buf, got, step);
+        n += got;
+        // A short pull is the end of the trace (or a failed source),
+        // and it stops short of the next checkpoint and sample.
+        if (got < want)
+            break;
+        if (every != 0 && n % every == 0) {
             Expected<void> go = cancel->checkpoint();
             if (!go.ok())
-                throwError(Error(go.error())
-                               .withContext("before streaming"));
+                throwError(Error(go.error()).withContext(
+                    "after " + std::to_string(n) + " accesses"));
         }
-        while (src.next(r)) {
-            hier.access(r);
-            if (spec.coherency_rate > 0.0)
-                remote.step(hier);
-            ++n;
-            if (cancel && --until_checkpoint == 0) {
-                until_checkpoint = every;
-                Expected<void> go = cancel->checkpoint();
-                if (!go.ok())
-                    throwError(Error(go.error())
-                                   .withContext(
-                                       "after " + std::to_string(n) +
-                                       " accesses"));
-            }
-            if (spec.occupancy_sample_period != 0 &&
-                n % spec.occupancy_sample_period == 0) {
-                occ_sum += mem::l2ValidFraction(hier);
-                ++occ_samples;
-            }
+        if (period != 0 && n % period == 0) {
+            occ_sum += mem::l2ValidFraction(hier);
+            ++occ_samples;
         }
-        if (occ_samples != 0)
-            out.mean_occupancy = occ_sum / occ_samples;
-        out.coherency_invalidations = remote.invalidations();
     }
+    if (occ_samples != 0)
+        out.mean_occupancy = occ_sum / occ_samples;
+    out.coherency_invalidations = remote.invalidations();
 
     // Distinguish "stream ended" from "stream died": a reader that
     // stopped on a malformed record must fail the run, not quietly

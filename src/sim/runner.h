@@ -61,23 +61,17 @@ struct RunSpec
      *  e.g. the invariant checkers in src/check. */
     std::vector<mem::L2Observer *> extra_observers;
 
-    /**
-     * References pulled per TraceSource::nextBatch call on the
-     * streaming fast path (with set-plane prefetch between
-     * accesses; see mem::TwoLevelHierarchy::run). 0 or 1 disables
-     * batching. Results are bit-identical at every batch size, so
-     * hashSpecs() ignores this too; the checkpointed loop below
-     * streams one reference at a time regardless, keeping
-     * cancellation latency in accesses, not batches.
-     */
-    unsigned batch_size = 64;
+    /** References runTrace pulls per TraceSource::nextBatch call at
+     *  most (see mem::TwoLevelHierarchy::replay). Fixed: results are
+     *  bit-identical at every batch size. */
+    static constexpr unsigned batch_size =
+        mem::TwoLevelHierarchy::kReplayBatch;
 
     // --- runaway-work defenses (see util/cancel.h). None of these
     // --- influence results, so hashSpecs() ignores them.
 
     /** Cooperative cancel/deadline token, polled every
-     *  checkpoint_every accesses (not owned; null = never stop).
-     *  When null the streaming fast path is untouched. */
+     *  checkpoint_every accesses (not owned; null = never stop). */
     const CancelToken *cancel = nullptr;
     /**
      * Accesses between cancellation checkpoints. A fixed cadence in
@@ -108,7 +102,10 @@ struct RunOutput
 
 /**
  * Stream @p src (reset first) through the hierarchy of @p spec with
- * one probe meter per scheme.
+ * one probe meter per scheme. References are pulled up to
+ * RunSpec::batch_size at a time, but never past the next
+ * cancellation checkpoint or occupancy sample, so both happen after
+ * the same access at any cadence.
  */
 RunOutput runTrace(trace::TraceSource &src, const RunSpec &spec);
 

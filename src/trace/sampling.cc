@@ -28,7 +28,8 @@ WindowSampledSource::make(TraceSource &inner, std::uint64_t on_refs,
 WindowSampledSource::WindowSampledSource(TraceSource &inner,
                                          std::uint64_t on_refs,
                                          std::uint64_t off_refs)
-    : inner_(inner), on_refs_(on_refs), off_refs_(off_refs)
+    : ForwardingTraceSource(inner), on_refs_(on_refs),
+      off_refs_(off_refs)
 {
     Error err = validate(on_refs_, off_refs_);
     if (err.failed())
@@ -93,7 +94,8 @@ SetSampledSource::SetSampledSource(TraceSource &inner,
                                    std::uint32_t sets,
                                    std::uint32_t first_set,
                                    std::uint32_t set_count)
-    : inner_(inner), first_set_(first_set), set_count_(set_count)
+    : ForwardingTraceSource(inner), first_set_(first_set),
+      set_count_(set_count)
 {
     Error err = validate(block_bytes, sets, first_set_, set_count_);
     if (err.failed())

@@ -16,13 +16,10 @@
  *    so miss *ratios* are nearly unbiased while the simulation
  *    touches 1/k of the cache.
  *
- * Both are *transparent wrappers* (docs/TRACES.md): error(),
- * skippedRecords(), setCancelToken() and setMemBudget() all forward
- * to the inner source, so a wrapped file-backed source that stops on
- * a real read failure still fails the wrapper (throwIfFailed sees
- * the inner structured error, never a silent end-of-trace) and
- * cancel tokens / memory budgets attached to the wrapper reach the
- * reader that actually polls them.
+ * Both are transparent wrappers (ForwardingTraceSource): a wrapped
+ * file-backed source that stops on a real read failure still fails
+ * the wrapper, and cancel tokens / memory budgets attached to the
+ * wrapper reach the reader that actually polls them.
  *
  * Bad sampling geometry is a structured Usage error, not a process
  * abort: prefer the make() factories (Expected, matching the trace
@@ -41,7 +38,7 @@ namespace assoc {
 namespace trace {
 
 /** Alternating on/off window pass-through. */
-class WindowSampledSource : public TraceSource
+class WindowSampledSource : public ForwardingTraceSource
 {
   public:
     /**
@@ -68,30 +65,14 @@ class WindowSampledSource : public TraceSource
     bool next(MemRef &ref) override;
     void reset() override;
 
-    // Transparent-wrapper forwarding (see file header).
-    const Error &error() const override { return inner_.error(); }
-    std::uint64_t skippedRecords() const override
-    {
-        return inner_.skippedRecords();
-    }
-    void setCancelToken(const CancelToken *t) override
-    {
-        inner_.setCancelToken(t);
-    }
-    void setMemBudget(MemBudget *b) override
-    {
-        inner_.setMemBudget(b);
-    }
-
   private:
-    TraceSource &inner_;
     std::uint64_t on_refs_;
     std::uint64_t off_refs_;
     std::uint64_t pos_ = 0; ///< position within the on+off period
 };
 
 /** Keep references mapping to set indices [first, first+count). */
-class SetSampledSource : public TraceSource
+class SetSampledSource : public ForwardingTraceSource
 {
   public:
     /**
@@ -130,23 +111,7 @@ class SetSampledSource : public TraceSource
     /** References read from the underlying trace so far. */
     std::uint64_t consumed() const { return consumed_; }
 
-    // Transparent-wrapper forwarding (see file header).
-    const Error &error() const override { return inner_.error(); }
-    std::uint64_t skippedRecords() const override
-    {
-        return inner_.skippedRecords();
-    }
-    void setCancelToken(const CancelToken *t) override
-    {
-        inner_.setCancelToken(t);
-    }
-    void setMemBudget(MemBudget *b) override
-    {
-        inner_.setMemBudget(b);
-    }
-
   private:
-    TraceSource &inner_;
     unsigned offset_bits_;
     std::uint32_t set_mask_;
     std::uint32_t first_set_;

@@ -45,9 +45,10 @@ class TraceSource
      * were produced; fewer than @p max only at end of trace (or on
      * failure — check error(), exactly as with next()). The default
      * simply loops next(); sources with contiguous backing override
-     * it to amortize the per-record virtual dispatch (the batched
-     * replay path in mem::TwoLevelHierarchy::run). The stream is
-     * identical to repeated next() calls by contract.
+     * it to amortize the per-record virtual dispatch (every replay
+     * pulls through here: mem::TwoLevelHierarchy::run and
+     * sim::runTrace). The stream is identical to repeated next()
+     * calls by contract.
      */
     virtual std::size_t
     nextBatch(MemRef *out, std::size_t max)
@@ -154,18 +155,48 @@ class VectorTraceSource : public TraceSource
 };
 
 /**
+ * Base of every transparent wrapper (docs/TRACES.md): status and
+ * attachments forward to the inner source, so a wrapped reader that
+ * stops on a real failure is never mistaken for a clean end of
+ * trace, and cancel tokens and memory budgets reach the reader that
+ * actually polls them. Wrappers implement next() and reset() only.
+ */
+class ForwardingTraceSource : public TraceSource
+{
+  public:
+    const Error &error() const override { return inner_.error(); }
+
+    std::uint64_t skippedRecords() const override
+    {
+        return inner_.skippedRecords();
+    }
+
+    void setCancelToken(const CancelToken *t) override
+    {
+        inner_.setCancelToken(t);
+    }
+
+    void setMemBudget(MemBudget *b) override
+    {
+        inner_.setMemBudget(b);
+    }
+
+  protected:
+    /** @param inner the wrapped source (not owned). */
+    explicit ForwardingTraceSource(TraceSource &inner) : inner_(inner) {}
+
+    TraceSource &inner_;
+};
+
+/**
  * Wrap a source, truncating it after @p limit references.
  * Useful for quick runs of the full ATUM-like trace.
- *
- * A transparent wrapper (docs/TRACES.md): status and attachments
- * forward to the inner source, so a wrapped reader that stops on a
- * real failure is never mistaken for a clean end-of-trace.
  */
-class LimitedTraceSource : public TraceSource
+class LimitedTraceSource : public ForwardingTraceSource
 {
   public:
     LimitedTraceSource(TraceSource &inner, std::uint64_t limit)
-        : inner_(inner), limit_(limit)
+        : ForwardingTraceSource(inner), limit_(limit)
     {}
 
     bool
@@ -186,25 +217,7 @@ class LimitedTraceSource : public TraceSource
         count_ = 0;
     }
 
-    const Error &error() const override { return inner_.error(); }
-
-    std::uint64_t skippedRecords() const override
-    {
-        return inner_.skippedRecords();
-    }
-
-    void setCancelToken(const CancelToken *t) override
-    {
-        inner_.setCancelToken(t);
-    }
-
-    void setMemBudget(MemBudget *b) override
-    {
-        inner_.setMemBudget(b);
-    }
-
   private:
-    TraceSource &inner_;
     std::uint64_t limit_;
     std::uint64_t count_ = 0;
 };

@@ -114,12 +114,13 @@ memoryFactory(const std::vector<trace::MemRef> &recs)
 
 /** Forwarding source that trips @p master after @p after records —
  *  a deterministic stand-in for SIGINT arriving mid-trace. */
-class CancelMidStreamSource : public trace::TraceSource
+class CancelMidStreamSource : public trace::ForwardingTraceSource
 {
   public:
     CancelMidStreamSource(std::unique_ptr<trace::TraceSource> inner,
                           CancelToken *master, std::uint64_t after)
-        : inner_(std::move(inner)), master_(master), after_(after)
+        : ForwardingTraceSource(*inner), owned_(std::move(inner)),
+          master_(master), after_(after)
     {}
 
     bool
@@ -127,33 +128,13 @@ class CancelMidStreamSource : public trace::TraceSource
     {
         if (++count_ == after_)
             master_->cancel();
-        return inner_->next(ref);
+        return inner_.next(ref);
     }
 
-    void reset() override { inner_->reset(); }
-
-    const Error &error() const override { return inner_->error(); }
-
-    std::uint64_t
-    skippedRecords() const override
-    {
-        return inner_->skippedRecords();
-    }
-
-    void
-    setCancelToken(const CancelToken *t) override
-    {
-        inner_->setCancelToken(t);
-    }
-
-    void
-    setMemBudget(MemBudget *b) override
-    {
-        inner_->setMemBudget(b);
-    }
+    void reset() override { inner_.reset(); }
 
   private:
-    std::unique_ptr<trace::TraceSource> inner_;
+    std::unique_ptr<trace::TraceSource> owned_;
     CancelToken *master_;
     std::uint64_t after_;
     std::uint64_t count_ = 0;

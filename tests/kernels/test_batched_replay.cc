@@ -1,18 +1,22 @@
 /**
  * @file
- * Batched trace replay must be a pure throughput optimization:
- * sim::RunSpec::batch_size changes how references are pulled and
- * prefetched, never what any counter says. These tests hold every
- * batch size to bit-for-bit identical RunOutputs, on the serial
- * fast path and through the parallel sweep.
+ * Batched trace replay must be a pure throughput optimization: how
+ * references are pulled and prefetched never changes what any
+ * counter says. TwoLevelHierarchy::run is held to a plain access()
+ * loop, and sim::runTrace to the one-reference-at-a-time loop it
+ * replaced, kept here as the oracle.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "core/probe_meter.h"
 #include "core/scheme.h"
-#include "exec/sweep.h"
+#include "exec/journal.h"
+#include "mem/coherency.h"
 #include "mem/hierarchy.h"
 #include "sim/runner.h"
 #include "trace/atum_like.h"
@@ -34,7 +38,7 @@ smallTrace()
 }
 
 sim::RunSpec
-specWithBatch(unsigned batch)
+meteredSpec()
 {
     sim::RunSpec spec;
     spec.hier = {mem::CacheGeometry(4096, 16, 1),
@@ -46,96 +50,183 @@ specWithBatch(unsigned batch)
         core::SchemeSpec::paperPartial(4),
     };
     spec.with_distances = true;
-    spec.batch_size = batch;
     return spec;
 }
 
-void
-expectSameOutput(const sim::RunOutput &want,
-                 const sim::RunOutput &got, unsigned batch)
+/**
+ * The per-reference loop sim::runTrace used whenever a token,
+ * coherency rate or occupancy period was set: one next(), one
+ * access(), one remote step, then the checkpoint and the sample.
+ */
+sim::RunOutput
+oracleRunTrace(trace::TraceSource &src, const sim::RunSpec &spec)
 {
-    SCOPED_TRACE("batch=" + std::to_string(batch));
-    const mem::HierarchyStats &a = want.stats;
-    const mem::HierarchyStats &b = got.stats;
-    EXPECT_EQ(a.proc_refs, b.proc_refs);
-    EXPECT_EQ(a.l1_hits, b.l1_hits);
-    EXPECT_EQ(a.l1_misses, b.l1_misses);
-    EXPECT_EQ(a.read_ins, b.read_ins);
-    EXPECT_EQ(a.read_in_hits, b.read_in_hits);
-    EXPECT_EQ(a.read_in_misses, b.read_in_misses);
-    EXPECT_EQ(a.write_backs, b.write_backs);
-    EXPECT_EQ(a.write_back_hits, b.write_back_hits);
-    EXPECT_EQ(a.write_back_misses, b.write_back_misses);
-    EXPECT_EQ(a.hint_correct, b.hint_correct);
-    EXPECT_EQ(a.hint_wrong, b.hint_wrong);
-    EXPECT_EQ(a.flushes, b.flushes);
-    EXPECT_EQ(a.inclusion_invalidations, b.inclusion_invalidations);
-
-    ASSERT_EQ(want.names, got.names);
-    ASSERT_EQ(want.probes.size(), got.probes.size());
-    for (std::size_t i = 0; i < want.probes.size(); ++i) {
-        const core::ProbeStats &p = want.probes[i];
-        const core::ProbeStats &q = got.probes[i];
-        SCOPED_TRACE(want.names[i]);
-        EXPECT_EQ(p.read_in_hits.count(), q.read_in_hits.count());
-        EXPECT_EQ(p.read_in_hits.sum(), q.read_in_hits.sum());
-        EXPECT_EQ(p.read_in_misses.count(),
-                  q.read_in_misses.count());
-        EXPECT_EQ(p.read_in_misses.sum(), q.read_in_misses.sum());
-        EXPECT_EQ(p.write_backs.count(), q.write_backs.count());
-        EXPECT_EQ(p.write_backs.sum(), q.write_backs.sum());
-        EXPECT_EQ(p.alias_hits, q.alias_hits);
-        EXPECT_EQ(p.alias_wrong_way, q.alias_wrong_way);
+    mem::TwoLevelHierarchy hier(spec.hier);
+    std::vector<std::unique_ptr<core::ProbeMeter>> meters;
+    for (const core::SchemeSpec &scheme : spec.schemes) {
+        meters.push_back(scheme.makeMeter(spec.wb_optimization));
+        hier.addObserver(meters.back().get());
     }
-    EXPECT_EQ(want.f, got.f);
-}
-
-TEST(BatchedReplay, EveryBatchSizeMatchesUnbatched)
-{
-    trace::AtumLikeGenerator unbatched(smallTrace());
-    sim::RunOutput want = sim::runTrace(unbatched, specWithBatch(1));
-    EXPECT_GT(want.stats.proc_refs, 0u);
-    EXPECT_EQ(1u, want.stats.flushes);
-
-    for (unsigned batch : {0u, 4u, 16u, 64u}) {
-        trace::AtumLikeGenerator src(smallTrace());
-        sim::RunOutput got = sim::runTrace(src, specWithBatch(batch));
-        expectSameOutput(want, got, batch);
+    std::unique_ptr<core::MruDistanceMeter> dist;
+    if (spec.with_distances) {
+        dist = std::make_unique<core::MruDistanceMeter>(
+            spec.hier.l2.assoc());
+        hier.addObserver(dist.get());
     }
-}
 
-TEST(BatchedReplay, SweepPathMatchesAcrossBatchSizesAndJobs)
-{
-    // Four specs of varying level-two geometry, run once with
-    // batching off and once with the default batch, serial and
-    // through the pool: all four ways must agree spec by spec.
-    auto makeSpecs = [](unsigned batch) {
-        std::vector<sim::RunSpec> specs;
-        for (unsigned assoc : {1u, 2u, 4u, 8u}) {
-            sim::RunSpec s = specWithBatch(batch);
-            s.hier.l2 = mem::CacheGeometry(65536, 32, assoc);
-            s.schemes = {core::SchemeSpec{core::SchemeKind::Mru}};
-            s.with_distances = false;
-            specs.push_back(s);
+    sim::RunOutput out;
+    mem::CoherencyTraffic remote(spec.coherency_rate);
+    trace::MemRef r;
+    src.reset();
+    std::uint64_t n = 0;
+    double occ_sum = 0.0;
+    std::uint64_t occ_samples = 0;
+    const CancelToken *cancel = spec.cancel;
+    const std::uint64_t every =
+        spec.checkpoint_every ? spec.checkpoint_every : 1;
+    std::uint64_t until_checkpoint = every;
+    if (cancel) {
+        Expected<void> go = cancel->checkpoint();
+        if (!go.ok())
+            throwError(Error(go.error()).withContext("before streaming"));
+    }
+    while (src.next(r)) {
+        hier.access(r);
+        if (spec.coherency_rate > 0.0)
+            remote.step(hier);
+        ++n;
+        if (cancel && --until_checkpoint == 0) {
+            until_checkpoint = every;
+            Expected<void> go = cancel->checkpoint();
+            if (!go.ok())
+                throwError(Error(go.error()).withContext(
+                    "after " + std::to_string(n) + " accesses"));
         }
-        return specs;
-    };
-    trace::AtumLikeConfig cfg = smallTrace();
+        if (spec.occupancy_sample_period != 0 &&
+            n % spec.occupancy_sample_period == 0) {
+            occ_sum += mem::l2ValidFraction(hier);
+            ++occ_samples;
+        }
+    }
+    if (occ_samples != 0)
+        out.mean_occupancy = occ_sum / occ_samples;
+    out.coherency_invalidations = remote.invalidations();
 
-    exec::SweepOptions serial;
-    serial.jobs = 1;
-    exec::SweepOptions pooled;
-    pooled.jobs = 2;
+    throwIfFailed(src);
+    out.skipped_records = src.skippedRecords();
+    out.stats = hier.stats();
+    for (const auto &meter : meters) {
+        out.names.push_back(meter->name());
+        out.probes.push_back(meter->stats());
+    }
+    if (dist) {
+        out.f.assign(spec.hier.l2.assoc() + 1, 0.0);
+        for (unsigned i = 1; i <= spec.hier.l2.assoc(); ++i)
+            out.f[i] = dist->f(i);
+    }
+    return out;
+}
 
-    std::vector<sim::RunOutput> want = exec::runSweep(
-        makeSpecs(1), exec::atumTraceFactory(cfg), serial);
-    for (unsigned batch : {1u, 64u}) {
-        for (exec::SweepOptions *opt : {&serial, &pooled}) {
-            std::vector<sim::RunOutput> got = exec::runSweep(
-                makeSpecs(batch), exec::atumTraceFactory(cfg), *opt);
-            ASSERT_EQ(want.size(), got.size());
-            for (std::size_t i = 0; i < want.size(); ++i)
-                expectSameOutput(want[i], got[i], batch);
+/** Forwarding source that cancels @p token as record @p k is read. */
+class TripAtSource : public trace::ForwardingTraceSource
+{
+  public:
+    TripAtSource(trace::TraceSource &inner, CancelToken *token,
+                 std::uint64_t k)
+        : ForwardingTraceSource(inner), token_(token), k_(k)
+    {}
+
+    bool
+    next(trace::MemRef &ref) override
+    {
+        if (++count_ == k_)
+            token_->cancel();
+        return inner_.next(ref);
+    }
+
+    void
+    reset() override
+    {
+        inner_.reset();
+        count_ = 0;
+    }
+
+  private:
+    CancelToken *token_;
+    std::uint64_t k_;
+    std::uint64_t count_ = 0;
+};
+
+/** The error a run stopped with (fails the test when none). */
+template <typename Run>
+Error
+stopError(Run run)
+{
+    try {
+        run();
+    } catch (const ErrorException &e) {
+        return e.error();
+    }
+    ADD_FAILURE() << "run did not stop";
+    return Error();
+}
+
+TEST(BatchedReplay, RunTraceMatchesThePerReferenceLoop)
+{
+    CancelToken token; // never trips: exercises every checkpoint
+    for (std::uint64_t every : {1ull, 7ull, 100ull, 4096ull}) {
+        for (double rate : {0.0, 0.01}) {
+            for (std::uint64_t period : {0ull, 333ull, 5000ull}) {
+                SCOPED_TRACE("checkpoint_every=" + std::to_string(every) +
+                             " coherency_rate=" + std::to_string(rate) +
+                             " occupancy_sample_period=" +
+                             std::to_string(period));
+                sim::RunSpec spec = meteredSpec();
+                spec.cancel = &token;
+                spec.checkpoint_every = every;
+                spec.coherency_rate = rate;
+                spec.occupancy_sample_period = period;
+
+                trace::AtumLikeGenerator a(smallTrace());
+                sim::RunOutput want = oracleRunTrace(a, spec);
+                trace::AtumLikeGenerator b(smallTrace());
+                sim::RunOutput got = sim::runTrace(b, spec);
+                EXPECT_EQ(1u, got.stats.flushes);
+                EXPECT_EQ(rate > 0.0, got.coherency_invalidations > 0);
+                EXPECT_EQ(period > 0, got.mean_occupancy > 0.0);
+                EXPECT_EQ(exec::encodeRunOutput(want),
+                          exec::encodeRunOutput(got));
+            }
+        }
+    }
+}
+
+TEST(BatchedReplay, CancelStopsAtTheSameCheckpoint)
+{
+    // A token tripped while record k is read is honored at the first
+    // checkpoint at or after access k: N = ceil(k / 100) * 100.
+    for (std::uint64_t k : {1ull, 64ull, 65ull, 4097ull}) {
+        SCOPED_TRACE("k=" + std::to_string(k));
+        const std::string want =
+            "after " + std::to_string((k + 99) / 100 * 100) +
+            " accesses";
+        for (bool oracle : {true, false}) {
+            CancelToken token;
+            sim::RunSpec spec = meteredSpec();
+            spec.cancel = &token;
+            spec.checkpoint_every = 100;
+            trace::AtumLikeGenerator gen(smallTrace());
+            TripAtSource src(gen, &token, k);
+            Error e = stopError([&] {
+                if (oracle)
+                    oracleRunTrace(src, spec);
+                else
+                    sim::runTrace(src, spec);
+            });
+            EXPECT_EQ(ErrorCode::Cancelled, e.code());
+            ASSERT_FALSE(e.context().empty());
+            EXPECT_EQ(want, e.context().back())
+                << (oracle ? "oracle" : "runTrace");
         }
     }
 }
@@ -180,7 +271,7 @@ TEST(BatchedReplay, VectorSourceBatchesMatchSerialNext)
 TEST(BatchedReplay, HierarchyRunBatchedEqualsPerReference)
 {
     // Drive the hierarchy directly (no runner) so the prefetching
-    // run() loop itself is on trial, flush markers included.
+    // replay loop itself is on trial, flush markers included.
     Pcg32 rng(0xba7c6, 4);
     trace::VectorTraceSource src;
     for (int i = 0; i < 20000; ++i) {
@@ -198,7 +289,8 @@ TEST(BatchedReplay, HierarchyRunBatchedEqualsPerReference)
     mem::HierarchyConfig hc{mem::CacheGeometry(1024, 16, 1),
                             mem::CacheGeometry(16384, 32, 4), true};
     mem::TwoLevelHierarchy base(hc);
-    base.run(src, 1);
+    for (const trace::MemRef &r : src.refs())
+        base.access(r);
 
     for (unsigned batch : {4u, 16u, 64u}) {
         mem::TwoLevelHierarchy h(hc);

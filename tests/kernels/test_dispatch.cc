@@ -40,9 +40,7 @@ TEST(KernelDispatch, RegistryHasScalarLastAndSwarAlways)
     EXPECT_EQ(&scalarKernels(), reg.back());
     EXPECT_EQ(&swarKernels(), reg[reg.size() - 2]);
     for (std::size_t i = 0; i + 2 < reg.size(); ++i)
-        EXPECT_TRUE(reg[i]->isa == KernelIsa::Avx2 ||
-                    reg[i]->isa == KernelIsa::Neon)
-            << reg[i]->name;
+        EXPECT_EQ(reg[i]->isa, KernelIsa::Avx2) << reg[i]->name;
 }
 
 TEST(KernelDispatch, EveryRegisteredTablePassesItsSelfCheck)

@@ -2,7 +2,7 @@
 // hang-injected sweeps cut loose by the watchdog with bit-identical
 // siblings and byte-identical resume, sweep deadlines leaving gap
 // rows, SIGINT racing the journal drain, memory budgets, slow jobs
-// that must survive, and checkpointed-loop determinism.
+// that must survive, and armed-token determinism.
 
 #include <csignal>
 #include <cstdio>
@@ -271,10 +271,10 @@ TEST(TimeoutSweep, SlowJobIsNotKilled)
     EXPECT_TRUE(run.stalls.empty());
 }
 
-TEST(TimeoutSweep, CheckpointedLoopMatchesTheFastPath)
+TEST(TimeoutSweep, ArmedTokenLeavesTheOutputUnchanged)
 {
-    // Arming a token (and thus leaving the fast path) must not
-    // change a single bit of the output, at any checkpoint cadence.
+    // Arming a token must not change a single bit of the output, at
+    // any checkpoint cadence.
     trace::AtumLikeConfig tcfg = smallTrace();
     sim::RunSpec spec = threeSpecs()[1];
 
