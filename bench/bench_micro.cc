@@ -400,19 +400,16 @@ BENCHMARK(BM_TraceGeneration);
 /** 100k AtumLike references materialized once, replayed from memory
  *  so the hierarchy benchmarks time the hierarchy, not the trace
  *  generator (BM_TraceGeneration prices that separately). */
-const std::vector<trace::MemRef> &
+const trace::VectorTraceSource::Buffer &
 replayRefs()
 {
-    static const std::vector<trace::MemRef> refs = [] {
+    static const trace::VectorTraceSource::Buffer refs = [] {
         trace::AtumLikeConfig cfg;
         cfg.segments = 1;
         cfg.refs_per_segment = 100000;
         trace::AtumLikeGenerator gen(cfg);
-        std::vector<trace::MemRef> v;
-        trace::MemRef r;
-        while (gen.next(r))
-            v.push_back(r);
-        return v;
+        return std::make_shared<const std::vector<trace::MemRef>>(
+            trace::materialize(gen, gen.totalRefs()));
     }();
     return refs;
 }
@@ -420,7 +417,7 @@ replayRefs()
 void
 BM_HierarchySimulation(benchmark::State &state)
 {
-    const std::vector<trace::MemRef> &refs = replayRefs();
+    const std::vector<trace::MemRef> &refs = *replayRefs();
     mem::HierarchyConfig hcfg{mem::CacheGeometry(16384, 16, 1),
                               mem::CacheGeometry(262144, 32, 4),
                               true};
@@ -439,7 +436,7 @@ BENCHMARK(BM_HierarchySimulation);
 void
 BM_HierarchyWithMeters(benchmark::State &state)
 {
-    const std::vector<trace::MemRef> &refs = replayRefs();
+    const std::vector<trace::MemRef> &refs = *replayRefs();
     mem::HierarchyConfig hcfg{mem::CacheGeometry(16384, 16, 1),
                               mem::CacheGeometry(262144, 32, 4),
                               true};
@@ -470,8 +467,7 @@ BM_HierarchyBatchedReplay(benchmark::State &state)
     // Whole-trace replay through TwoLevelHierarchy::run at a given
     // pull size (1 = one reference per nextBatch call, so nothing is
     // prefetched; 64 = kReplayBatch, the pull every run uses).
-    const std::vector<trace::MemRef> &refs = replayRefs();
-    trace::VectorTraceSource src(refs);
+    trace::VectorTraceSource src(replayRefs());
     mem::HierarchyConfig hcfg{mem::CacheGeometry(16384, 16, 1),
                               mem::CacheGeometry(262144, 32, 4),
                               true};
@@ -483,7 +479,7 @@ BM_HierarchyBatchedReplay(benchmark::State &state)
     }
     state.SetItemsProcessed(
         state.iterations() *
-        static_cast<std::int64_t>(refs.size()));
+        static_cast<std::int64_t>(src.size()));
 }
 
 BENCHMARK(BM_HierarchyBatchedReplay)

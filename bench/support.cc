@@ -187,8 +187,7 @@ runSweepChecked(const std::vector<RunSpec> &specs,
     if (args.fail_job >= 0)
         opts.inject = &inject;
 
-    SweepResult result = exec::runSweepChecked(
-        specs, exec::atumTraceFactory(tcfg), opts);
+    SweepResult result = exec::runSweepChecked(specs, tcfg, opts);
 
     for (std::size_t i = 0; i < result.jobs.size(); ++i) {
         const JobResult &j = result.jobs[i];

@@ -90,6 +90,10 @@ std::vector<RunOutput> runSweep(const std::vector<RunSpec> &specs,
  * in use so ^C checkpoints cleanly (the sweep then throws a
  * Cancelled ErrorException, exiting 130 under guardedMain()).
  *
+ * The trace is synthesized once and replayed from memory by every
+ * job, charged to --mem-budget; a budget too small for it makes each
+ * job stream its own generator instead (exec::runSweepChecked).
+ *
  * Honors the runaway-work flags too: --job-timeout, --sweep-deadline
  * and --mem-budget (see docs/ROBUSTNESS.md). Jobs those kill come
  * back TimedOut / OverBudget and always render as gaps — no

@@ -681,8 +681,7 @@ caseLookupThrow(std::uint64_t case_seed, CaseCheck &chk,
 
     exec::SweepOptions opt;
     opt.jobs = 2;
-    exec::SweepResult run = exec::runSweepChecked(
-        specs, exec::atumTraceFactory(tcfg), opt);
+    exec::SweepResult run = exec::runSweepChecked(specs, tcfg, opt);
     faults += 1;
 
     chk.require(run.jobs.size() == specs.size(),
@@ -735,8 +734,7 @@ caseTransientRetry(std::uint64_t case_seed, CaseCheck &chk,
     opt.jobs = 1 + rng.below(2);
     opt.max_retries = 1;
     opt.inject = &inject;
-    exec::SweepResult run = exec::runSweepChecked(
-        specs, exec::atumTraceFactory(tcfg), opt);
+    exec::SweepResult run = exec::runSweepChecked(specs, tcfg, opt);
     faults += inject.injected();
 
     chk.require(inject.injected() == 1,
@@ -790,8 +788,7 @@ caseCancelResume(Scratch &scratch, std::uint64_t case_seed,
     opt1.cancel = &token;
     opt1.journal_path = journal;
     opt1.spec_hash = hash;
-    exec::SweepResult first = exec::runSweepChecked(
-        specs, exec::atumTraceFactory(tcfg), opt1);
+    exec::SweepResult first = exec::runSweepChecked(specs, tcfg, opt1);
     faults += 1;
 
     std::uint64_t done = static_cast<std::uint64_t>(
@@ -808,8 +805,7 @@ caseCancelResume(Scratch &scratch, std::uint64_t case_seed,
     opt2.jobs = 1 + rng.below(2);
     opt2.resume_path = journal;
     opt2.spec_hash = hash;
-    exec::SweepResult second = exec::runSweepChecked(
-        specs, exec::atumTraceFactory(tcfg), opt2);
+    exec::SweepResult second = exec::runSweepChecked(specs, tcfg, opt2);
 
     chk.require(second.resumed == done,
                 "resume restored " + std::to_string(second.resumed) +
@@ -866,8 +862,7 @@ caseHang(Scratch &scratch, std::uint64_t case_seed,
     opt.watchdog.log = false;
     opt.journal_path = journal;
     opt.spec_hash = hash;
-    exec::SweepResult run = exec::runSweepChecked(
-        specs, exec::atumTraceFactory(tcfg), opt);
+    exec::SweepResult run = exec::runSweepChecked(specs, tcfg, opt);
     faults += 1;
 
     for (std::size_t i = 0; i < run.jobs.size(); ++i) {
@@ -910,8 +905,7 @@ caseHang(Scratch &scratch, std::uint64_t case_seed,
     opt2.jobs = 1;
     opt2.resume_path = journal;
     opt2.spec_hash = hash;
-    exec::SweepResult second = exec::runSweepChecked(
-        specs, exec::atumTraceFactory(tcfg), opt2);
+    exec::SweepResult second = exec::runSweepChecked(specs, tcfg, opt2);
     chk.require(second.resumed == specs.size() - 1,
                 "resume restored " + std::to_string(second.resumed) +
                     " jobs, journal should hold " +
@@ -955,8 +949,7 @@ caseSlow(std::uint64_t case_seed, CaseCheck &chk,
     opt.inject = &inject;
     opt.job_timeout_ns = 10ull * 1000 * 1000 * 1000; // generous 10s
     opt.watchdog.log = false;
-    exec::SweepResult run = exec::runSweepChecked(
-        specs, exec::atumTraceFactory(tcfg), opt);
+    exec::SweepResult run = exec::runSweepChecked(specs, tcfg, opt);
     faults += 1;
 
     for (std::size_t i = 0; i < run.jobs.size(); ++i) {
@@ -1002,8 +995,7 @@ caseOom(std::uint64_t case_seed, CaseCheck &chk,
     opt.max_retries = 1; // must NOT be spent on a budget failure
     opt.inject = &inject;
     opt.job_mem_budget = 4ull << 20;
-    exec::SweepResult run = exec::runSweepChecked(
-        specs, exec::atumTraceFactory(tcfg), opt);
+    exec::SweepResult run = exec::runSweepChecked(specs, tcfg, opt);
     faults += 1;
 
     for (std::size_t i = 0; i < run.jobs.size(); ++i) {

@@ -55,6 +55,9 @@ struct SweepResult
 
     bool interrupted = false;   ///< a cancellation cut the sweep short
     std::uint64_t resumed = 0;  ///< slots restored from a journal
+    /** Bytes of the one synthesized trace every job replayed from
+     *  memory (0 = each job streamed its own). */
+    std::uint64_t shared_trace_bytes = 0;
     /** Watchdog observations (deadline misses and escalations). */
     std::vector<StallReport> stalls;
 

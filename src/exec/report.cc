@@ -195,6 +195,8 @@ writeSweepJson(std::ostream &os,
     os << "  \"over_budget\": " << result.overBudget() << ",\n";
     os << "  \"stalls\": " << result.stalls.size() << ",\n";
     os << "  \"resumed\": " << result.resumed << ",\n";
+    os << "  \"shared_trace_bytes\": " << result.shared_trace_bytes
+       << ",\n";
     os << "  \"interrupted\": "
        << (result.interrupted ? "true" : "false") << "\n";
     os << "}\n";

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <new>
 
 #include "exec/fault.h"
 #include "exec/journal.h"
@@ -260,11 +261,64 @@ runOneJob(const std::vector<sim::RunSpec> &specs,
     return res;
 }
 
-} // namespace
+/** A synthesized trace held in memory for a whole sweep. */
+struct SharedTrace
+{
+    /** Cursors over the buffer (empty = each job streams). */
+    TraceFactory factory;
+    std::uint64_t bytes = 0;
+    /** The buffer's charge on the sweep-global budget. */
+    MemCharge charge;
+};
 
+/**
+ * Synthesize @p cfg's stream once into an immutable buffer, charged
+ * to @p budget (the sweep-global one; null = no accounting) before
+ * anything is allocated. An empty factory means "stream instead":
+ * the config is invalid (each job then fails with the generator's
+ * own error, exactly as when streaming), the trace is not
+ * addressable, or the budget or the allocator refuses it.
+ */
+SharedTrace
+shareAtumTrace(const trace::AtumLikeConfig &cfg, MemBudget *budget)
+{
+    SharedTrace shared;
+    if (trace::validateConfig(cfg).failed())
+        return shared;
+    trace::AtumLikeGenerator gen(cfg);
+    const std::uint64_t total = gen.totalRefs();
+    if (total > std::vector<trace::MemRef>().max_size())
+        return shared;
+    const std::uint64_t bytes = total * sizeof(trace::MemRef);
+    Expected<MemCharge> charge =
+        MemCharge::charge(budget, bytes, "shared trace");
+    if (!charge.ok())
+        return shared;
+    trace::VectorTraceSource::Buffer refs;
+    try {
+        refs = std::make_shared<const std::vector<trace::MemRef>>(
+            trace::materialize(gen, static_cast<std::size_t>(total)));
+    } catch (const std::bad_alloc &) {
+        return shared;
+    }
+    shared.factory = [refs](std::size_t) {
+        return std::make_unique<trace::VectorTraceSource>(refs);
+    };
+    shared.bytes = bytes;
+    shared.charge = charge.take();
+    return shared;
+}
+
+/**
+ * The checked sweep. With @p shareable (the config @p make_trace
+ * streams), a sweep with at least two jobs left to run replays one
+ * shared synthesis instead; see runSweepChecked() in sweep.h.
+ */
 SweepResult
-runSweepChecked(const std::vector<sim::RunSpec> &specs,
-                const TraceFactory &make_trace, const SweepOptions &opts)
+runChecked(const std::vector<sim::RunSpec> &specs,
+           const TraceFactory &make_trace,
+           const trace::AtumLikeConfig *shareable,
+           const SweepOptions &opts)
 {
     SweepResult result;
     result.jobs.resize(specs.size());
@@ -313,6 +367,20 @@ runSweepChecked(const std::vector<sim::RunSpec> &specs,
         }
     }
 
+    // Generate once, replay many. The buffer is held until the sweep
+    // returns and charged to the sweep-global budget only: no job
+    // budget pays for it. Declared after global_budget, so released
+    // before it.
+    SharedTrace shared;
+    const std::size_t remaining = static_cast<std::size_t>(
+        std::count(have.begin(), have.end(), false));
+    if (shareable && remaining >= 2 &&
+        !(guards.cancel && guards.cancel->cancelled()))
+        shared = shareAtumTrace(*shareable, guards.budget);
+    const TraceFactory &jobs_trace =
+        shared.factory ? shared.factory : make_trace;
+    result.shared_trace_bytes = shared.bytes;
+
     // Open the journal we append new completions to. When both
     // --journal and --resume are given, the fresh journal also
     // receives the restored slots, producing a compacted, complete
@@ -358,9 +426,9 @@ runSweepChecked(const std::vector<sim::RunSpec> &specs,
                     opts.progress->tick();
                 continue;
             }
-            jobs.push_back([&specs, &make_trace, &opts, &guards,
+            jobs.push_back([&specs, &jobs_trace, &opts, &guards,
                             &result, &writer, &journal_mutex, i] {
-                JobResult r = runOneJob(specs, make_trace, opts,
+                JobResult r = runOneJob(specs, jobs_trace, opts,
                                         guards, i);
                 if (r.ok() && writer.isOpen()) {
                     std::lock_guard<std::mutex> lock(journal_mutex);
@@ -399,6 +467,24 @@ runSweepChecked(const std::vector<sim::RunSpec> &specs,
         if (j.status == JobStatus::Cancelled)
             result.interrupted = true;
     return result;
+}
+
+} // namespace
+
+SweepResult
+runSweepChecked(const std::vector<sim::RunSpec> &specs,
+                const TraceFactory &make_trace, const SweepOptions &opts)
+{
+    return runChecked(specs, make_trace, nullptr, opts);
+}
+
+SweepResult
+runSweepChecked(const std::vector<sim::RunSpec> &specs,
+                const trace::AtumLikeConfig &trace_cfg,
+                const SweepOptions &opts)
+{
+    return runChecked(specs, atumTraceFactory(trace_cfg), &trace_cfg,
+                      opts);
 }
 
 } // namespace exec

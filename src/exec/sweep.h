@@ -2,15 +2,20 @@
  * @file
  * Deterministic parallel sweep execution.
  *
- * Paper sweeps replay a seed-regenerated trace through many
+ * Paper sweeps replay one seed-determined trace through many
  * independent RunSpecs; no mutable state is shared between runs, so
  * they are embarrassingly parallel. runSweep() fans a vector of
- * specs across a work-stealing ThreadPool — each job constructs its
- * own TraceSource from the shared seed via a caller-supplied
- * factory, so workers never share a generator — and returns the
- * RunOutputs *in submission order* regardless of completion order:
- * the result vector is bit-identical to what the old serial loop
- * produced.
+ * specs across a work-stealing ThreadPool — each job gets its own
+ * TraceSource from a caller-supplied factory, so workers never
+ * share a generator or a cursor — and returns the RunOutputs *in
+ * submission order* regardless of completion order: the result
+ * vector is bit-identical to what the old serial loop produced.
+ *
+ * Given the trace's config instead of a factory, runSweepChecked()
+ * synthesizes the trace once, charged to the sweep's memory budget,
+ * and every job replays that one immutable buffer through its own
+ * cursor (generate once, replay many). Every job replays the same
+ * stream either way, so the outputs are identical.
  *
  * With jobs == 1 the sweep bypasses the pool entirely and runs each
  * spec inline, in order, on the calling thread: the exact old
@@ -20,8 +25,8 @@
  *   std::vector<sim::RunSpec> specs = ...;
  *   exec::SweepOptions opt;
  *   opt.jobs = 4;
- *   std::vector<sim::RunOutput> outs = exec::runSweep(
- *       specs, exec::atumTraceFactory(trace_cfg), opt);
+ *   exec::SweepResult res =
+ *       exec::runSweepChecked(specs, trace_cfg, opt);
  * @endcode
  */
 
@@ -92,8 +97,8 @@ struct SweepOptions
      *  When it passes, running jobs are cancelled and unstarted
      *  jobs are marked TimedOut without running. */
     std::uint64_t sweep_deadline_ns = 0;
-    /** Global memory budget for all concurrent jobs, bytes
-     *  (0 = unlimited). */
+    /** Global memory budget for all concurrent jobs and the sweep's
+     *  shared trace, bytes (0 = unlimited). */
     std::uint64_t mem_budget = 0;
     /** Per-job memory budget, bytes (0 = unlimited); charges also
      *  count against mem_budget. */
@@ -114,7 +119,8 @@ using TraceFactory =
     std::function<std::unique_ptr<trace::TraceSource>(std::size_t)>;
 
 /** A TraceFactory producing one AtumLikeGenerator per job from the
- *  shared config (every job replays the identical stream). */
+ *  shared config (every job replays the identical stream). The
+ *  streaming fallback of the config overload of runSweepChecked(). */
 TraceFactory atumTraceFactory(const trace::AtumLikeConfig &cfg);
 
 /**
@@ -167,6 +173,24 @@ void runJobs(std::vector<std::function<void()>> jobs,
 SweepResult
 runSweepChecked(const std::vector<sim::RunSpec> &specs,
                 const TraceFactory &make_trace,
+                const SweepOptions &opts = {});
+
+/**
+ * runSweepChecked() over the synthesized trace @p trace_cfg, built
+ * once for the whole sweep when that saves work. After the journal
+ * restore, when at least two jobs are left to run, the trace's
+ * AtumLikeGenerator::totalRefs() * sizeof(MemRef) bytes are charged
+ * to the sweep-global budget (opts.mem_budget; never to a job
+ * budget) and held until the sweep returns; the trace is then
+ * synthesized once into an immutable buffer and each job replays
+ * it through a trace::VectorTraceSource cursor. When fewer than two
+ * jobs remain, or the budget (or the allocator) refuses the buffer,
+ * each job streams its own generator, exactly as with
+ * atumTraceFactory(@p trace_cfg). Outputs are identical either way.
+ */
+SweepResult
+runSweepChecked(const std::vector<sim::RunSpec> &specs,
+                const trace::AtumLikeConfig &trace_cfg,
                 const SweepOptions &opts = {});
 
 } // namespace exec

@@ -1,19 +1,23 @@
 /**
  * @file
- * Streaming trace-source interface and a simple in-memory source.
+ * Streaming trace-source interface and an in-memory cursor source.
  *
- * Traces are streamed rather than materialized: an 8-million
- * reference trace replayed over dozens of cache configurations
- * would otherwise dominate memory. Sources are resettable so every
- * configuration replays the byte-identical stream.
+ * Sources are resettable so every configuration replays the
+ * byte-identical stream. Generators and file readers stream, so a
+ * single replay holds only its pull buffer. A sweep that replays
+ * one synthesized trace in several jobs materializes it once
+ * instead (exec::runSweepChecked) and gives every job a
+ * VectorTraceSource cursor over the shared, immutable buffer.
  */
 
 #ifndef ASSOC_TRACE_TRACE_SOURCE_H
 #define ASSOC_TRACE_TRACE_SOURCE_H
 
 #include <algorithm>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "trace/memref.h"
@@ -107,24 +111,54 @@ throwIfFailed(const TraceSource &src)
         throwError(Error(src.error()));
 }
 
-/** Trace source over an in-memory vector (tests, small traces). */
+/**
+ * Drain @p src from the top into a vector, pulling with nextBatch().
+ * @p expected, when known, is reserved up front so the vector never
+ * reallocates. Throws the source's Error when it stopped on a
+ * failure.
+ */
+inline std::vector<MemRef>
+materialize(TraceSource &src, std::size_t expected = 0)
+{
+    std::vector<MemRef> refs;
+    refs.reserve(expected);
+    src.reset();
+    MemRef buf[64];
+    while (std::size_t n = src.nextBatch(buf, 64))
+        refs.insert(refs.end(), buf, buf + n);
+    throwIfFailed(src);
+    return refs;
+}
+
+/**
+ * Cursor over an immutable in-memory trace (tests, small traces, a
+ * sweep's shared synthesized trace). The records are held by a
+ * shared_ptr to const, so any number of cursors, on any threads,
+ * can replay one buffer; each cursor keeps only its position.
+ */
 class VectorTraceSource : public TraceSource
 {
   public:
-    VectorTraceSource() = default;
+    /** Shared, immutable backing records. */
+    using Buffer = std::shared_ptr<const std::vector<MemRef>>;
+
+    VectorTraceSource() : VectorTraceSource(std::vector<MemRef>()) {}
     explicit VectorTraceSource(std::vector<MemRef> refs)
+        : refs_(std::make_shared<const std::vector<MemRef>>(
+              std::move(refs)))
+    {}
+    /** A cursor over @p refs; nothing is copied. A template, so a
+     *  braced list of records always means the vector overload. */
+    explicit VectorTraceSource(std::same_as<Buffer> auto refs)
         : refs_(std::move(refs))
     {}
-
-    /** Append one reference (before streaming). */
-    void push(const MemRef &r) { refs_.push_back(r); }
 
     bool
     next(MemRef &ref) override
     {
-        if (pos_ >= refs_.size())
+        if (pos_ >= refs_->size())
             return false;
-        ref = refs_[pos_++];
+        ref = (*refs_)[pos_++];
         return true;
     }
 
@@ -134,23 +168,21 @@ class VectorTraceSource : public TraceSource
     std::size_t
     nextBatch(MemRef *out, std::size_t max) override
     {
-        std::size_t n = refs_.size() - pos_;
-        if (n > max)
-            n = max;
-        std::copy_n(refs_.begin() + static_cast<std::ptrdiff_t>(pos_),
+        std::size_t n = std::min(max, refs_->size() - pos_);
+        std::copy_n(refs_->begin() + static_cast<std::ptrdiff_t>(pos_),
                     n, out);
         pos_ += n;
         return n;
     }
 
     /** Total number of stored references. */
-    std::size_t size() const { return refs_.size(); }
+    std::size_t size() const { return refs_->size(); }
 
     /** Access to the underlying records. */
-    const std::vector<MemRef> &refs() const { return refs_; }
+    const std::vector<MemRef> &refs() const { return *refs_; }
 
   private:
-    std::vector<MemRef> refs_;
+    Buffer refs_;
     std::size_t pos_ = 0;
 };
 

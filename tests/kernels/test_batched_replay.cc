@@ -273,18 +273,19 @@ TEST(BatchedReplay, HierarchyRunBatchedEqualsPerReference)
     // Drive the hierarchy directly (no runner) so the prefetching
     // replay loop itself is on trial, flush markers included.
     Pcg32 rng(0xba7c6, 4);
-    trace::VectorTraceSource src;
+    std::vector<trace::MemRef> refs;
     for (int i = 0; i < 20000; ++i) {
         trace::MemRef r;
         if (i == 9000) {
-            src.push(trace::MemRef::flush());
+            refs.push_back(trace::MemRef::flush());
             continue;
         }
         r.addr = (rng.next() & 0x3ffff);
         r.type = rng.below(3) == 0 ? trace::RefType::Write
                                    : trace::RefType::Read;
-        src.push(r);
+        refs.push_back(r);
     }
+    trace::VectorTraceSource src(std::move(refs));
 
     mem::HierarchyConfig hc{mem::CacheGeometry(1024, 16, 1),
                             mem::CacheGeometry(16384, 32, 4), true};

@@ -100,8 +100,7 @@ TEST(TimeoutSweep, HangIsKilledSiblingsSurviveAndResumeIsExact)
     opt.watchdog.log = false;
     opt.journal_path = journal;
     opt.spec_hash = hash;
-    SweepResult run =
-        runSweepChecked(specs, atumTraceFactory(tcfg), opt);
+    SweepResult run = runSweepChecked(specs, tcfg, opt);
 
     ASSERT_EQ(run.jobs.size(), 3u);
     EXPECT_EQ(run.jobs[1].status, JobStatus::TimedOut);
@@ -123,8 +122,7 @@ TEST(TimeoutSweep, HangIsKilledSiblingsSurviveAndResumeIsExact)
     opt2.jobs = 1;
     opt2.resume_path = journal;
     opt2.spec_hash = hash;
-    SweepResult second =
-        runSweepChecked(specs, atumTraceFactory(tcfg), opt2);
+    SweepResult second = runSweepChecked(specs, tcfg, opt2);
     EXPECT_EQ(second.resumed, 2u);
     for (std::size_t i = 0; i < 3; ++i) {
         ASSERT_TRUE(second.jobs[i].ok());
@@ -151,8 +149,7 @@ TEST(TimeoutSweep, TimedOutJobIsRetriedUnderMaxRetries)
     opt.job_timeout_ns = 20 * kMs;
     opt.watchdog.sample_ns = 1 * kMs;
     opt.watchdog.log = false;
-    SweepResult run =
-        runSweepChecked(specs, atumTraceFactory(tcfg), opt);
+    SweepResult run = runSweepChecked(specs, tcfg, opt);
 
     EXPECT_EQ(run.jobs[0].status, JobStatus::TimedOut);
     EXPECT_EQ(run.jobs[0].attempts, 2u)
@@ -170,8 +167,7 @@ TEST(TimeoutSweep, ExpiredSweepDeadlineMarksEveryJobTimedOut)
     opt.jobs = 1;
     opt.sweep_deadline_ns = 1; // expired before the first job runs
     opt.watchdog.log = false;
-    SweepResult run =
-        runSweepChecked(specs, atumTraceFactory(tcfg), opt);
+    SweepResult run = runSweepChecked(specs, tcfg, opt);
 
     EXPECT_EQ(run.timedOut(), 3u);
     EXPECT_FALSE(run.interrupted)
@@ -193,8 +189,7 @@ TEST(TimeoutSweep, JsonReportCarriesGapRowsAndTimeoutCounts)
     opt.jobs = 1;
     opt.sweep_deadline_ns = 1;
     opt.watchdog.log = false;
-    SweepResult run =
-        runSweepChecked(specs, atumTraceFactory(tcfg), opt);
+    SweepResult run = runSweepChecked(specs, tcfg, opt);
 
     std::ostringstream os;
     writeSweepJson(os, specs, run);
@@ -226,8 +221,7 @@ TEST(TimeoutSweep, OverBudgetJobFailsOnceSiblingsSurvive)
     opt.max_retries = 3; // must not be spent: budgets are deterministic
     opt.inject = &inject;
     opt.job_mem_budget = 4ull << 20;
-    SweepResult run =
-        runSweepChecked(specs, atumTraceFactory(tcfg), opt);
+    SweepResult run = runSweepChecked(specs, tcfg, opt);
 
     EXPECT_EQ(run.jobs[2].status, JobStatus::OverBudget);
     EXPECT_EQ(run.jobs[2].error.code(), ErrorCode::Budget);
@@ -260,8 +254,7 @@ TEST(TimeoutSweep, SlowJobIsNotKilled)
     opt.inject = &inject;
     opt.job_timeout_ns = 10ull * 1000 * kMs; // generous 10s
     opt.watchdog.log = false;
-    SweepResult run =
-        runSweepChecked(specs, atumTraceFactory(tcfg), opt);
+    SweepResult run = runSweepChecked(specs, tcfg, opt);
 
     for (std::size_t i = 0; i < 3; ++i) {
         ASSERT_TRUE(run.jobs[i].ok()) << run.jobs[i].error.text();
@@ -348,8 +341,7 @@ TEST(TimeoutSweep, SigintDuringHangDrainsTheJournalCleanly)
         std::this_thread::sleep_for(std::chrono::milliseconds(30));
         std::raise(SIGINT);
     });
-    SweepResult run =
-        runSweepChecked(specs, atumTraceFactory(tcfg), opt);
+    SweepResult run = runSweepChecked(specs, tcfg, opt);
     interrupter.join();
 
     // The wedged job was released by the SIGINT and reports

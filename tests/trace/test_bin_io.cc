@@ -17,10 +17,13 @@ class BinIoTest : public ::testing::Test
     void
     SetUp() override
     {
+        // ctest runs every case as its own process, concurrently,
+        // and every process shares gtest's random seed: the path
+        // must be unique per test.
+        const ::testing::TestInfo *t =
+            ::testing::UnitTest::GetInstance()->current_test_info();
         path_ = ::testing::TempDir() + "bin_io_test_" +
-                std::to_string(::testing::UnitTest::GetInstance()
-                                   ->random_seed()) +
-                ".bin";
+                t->test_suite_name() + "_" + t->name() + ".bin";
     }
 
     void TearDown() override { std::remove(path_.c_str()); }

@@ -17,10 +17,13 @@ class DinIoTest : public ::testing::Test
     void
     SetUp() override
     {
+        // ctest runs every case as its own process, concurrently,
+        // and every process shares gtest's random seed: the path
+        // must be unique per test.
+        const ::testing::TestInfo *t =
+            ::testing::UnitTest::GetInstance()->current_test_info();
         path_ = ::testing::TempDir() + "din_io_test_" +
-                std::to_string(::testing::UnitTest::GetInstance()
-                                   ->random_seed()) +
-                ".din";
+                t->test_suite_name() + "_" + t->name() + ".din";
     }
 
     void TearDown() override { std::remove(path_.c_str()); }

@@ -20,9 +20,10 @@ namespace {
 
 TEST(WindowSampling, PassesOnWindowsDropsOffWindows)
 {
-    VectorTraceSource inner;
+    std::vector<MemRef> refs;
     for (Addr a = 0; a < 10; ++a)
-        inner.push({a, RefType::Read, 0});
+        refs.push_back({a, RefType::Read, 0});
+    VectorTraceSource inner(std::move(refs));
     WindowSampledSource sampled(inner, 2, 3);
     // Period 5: positions 0,1 pass; 2,3,4 drop.
     std::vector<Addr> got;
@@ -34,12 +35,11 @@ TEST(WindowSampling, PassesOnWindowsDropsOffWindows)
 
 TEST(WindowSampling, FlushMarkersAlwaysPass)
 {
-    VectorTraceSource inner;
-    inner.push({0, RefType::Read, 0});
-    inner.push({1, RefType::Read, 0});
-    inner.push(MemRef::flush());
-    inner.push({2, RefType::Read, 0});
-    inner.push({3, RefType::Read, 0});
+    VectorTraceSource inner({{0, RefType::Read, 0},
+                             {1, RefType::Read, 0},
+                             MemRef::flush(),
+                             {2, RefType::Read, 0},
+                             {3, RefType::Read, 0}});
     WindowSampledSource sampled(inner, 1, 1);
     std::vector<MemRef> got;
     MemRef r;
@@ -219,9 +219,10 @@ class SampledFtrTest : public ::testing::Test
     void
     writeTrace(std::size_t n, std::uint32_t frame_records)
     {
-        VectorTraceSource src;
+        std::vector<MemRef> refs;
         for (std::size_t i = 0; i < n; ++i)
-            src.push({static_cast<Addr>(i * 32), RefType::Read, 0});
+            refs.push_back({static_cast<Addr>(i * 32), RefType::Read, 0});
+        VectorTraceSource src(std::move(refs));
         FtrWriter::Options opt;
         opt.frame_records = frame_records;
         Expected<std::uint64_t> w = writeFtr(src, path_, opt);
@@ -368,8 +369,7 @@ TEST_F(SampledFtrTest, NextBatchMatchesNextThroughSampling)
 TEST(SetSampling, FlushMarkersPass)
 {
     mem::CacheGeometry geom(1024, 16, 1);
-    VectorTraceSource inner;
-    inner.push(MemRef::flush());
+    VectorTraceSource inner({MemRef::flush()});
     SetSampledSource sampled(inner, geom.blockBytes(),
                              geom.sets(), 0, 1);
     MemRef r;

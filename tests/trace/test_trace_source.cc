@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "trace/trace_source.h"
 
 namespace assoc {
@@ -40,9 +43,8 @@ TEST(VectorTraceSource, EmptySourceEndsImmediately)
 
 TEST(VectorTraceSource, StreamsInOrder)
 {
-    VectorTraceSource src;
-    src.push({0x10, RefType::Read, 1});
-    src.push({0x20, RefType::Write, 2});
+    VectorTraceSource src({{0x10, RefType::Read, 1},
+                           {0x20, RefType::Write, 2}});
     MemRef r;
     ASSERT_TRUE(src.next(r));
     EXPECT_EQ(r.addr, 0x10u);
@@ -60,6 +62,76 @@ TEST(VectorTraceSource, ResetReplaysIdentically)
     src.reset();
     ASSERT_TRUE(src.next(b));
     EXPECT_EQ(a, b);
+}
+
+TEST(VectorTraceSource, CursorsShareOneBufferWithOwnPositions)
+{
+    VectorTraceSource::Buffer buf =
+        std::make_shared<const std::vector<MemRef>>(
+            std::vector<MemRef>{{0x1, RefType::Read, 0},
+                                {0x2, RefType::Write, 0},
+                                {0x3, RefType::Ifetch, 0}});
+    VectorTraceSource a(buf), b(buf);
+    EXPECT_EQ(a.refs().data(), buf->data()) << "a cursor copied";
+    EXPECT_EQ(b.refs().data(), buf->data()) << "a cursor copied";
+
+    MemRef r[3];
+    EXPECT_EQ(a.nextBatch(r, 2), 2u);
+    EXPECT_EQ(r[1].addr, 0x2u);
+    ASSERT_TRUE(b.next(r[0]));
+    EXPECT_EQ(r[0].addr, 0x1u) << "cursors share a position";
+    EXPECT_EQ(a.nextBatch(r, 3), 1u);
+    EXPECT_EQ(r[0].addr, 0x3u);
+    EXPECT_EQ(a.nextBatch(r, 3), 0u);
+    EXPECT_EQ(a.size(), 3u);
+}
+
+/** Streams two records, then stops on an Io error. */
+class FailingSource : public TraceSource
+{
+  public:
+    bool
+    next(MemRef &ref) override
+    {
+        if (pos_ == 2) {
+            err_ = Error::io("device went away");
+            return false;
+        }
+        ref = MemRef{++pos_, RefType::Read, 0};
+        return true;
+    }
+
+    void reset() override { pos_ = 0; }
+
+    const Error &error() const override { return err_; }
+
+  private:
+    Addr pos_ = 0;
+    Error err_;
+};
+
+TEST(Materialize, DrainsTheWholeStreamIntoAnExactReservation)
+{
+    VectorTraceSource src({{0x1, RefType::Read, 0},
+                           {0x2, RefType::Write, 0},
+                           MemRef::flush(),
+                           {0x3, RefType::Ifetch, 0}});
+    MemRef r;
+    ASSERT_TRUE(src.next(r)); // materialize starts from the top
+    std::vector<MemRef> got = materialize(src, src.size());
+    EXPECT_EQ(got, src.refs());
+    EXPECT_EQ(got.capacity(), src.size());
+}
+
+TEST(Materialize, ThrowsTheSourcesError)
+{
+    FailingSource src;
+    try {
+        materialize(src);
+        FAIL() << "a failed source materialized as a clean trace";
+    } catch (const ErrorException &e) {
+        EXPECT_EQ(e.error().code(), ErrorCode::Io);
+    }
 }
 
 TEST(LimitedTraceSource, TruncatesStream)
