@@ -24,8 +24,8 @@
  * Concurrency contract (the substrate of src/svc's seqlock): every
  * mutator publishes its plane stores as relaxed std::atomic_ref
  * stores (a plain mov on mainstream ISAs, so the single-threaded
- * hot path is unchanged) and the lifetime counters are relaxed
- * atomics. That makes the following discipline race-free, and
+ * hot path is unchanged) and writes no state outside its set. That
+ * makes the following discipline race-free, and
  * ThreadSanitizer-clean: writers externally serialized *per set*
  * (src/svc stripes a lock table over the sets), readers either
  * holding the same lock or calling probeRelaxed() under a seqlock
@@ -37,7 +37,6 @@
 #ifndef ASSOC_MEM_CACHE_H
 #define ASSOC_MEM_CACHE_H
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -245,24 +244,6 @@ class WriteBackCache
                mru_wide_.size() + fifo_wide_.size();
     }
 
-    // --- lifetime counters (relaxed atomics: exact under per-set
-    // --- serialization, monotonic snapshots while concurrent) ---
-    std::uint64_t
-    fills() const
-    {
-        return fills_.load(std::memory_order_relaxed);
-    }
-    std::uint64_t
-    evictions() const
-    {
-        return evictions_.load(std::memory_order_relaxed);
-    }
-    std::uint64_t
-    dirtyEvictions() const
-    {
-        return dirty_evictions_.load(std::memory_order_relaxed);
-    }
-
   private:
     std::size_t
     index(std::uint32_t set, int way) const
@@ -340,10 +321,6 @@ class WriteBackCache
 
     /** Tree-PLRU direction bits, one word per set (TreePlru). */
     std::vector<std::uint64_t> plru_;
-
-    std::atomic<std::uint64_t> fills_{0};
-    std::atomic<std::uint64_t> evictions_{0};
-    std::atomic<std::uint64_t> dirty_evictions_{0};
 };
 
 } // namespace mem

@@ -43,6 +43,18 @@ AdmissionController::AdmissionController(const AdmissionConfig &cfg)
         cfg_.refill_den = 1;
     if (cfg_.refill_num > cfg_.refill_den)
         cfg_.refill_num = cfg_.refill_den; // >1 token/tick = no quota
+    // A full bucket plus one tick's refill must fit in 64 bits, or
+    // checkQuota's refill wraps the bucket to empty and sheds
+    // everything. Only a denominator above 2^63 leaves no room for
+    // a single token; halving both terms of the rate makes room.
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+    if (cfg_.refill_den > kMax - cfg_.refill_num) {
+        cfg_.refill_num >>= 1;
+        cfg_.refill_den >>= 1;
+    }
+    std::uint64_t room = (kMax - cfg_.refill_num) / cfg_.refill_den;
+    if (cfg_.quota_burst > room)
+        cfg_.quota_burst = room;
     if (cfg_.quota_burst == 0)
         cfg_.quota_burst = 1;
 }
@@ -93,10 +105,13 @@ AdmissionController::checkQuota(Bucket &bucket, OpKind kind,
 Expected<AdmissionController::InflightGuard>
 AdmissionController::tryEnter()
 {
+    // With no cap there is nothing to enforce, so keep no count: an
+    // uncapped request then writes no service-wide cache line.
+    if (!cfg_.enabled || cfg_.max_inflight == 0)
+        return Expected<InflightGuard>(InflightGuard());
     std::uint32_t now =
         inflight_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (cfg_.enabled && cfg_.max_inflight != 0 &&
-        now > cfg_.max_inflight) {
+    if (now > cfg_.max_inflight) {
         inflight_.fetch_sub(1, std::memory_order_relaxed);
         return Error::overloaded(
             "service at its in-flight cap (" +

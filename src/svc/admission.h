@@ -19,8 +19,8 @@
  *     shed_writes / degraded counters they feed) are therefore
  *     bit-for-bit reproducible across reruns and thread schedules,
  *     which is what lets the chaos campaign diff them.
- *  2. Global in-flight cap. A plain atomic high-water gate over all
- *     tenants; verdicts depend on real thread timing, so
+ *  2. Global in-flight cap: an atomic count over all tenants, kept
+ *     only under a cap. Verdicts depend on real thread timing, so
  *     shed_inflight is *excluded* from determinism digests.
  *
  * The quota gate runs first even though the in-flight gate is
@@ -175,8 +175,8 @@ struct AdmissionStats
 /**
  * The service-wide admission gate. One instance per CacheService;
  * quota state lives in per-session Buckets (single-threaded like
- * the session itself), so only the in-flight gate is shared.
- * Thread-safe where shared.
+ * the session itself). The in-flight count is the only shared
+ * state, and only a cap keeps it. Thread-safe where shared.
  */
 class AdmissionController
 {
@@ -265,19 +265,19 @@ class AdmissionController
     /**
      * The in-flight gate: claim a slot, or fail when max_inflight
      * slots are already taken (the caller records shed_inflight and
-     * returns Error::overloaded()). Never fails when the cap is 0
-     * or admission is disabled. Thread-safe.
+     * returns Error::overloaded()). Uncapped (cap 0 or admission off)
+     * it returns an empty guard and writes nothing. Thread-safe.
      */
     Expected<InflightGuard> tryEnter();
 
-    /** Requests currently holding an in-flight slot. */
+    /** Requests holding an in-flight slot; 0 when uncapped. */
     std::uint32_t
     inflight() const
     {
         return inflight_.load(std::memory_order_relaxed);
     }
 
-    /** High-water mark of inflight(). */
+    /** High-water mark of inflight() (0 when uncapped). */
     std::uint32_t
     inflightPeak() const
     {

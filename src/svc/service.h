@@ -79,9 +79,11 @@ struct SvcConfig
 /**
  * One client's handle on the service. Obtained from
  * CacheService::openSession(); owned by the service (stable
- * pointer). Drive it from a single thread.
+ * pointer). Drive it from a single thread. Cache-line aligned, so
+ * the stats shard and quota bucket a request writes share no line
+ * with another session or heap object.
  */
-class Session
+class alignas(64) Session
 {
   public:
     /** Tenant id (dense, in session-open order). */

@@ -77,13 +77,15 @@ TEST(WriteBackCache, LruEvictionOrder)
 TEST(WriteBackCache, DirtyVictimReported)
 {
     WriteBackCache c = makeCache(64, 16, 4); // one set
+    unsigned dirty_victims = 0;
     for (std::uint32_t i = 0; i < 4; ++i)
-        c.fill(i, i == 0);
+        dirty_victims += c.fill(i, i == 0).victim_dirty;
     FillResult fr = c.fill(4, false);
+    dirty_victims += fr.victim_dirty;
     EXPECT_TRUE(fr.evicted);
     EXPECT_EQ(fr.victim_block, 0u);
     EXPECT_TRUE(fr.victim_dirty);
-    EXPECT_EQ(c.dirtyEvictions(), 1u);
+    EXPECT_EQ(dirty_victims, 1u);
 }
 
 TEST(WriteBackCache, SetDirtyMarksLine)
@@ -173,16 +175,23 @@ TEST(WriteBackCache, FlushEmptiesEverything)
         EXPECT_EQ(c.validCount(set), 0u);
 }
 
-TEST(WriteBackCache, CountersAccumulate)
+TEST(WriteBackCache, FillResultsCountFillsEvictionsAndDirtyVictims)
 {
     WriteBackCache c = makeCache(32, 16, 2); // one set, 2 ways
-    c.fill(0, false);
-    c.fill(1, true);
-    c.fill(2, false); // evicts block 0 (LRU, clean)
-    c.fill(3, false); // evicts block 1 (dirty)
-    EXPECT_EQ(c.fills(), 4u);
-    EXPECT_EQ(c.evictions(), 2u);
-    EXPECT_EQ(c.dirtyEvictions(), 1u);
+    unsigned fills = 0, evictions = 0, dirty_evictions = 0;
+    auto fill = [&](BlockAddr b, bool dirty) {
+        FillResult fr = c.fill(b, dirty);
+        fills += fr.way >= 0;
+        evictions += fr.evicted;
+        dirty_evictions += fr.victim_dirty;
+    };
+    fill(0, false);
+    fill(1, true);
+    fill(2, false); // evicts block 0 (LRU, clean)
+    fill(3, false); // evicts block 1 (dirty)
+    EXPECT_EQ(fills, 4u);
+    EXPECT_EQ(evictions, 2u);
+    EXPECT_EQ(dirty_evictions, 1u);
 }
 
 TEST(WriteBackCache, DirectMappedBehaviour)

@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -145,6 +146,36 @@ TEST(AdmissionBucket, VerdictSequenceIsAPureFunctionOfTheStream)
     }
 }
 
+TEST(AdmissionBucket, BurstIsClampedSoTheBucketCannotWrap)
+{
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+    AdmissionConfig wraps = floodConfig();
+    // burst * refill_den = 2^64: the bucket wrapped to empty.
+    wraps.quota_burst = std::uint64_t{1} << 32;
+    wraps.refill_num = 1;
+    wraps.refill_den = std::uint64_t{1} << 32;
+    AdmissionConfig rate_one = floodConfig();
+    // refill_den + refill_num = 2^64: no room for a single token.
+    rate_one.refill_num = std::uint64_t{1} << 63;
+    rate_one.refill_den = std::uint64_t{1} << 63;
+    for (const AdmissionConfig &cfg : {wraps, rate_one}) {
+        AdmissionController ctrl(cfg);
+        const AdmissionConfig &c = ctrl.config();
+        EXPECT_GE(c.quota_burst, 1u);
+        EXPECT_LE(c.quota_burst, (kMax - c.refill_num) / c.refill_den);
+        // Seeded credit (at least half of a huge burst) or a refill
+        // of one token per tick admits every request below.
+        AdmissionController::Bucket b = ctrl.makeBucket(0);
+        for (int i = 0; i < 1000; ++i)
+            ASSERT_EQ(ctrl.checkQuota(b, OpKind::Access, true),
+                      AdmitDecision::Admit)
+                << "request " << i;
+    }
+    // An ordinary config is left as given.
+    AdmissionController plain(floodConfig());
+    EXPECT_EQ(plain.config().quota_burst, floodConfig().quota_burst);
+}
+
 TEST(AdmissionBucket, PolicyControlsOverQuotaDisposition)
 {
     for (ShedPolicy p :
@@ -213,20 +244,102 @@ TEST(InflightGate, CapBouncesTheOverflowAndReleasesOnDrop)
     EXPECT_EQ(ctrl.inflightPeak(), 2u);
 }
 
-TEST(InflightGate, UncappedNeverFails)
+// With no cap there is nothing to enforce, so the gate keeps no
+// count: every entry succeeds with an empty guard, and inflight()
+// and inflightPeak() read 0 throughout.
+void
+expectGateKeepsNoCount(const AdmissionConfig &cfg)
 {
-    AdmissionConfig cfg = floodConfig(); // max_inflight = 0
     AdmissionController ctrl(cfg);
     std::vector<AdmissionController::InflightGuard> guards;
     for (int i = 0; i < 100; ++i) {
         Expected<AdmissionController::InflightGuard> g =
             ctrl.tryEnter();
         ASSERT_TRUE(g.ok());
+        EXPECT_FALSE(g.value().held());
         guards.push_back(std::move(g.value()));
     }
-    EXPECT_EQ(ctrl.inflight(), 100u);
+    EXPECT_EQ(ctrl.inflight(), 0u);
+    EXPECT_EQ(ctrl.inflightPeak(), 0u);
     guards.clear();
     EXPECT_EQ(ctrl.inflight(), 0u);
+}
+
+TEST(InflightGate, UncappedNeverFails)
+{
+    expectGateKeepsNoCount(floodConfig()); // max_inflight = 0
+}
+
+TEST(InflightGate, DisabledIgnoresItsCapAndKeepsNoCount)
+{
+    AdmissionConfig cfg; // enabled = false
+    cfg.max_inflight = 2;
+    expectGateKeepsNoCount(cfg);
+}
+
+// Four clients drive request() at once, first uncapped and then
+// with a cap of 2. Only the capped service keeps an in-flight
+// count, and it never passes the cap. Sheds off the cap depend on
+// the schedule; conservation and serializability hold either way.
+TEST(InflightGate, ConcurrentClientsUncappedAndCapped)
+{
+    constexpr unsigned kClients = 4;
+    constexpr unsigned kOps = 20000;
+    for (std::uint32_t cap : {0u, 2u}) {
+        SvcConfig cfg;
+        cfg.record_history = true;
+        cfg.history_capacity = kOps;
+        cfg.admission = floodConfig();
+        cfg.admission.refill_num = 1; // 1/1: the quota never sheds
+        cfg.admission.refill_den = 1;
+        cfg.admission.max_inflight = cap;
+        auto service = makeService(cfg);
+        std::vector<Session *> sessions;
+        for (unsigned t = 0; t < kClients; ++t)
+            sessions.push_back(openSession(*service));
+        std::vector<std::thread> clients;
+        for (unsigned t = 0; t < kClients; ++t) {
+            clients.emplace_back([s = sessions[t], t]() {
+                Pcg32 rng(11, t);
+                for (unsigned i = 0; i < kOps; ++i) {
+                    OpKind kind = rng.chance(0.5) ? OpKind::Probe
+                                                  : OpKind::Access;
+                    bool is_write = rng.chance(0.3);
+                    s->request(kind, rng.below(256), is_write);
+                }
+            });
+        }
+        for (std::thread &c : clients)
+            c.join();
+
+        const AdmissionController &gate = service->admission();
+        EXPECT_EQ(gate.inflight(), 0u);
+        if (cap == 0) {
+            EXPECT_EQ(gate.inflightPeak(), 0u);
+        } else {
+            EXPECT_GE(gate.inflightPeak(), 1u);
+            EXPECT_LE(gate.inflightPeak(), cap);
+        }
+        AdmissionStats total = service->totalStats().admission;
+        EXPECT_EQ(total.admitted, kClients * kOps);
+        if (cap == 0) {
+            EXPECT_EQ(total.completed, kClients * kOps);
+        }
+
+        check::ViolationLog log;
+        check::checkAdmissionConservation(total, "all clients", log);
+        bool overflowed = false;
+        std::vector<svc::HistoryEvent> events =
+            service->collectHistory(&overflowed);
+        EXPECT_FALSE(overflowed);
+        EXPECT_EQ(events.size(), total.completed);
+        check::checkSvcHistory(service->geom(), cfg.engine.policy,
+                               service->engine().stripes(), events,
+                               &service->engine().cache(), log);
+        EXPECT_TRUE(log.ok()) << "cap " << cap << ": "
+                              << (log.count() ? log.messages().front()
+                                              : "");
+    }
 }
 
 TEST(RequestPath, DisabledAdmissionStillAccountsConservation)

@@ -56,6 +56,7 @@
 
 #include <chrono>
 #include <iostream>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -111,6 +112,19 @@ parseThreadList(const std::string &s)
     }
     fatalIf(out.empty(), "--threads list is empty");
     return out;
+}
+
+/** Flag --@p name narrowed to 32 bits; a usage error when it does
+ *  not fit (a plain cast wraps 4294967297 to 1). */
+std::uint32_t
+getUint32(const ArgParser &args, const std::string &name)
+{
+    std::uint64_t v = args.getUint(name);
+    if (v > std::numeric_limits<std::uint32_t>::max())
+        throwError(Error::usage("--" + name + "=" +
+                                std::to_string(v) +
+                                " is out of range (max 4294967295)"));
+    return static_cast<std::uint32_t>(v);
 }
 
 /** Parse --quota-rate "N/D" (tokens per request tick). */
@@ -266,18 +280,15 @@ main(int argc, char **argv)
         if (args.getBool("chaos"))
             return runChaos(args);
 
-        mem::CacheGeometry geom(
-            static_cast<std::uint32_t>(args.getUint("size")),
-            static_cast<std::uint32_t>(args.getUint("block")),
-            static_cast<std::uint32_t>(args.getUint("assoc")));
+        mem::CacheGeometry geom(getUint32(args, "size"),
+                                getUint32(args, "block"),
+                                getUint32(args, "assoc"));
 
         svc::SvcConfig cfg;
         cfg.engine.policy =
             policyFromString(args.getString("policy"));
-        cfg.engine.max_stripes =
-            static_cast<unsigned>(args.getUint("stripes"));
-        cfg.engine.optimistic_retries =
-            static_cast<unsigned>(args.getUint("retries"));
+        cfg.engine.max_stripes = getUint32(args, "stripes");
+        cfg.engine.optimistic_retries = getUint32(args, "retries");
 
         std::vector<unsigned> thread_counts =
             parseThreadList(args.getString("threads"));
@@ -291,8 +302,7 @@ main(int argc, char **argv)
                 "--probe-frac/--write-frac must be in [0, 1]");
 
         std::uint32_t capacity = geom.sets() * geom.assoc();
-        std::uint32_t working_set = static_cast<std::uint32_t>(
-            args.getUint("working-set"));
+        std::uint32_t working_set = getUint32(args, "working-set");
         if (working_set == 0)
             working_set = capacity * 4;
 
@@ -303,8 +313,19 @@ main(int argc, char **argv)
                            cfg.admission.refill_num,
                            cfg.admission.refill_den);
             cfg.admission.quota_burst = args.getUint("quota-burst");
-            cfg.admission.max_inflight = static_cast<std::uint32_t>(
-                args.getUint("max-inflight"));
+            // The bucket holds burst * D fixed-point tokens plus one
+            // tick's N; past 64 bits it wraps and sheds everything.
+            if (cfg.admission.quota_burst >
+                (std::numeric_limits<std::uint64_t>::max() -
+                 cfg.admission.refill_num) /
+                    cfg.admission.refill_den)
+                throwError(Error::usage(
+                    "--quota-burst=" +
+                    std::to_string(cfg.admission.quota_burst) +
+                    " times the --quota-rate denominator overflows "
+                    "64 bits"));
+            cfg.admission.max_inflight =
+                getUint32(args, "max-inflight");
             Expected<svc::ShedPolicy> pol =
                 svc::shedPolicyFromString(
                     args.getString("shed-policy"));
@@ -323,8 +344,7 @@ main(int argc, char **argv)
                                .withContext("--deadline"));
             deadline_ns = ns.value();
         }
-        unsigned retry_attempts = static_cast<unsigned>(
-            args.getUint("retry-attempts"));
+        unsigned retry_attempts = getUint32(args, "retry-attempts");
         if (retry_attempts == 0)
             retry_attempts = 1;
         std::uint64_t flood = args.getUint("flood-tenant");
