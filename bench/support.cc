@@ -145,19 +145,12 @@ traceConfig(const CommonArgs &args)
     return cfg;
 }
 
-exec::SweepOptions
-sweepOptions(const CommonArgs &args)
-{
-    exec::SweepOptions opts;
-    opts.jobs = args.jobs;
-    return opts;
-}
-
 SweepResult
 runSweepChecked(const std::vector<RunSpec> &specs,
                 const CommonArgs &args, const std::string &label)
 {
-    exec::SweepOptions opts = sweepOptions(args);
+    exec::SweepOptions opts;
+    opts.jobs = args.jobs;
     exec::ProgressMeter meter(specs.size(), args.progress, label);
     if (args.progress)
         opts.progress = &meter;
@@ -289,11 +282,9 @@ void
 runJobs(std::vector<std::function<void()>> jobs,
         const CommonArgs &args, const std::string &label)
 {
-    exec::SweepOptions opts = sweepOptions(args);
     exec::ProgressMeter meter(jobs.size(), args.progress, label);
-    if (args.progress)
-        opts.progress = &meter;
-    exec::runJobs(std::move(jobs), opts);
+    exec::runJobs(std::move(jobs), args.jobs,
+                  args.progress ? &meter : nullptr);
 }
 
 void

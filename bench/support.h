@@ -7,10 +7,10 @@
  *
  * Every bench binary regenerates one table or figure of the paper;
  * see DESIGN.md section 5 for the experiment index. Sweep-shaped
- * benches submit all their RunSpecs through runSweep(), which fans
- * them across a work-stealing thread pool (--jobs N; --jobs 1 is
- * the exact old serial path) and returns results in submission
- * order, so the printed tables are identical at any job count.
+ * benches submit all their RunSpecs through runSweep(), which runs
+ * them on --jobs N workers (--jobs 1 runs them inline, in order)
+ * and returns results in submission order, so the printed tables
+ * are identical at any job count.
  */
 
 #ifndef ASSOC_BENCH_SUPPORT_H
@@ -67,9 +67,6 @@ CommonArgs readCommonFlags(const ArgParser &parser);
 
 /** Trace configuration implied by the shared flags. */
 trace::AtumLikeConfig traceConfig(const CommonArgs &args);
-
-/** Sweep options implied by the shared flags (progress unset). */
-exec::SweepOptions sweepOptions(const CommonArgs &args);
 
 /**
  * Run @p specs in parallel per the shared flags, each job replaying

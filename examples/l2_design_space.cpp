@@ -11,8 +11,8 @@
  * the package cost of each.
  *
  * The size x associativity grid is embarrassingly parallel: each
- * cell is one independent simulation, fanned across the exec
- * thread pool (--jobs N, --jobs 1 = serial).
+ * cell is one independent simulation, run by exec::runJobs on
+ * --jobs N worker threads (--jobs 1 = serial).
  *
  *   $ ./l2_design_space [--segments=N] [--tech=sram|dram] [--jobs=N]
  */
@@ -160,9 +160,7 @@ main(int argc, char **argv)
                 }
             });
         }
-        exec::SweepOptions opts;
-        opts.jobs = jobs;
-        exec::runJobs(std::move(cell_jobs), opts);
+        exec::runJobs(std::move(cell_jobs), jobs);
 
         std::vector<Design> designs;
         for (auto &slice : slices)

@@ -648,18 +648,17 @@ sweepSpecs()
     return specs;
 }
 
-/** Serial no-fault reference outputs, encoded for bit-comparison. */
+/** No-fault reference outputs from a plain runTrace() loop (no
+ *  sweep machinery), encoded for bit-comparison. */
 std::vector<std::string>
 baselineOutputs(const std::vector<sim::RunSpec> &specs,
                 const trace::AtumLikeConfig &tcfg)
 {
-    exec::SweepOptions opt;
-    opt.jobs = 1;
-    std::vector<sim::RunOutput> outs =
-        exec::runSweep(specs, exec::atumTraceFactory(tcfg), opt);
     std::vector<std::string> enc;
-    for (const sim::RunOutput &o : outs)
-        enc.push_back(exec::encodeRunOutput(o));
+    for (const sim::RunSpec &spec : specs) {
+        trace::AtumLikeGenerator gen(tcfg);
+        enc.push_back(exec::encodeRunOutput(sim::runTrace(gen, spec)));
+    }
     return enc;
 }
 

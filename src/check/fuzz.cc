@@ -8,21 +8,12 @@
 #include "core/partial_lookup.h"
 #include "core/way_memo.h"
 #include "util/bitops.h"
+#include "util/fnv.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
 namespace assoc {
 namespace check {
-
-void
-digestMix(std::uint64_t &h, std::uint64_t v)
-{
-    constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-    for (unsigned i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xffu;
-        h *= kFnvPrime;
-    }
-}
 
 namespace {
 
@@ -30,8 +21,8 @@ namespace {
 void
 fnvMixMean(std::uint64_t &h, const MeanAccum &m)
 {
-    digestMix(h, m.count());
-    digestMix(h, static_cast<std::uint64_t>(m.sum()));
+    fnvMix(h, m.count());
+    fnvMix(h, static_cast<std::uint64_t>(m.sum()));
 }
 
 // ---------------------------------------------------------------
@@ -574,31 +565,31 @@ runCase(const FuzzCase &c, BugInjection inject,
             checkMemoOutcomeIdentity(c, meters, out.log);
         }
 
-        std::uint64_t h = kDigestInit;
+        std::uint64_t h = kFnvInit;
         const mem::HierarchyStats &hs = hier.stats();
-        digestMix(h, hs.proc_refs);
-        digestMix(h, hs.l1_hits);
-        digestMix(h, hs.read_ins);
-        digestMix(h, hs.read_in_hits);
-        digestMix(h, hs.write_backs);
-        digestMix(h, hs.write_back_hits);
-        digestMix(h, hs.hint_correct);
-        digestMix(h, hs.flushes);
-        digestMix(h, hs.inclusion_invalidations);
+        fnvMix(h, hs.proc_refs);
+        fnvMix(h, hs.l1_hits);
+        fnvMix(h, hs.read_ins);
+        fnvMix(h, hs.read_in_hits);
+        fnvMix(h, hs.write_backs);
+        fnvMix(h, hs.write_back_hits);
+        fnvMix(h, hs.hint_correct);
+        fnvMix(h, hs.flushes);
+        fnvMix(h, hs.inclusion_invalidations);
         for (const auto &m : meters) {
             const core::ProbeStats &ps = m->stats();
             fnvMixMean(h, ps.read_in_hits);
             fnvMixMean(h, ps.read_in_misses);
             fnvMixMean(h, ps.write_backs);
-            digestMix(h, ps.alias_hits);
-            digestMix(h, ps.alias_wrong_way);
-            digestMix(h, ps.memo_hits);
-            digestMix(h, ps.events.tag_reads);
-            digestMix(h, ps.events.field_reads);
-            digestMix(h, ps.events.tag_compares);
-            digestMix(h, ps.events.list_reads);
-            digestMix(h, ps.events.memo_reads);
-            digestMix(h, ps.events.memo_writes);
+            fnvMix(h, ps.alias_hits);
+            fnvMix(h, ps.alias_wrong_way);
+            fnvMix(h, ps.memo_hits);
+            fnvMix(h, ps.events.tag_reads);
+            fnvMix(h, ps.events.field_reads);
+            fnvMix(h, ps.events.tag_compares);
+            fnvMix(h, ps.events.list_reads);
+            fnvMix(h, ps.events.memo_reads);
+            fnvMix(h, ps.events.memo_writes);
         }
         out.digest = h;
     } catch (const PanicError &e) {
@@ -684,7 +675,7 @@ FuzzSummary
 runFuzz(const FuzzOptions &opt)
 {
     FuzzSummary out;
-    std::uint64_t h = kDigestInit;
+    std::uint64_t h = kFnvInit;
     const std::uint64_t begin =
         opt.have_only_case ? opt.only_case : 0;
     const std::uint64_t end =
@@ -695,7 +686,7 @@ runFuzz(const FuzzOptions &opt)
         const CaseResult r = runCase(c, opt.inject);
         ++out.cases_run;
         out.accesses += r.accesses;
-        digestMix(h, r.digest);
+        fnvMix(h, r.digest);
 
         if (opt.log && !opt.have_only_case &&
             (i + 1) % 2000 == 0)

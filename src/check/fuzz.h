@@ -56,13 +56,6 @@ enum class BugInjection {
  *  "partial-filter" / "memo-stale". */
 BugInjection bugInjectionFromString(const std::string &s);
 
-/** FNV-1a 64-bit offset basis: start value for digest chains. */
-constexpr std::uint64_t kDigestInit = 0xcbf29ce484222325ULL;
-
-/** Fold @p v (8 bytes, little-endian) into FNV-1a digest @p h.
- *  Platform-independent: all determinism tests compare these. */
-void digestMix(std::uint64_t &h, std::uint64_t v);
-
 /** One sampled fuzz case: a pure function of its case seed. */
 struct FuzzCase
 {

@@ -5,7 +5,7 @@
 #include <sstream>
 #include <thread>
 
-#include "check/fuzz.h"
+#include "util/fnv.h"
 #include "util/rng.h"
 
 namespace assoc {
@@ -57,14 +57,14 @@ void
 digestAdmission(std::uint64_t &h, const svc::AdmissionStats &a,
                 bool storm_deterministic)
 {
-    digestMix(h, a.admitted);
-    digestMix(h, a.shed_quota);
-    digestMix(h, a.shed_writes);
-    digestMix(h, a.degraded);
+    fnvMix(h, a.admitted);
+    fnvMix(h, a.shed_quota);
+    fnvMix(h, a.shed_writes);
+    fnvMix(h, a.degraded);
     // Deadline-storm deadlines are pre-expired: the timeout verdict
     // never consults a clock, so it is deterministic there (only).
     if (storm_deterministic)
-        digestMix(h, a.failed_timeout);
+        fnvMix(h, a.failed_timeout);
 }
 
 } // namespace
@@ -157,8 +157,8 @@ SvcChaosRun
 runSvcChaosCase(const SvcChaosCase &c)
 {
     SvcChaosRun out;
-    out.determinism_digest = kDigestInit;
-    digestMix(out.determinism_digest, c.case_seed);
+    out.determinism_digest = kFnvInit;
+    fnvMix(out.determinism_digest, c.case_seed);
     const bool storm =
         c.fault.svc_fault == exec::SvcFaultKind::DeadlineStorm;
     const bool squeeze =
@@ -282,7 +282,7 @@ SvcChaosSummary
 runSvcChaos(const SvcChaosOptions &opt)
 {
     SvcChaosSummary out;
-    std::uint64_t h = kDigestInit;
+    std::uint64_t h = kFnvInit;
     const std::uint64_t begin =
         opt.have_only_case ? opt.only_case : 0;
     const std::uint64_t end =
@@ -296,7 +296,7 @@ runSvcChaos(const SvcChaosOptions &opt)
         ++out.cases_run;
         out.ops += first.ops + second.ops;
         out.totals.merge(first.totals);
-        digestMix(h, first.determinism_digest);
+        fnvMix(h, first.determinism_digest);
 
         ViolationLog &log = first.log;
         for (const std::string &m : second.log.messages())

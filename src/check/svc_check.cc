@@ -6,7 +6,7 @@
 #include <sstream>
 #include <thread>
 
-#include "check/fuzz.h"
+#include "util/fnv.h"
 #include "util/rng.h"
 
 namespace assoc {
@@ -329,8 +329,8 @@ SvcCaseResult
 runSvcCase(const SvcFuzzCase &c)
 {
     SvcCaseResult out;
-    out.digest = kDigestInit;
-    digestMix(out.digest, c.case_seed);
+    out.digest = kFnvInit;
+    fnvMix(out.digest, c.case_seed);
 
     try {
         // --- Phase A: contended run + serializability replay ----
@@ -449,14 +449,14 @@ runSvcCase(const SvcFuzzCase &c)
 
         // Digest only the serial outcomes: the contended phase's
         // hit/miss pattern is schedule-dependent by design.
-        digestMix(out.digest, serial_total.ops);
-        digestMix(out.digest, serial_total.hits());
-        digestMix(out.digest, serial_total.evictions);
-        digestMix(out.digest, serial_total.dirty_evictions);
-        digestMix(out.digest, static_cast<std::uint64_t>(
-                                  serial_total.hit_probes.sum()));
-        digestMix(out.digest, static_cast<std::uint64_t>(
-                                  serial_total.miss_probes.sum()));
+        fnvMix(out.digest, serial_total.ops);
+        fnvMix(out.digest, serial_total.hits());
+        fnvMix(out.digest, serial_total.evictions);
+        fnvMix(out.digest, serial_total.dirty_evictions);
+        fnvMix(out.digest,
+               static_cast<std::uint64_t>(serial_total.hit_probes.sum()));
+        fnvMix(out.digest,
+               static_cast<std::uint64_t>(serial_total.miss_probes.sum()));
     } catch (const std::exception &ex) {
         out.log.add(std::string("case threw: ") + ex.what());
     }
@@ -476,7 +476,7 @@ SvcFuzzSummary
 runSvcFuzz(const SvcFuzzOptions &opt)
 {
     SvcFuzzSummary out;
-    std::uint64_t h = kDigestInit;
+    std::uint64_t h = kFnvInit;
     const std::uint64_t begin =
         opt.have_only_case ? opt.only_case : 0;
     const std::uint64_t end =
@@ -488,7 +488,7 @@ runSvcFuzz(const SvcFuzzOptions &opt)
         const SvcCaseResult r = runSvcCase(c);
         ++out.cases_run;
         out.ops += r.ops;
-        digestMix(h, r.digest);
+        fnvMix(h, r.digest);
 
         if (opt.log && !opt.have_only_case && (i + 1) % 500 == 0)
             *opt.log << "svc fuzz: " << (i + 1) << "/"

@@ -109,20 +109,6 @@ scalarShiftTags(const std::uint32_t *in, unsigned n, unsigned shift,
 // --------------------- SWAR table bodies -----------------------
 
 std::uint64_t
-swarEqMaskFn(const std::uint32_t *tags, const std::uint8_t *valid,
-             unsigned a, std::uint32_t needle)
-{
-    return kdetail::swarEqMask(tags, valid, a, needle);
-}
-
-std::uint64_t
-swarEqMaskBitsFn(const std::uint32_t *vals, std::uint64_t valid_bits,
-                 unsigned a, std::uint32_t needle)
-{
-    return kdetail::swarEqMaskBits(vals, valid_bits, a, needle);
-}
-
-std::uint64_t
 swarEqMaskBitsRelaxedFn(const std::uint32_t *vals,
                         std::uint64_t valid_bits, unsigned a,
                         std::uint32_t needle)
@@ -184,8 +170,10 @@ swarKernels()
     static const LookupKernels k = {
         KernelIsa::Swar,
         "swar",
-        swarEqMaskFn,
-        swarEqMaskBitsFn,
+        // Branch-free SWAR equality scans measured slower than these
+        // scalar loops at every width (docs/KERNELS.md).
+        scalarEqMask,
+        scalarEqMaskBits,
         swarEqMaskBitsRelaxedFn,
         swarPartialMaskFn,
         swarExpandBitsFn,

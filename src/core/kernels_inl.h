@@ -63,31 +63,6 @@ partialStoredField(std::uint32_t tag, unsigned l, unsigned k,
     return 0; // unreachable
 }
 
-/** Branch-free eq_mask body (the SWAR table's implementation). */
-inline std::uint64_t
-swarEqMask(const std::uint32_t *tags, const std::uint8_t *valid,
-           unsigned a, std::uint32_t needle)
-{
-    std::uint64_t m = 0;
-    for (unsigned w = 0; w < a; ++w)
-        m |= static_cast<std::uint64_t>(
-                 static_cast<unsigned>(valid[w] != 0) &
-                 static_cast<unsigned>(tags[w] == needle))
-             << w;
-    return m;
-}
-
-/** Branch-free eq_mask_bits body. */
-inline std::uint64_t
-swarEqMaskBits(const std::uint32_t *vals, std::uint64_t valid_bits,
-               unsigned a, std::uint32_t needle)
-{
-    std::uint64_t m = 0;
-    for (unsigned w = 0; w < a; ++w)
-        m |= static_cast<std::uint64_t>(vals[w] == needle) << w;
-    return m & valid_bits & maskBits(a);
-}
-
 /** eq_mask_bits through relaxed atomic element loads (seqlock
  *  optimistic readers race per-set-serialized writers). */
 inline std::uint64_t

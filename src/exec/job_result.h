@@ -2,7 +2,7 @@
  * @file
  * Per-job sweep results: one isolated outcome slot per spec.
  *
- * runSweepChecked() never lets one failing job poison the pool —
+ * runSweepChecked() never lets one failing job poison the sweep —
  * every slot independently records either a RunOutput or the Error
  * that killed it, plus how many attempts were made and how long the
  * winning (or last) attempt ran.
@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "exec/thread_pool.h"
+#include "exec/watchdog.h"
 #include "sim/runner.h"
 #include "util/error.h"
 

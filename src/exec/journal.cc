@@ -1,45 +1,14 @@
 #include "exec/journal.h"
 
-#include <cstdio>
 #include <cstring>
 #include <sstream>
+
+#include "util/fnv.h"
 
 namespace assoc {
 namespace exec {
 
 namespace {
-
-constexpr std::uint64_t kFnvInit = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void
-fnvMix(std::uint64_t &h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= kFnvPrime;
-    }
-}
-
-std::uint64_t
-fnvString(const std::string &s)
-{
-    std::uint64_t h = kFnvInit;
-    for (char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= kFnvPrime;
-    }
-    return h;
-}
-
-std::string
-hex64(std::uint64_t v)
-{
-    char buf[20];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
 
 std::uint64_t
 doubleBits(double d)
@@ -163,8 +132,8 @@ class TokenReader
 void
 encodeAccum(std::ostringstream &os, const MeanAccum &a)
 {
-    os << " " << hex64(doubleBits(a.sum())) << " "
-       << hex64(doubleBits(a.sumSquares())) << " " << a.count();
+    os << " " << hex16(doubleBits(a.sum())) << " "
+       << hex16(doubleBits(a.sumSquares())) << " " << a.count();
 }
 
 bool
@@ -262,8 +231,8 @@ encodeRunOutput(const sim::RunOutput &out)
     }
     os << " f " << out.f.size();
     for (double v : out.f)
-        os << " " << hex64(doubleBits(v));
-    os << " occ " << hex64(doubleBits(out.mean_occupancy));
+        os << " " << hex16(doubleBits(v));
+    os << " occ " << hex16(doubleBits(out.mean_occupancy));
     os << " coh " << out.coherency_invalidations;
     os << " skips " << out.skipped_records;
     return os.str();
@@ -439,7 +408,7 @@ JournalWriter::open(const std::string &path, std::uint64_t spec_hash,
                          "' for writing");
     if (write_header) {
         out_ << "# assoc sweep journal v1\n";
-        out_ << "meta hash=" << hex64(spec_hash) << " jobs=" << jobs
+        out_ << "meta hash=" << hex16(spec_hash) << " jobs=" << jobs
              << "\n";
         out_.flush();
         if (!out_.good())
@@ -452,7 +421,7 @@ Error
 JournalWriter::append(std::size_t index, const sim::RunOutput &out)
 {
     std::string payload = encodeRunOutput(out);
-    out_ << "job " << index << " d=" << hex64(fnvString(payload)) << " "
+    out_ << "job " << index << " d=" << hex16(fnvString(payload)) << " "
          << payload << "\n";
     out_.flush();
     if (!out_.good())

@@ -1,15 +1,18 @@
 #include "exec/sweep.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <cstdio>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <new>
+#include <system_error>
+#include <thread>
 
 #include "exec/fault.h"
 #include "exec/journal.h"
-#include "exec/thread_pool.h"
+#include "util/fnv.h"
 #include "util/logging.h"
 
 namespace assoc {
@@ -39,7 +42,7 @@ atumTraceFactory(const trace::AtumLikeConfig &cfg)
 TraceFactory
 fileTraceFactory(const std::string &path, ErrorPolicy policy)
 {
-    // Each job opens its own reader: jobs run on pool threads, and
+    // Each job opens its own reader: jobs run on worker threads, and
     // TraceSource instances are single-threaded by contract. Open
     // failures surface through the source's sticky error when the
     // job first streams it, which routes through the normal
@@ -50,51 +53,53 @@ fileTraceFactory(const std::string &path, ErrorPolicy policy)
 }
 
 void
-runJobs(std::vector<std::function<void()>> jobs,
-        const SweepOptions &opts)
+runJobs(std::vector<std::function<void()>> jobs, unsigned threads,
+        ProgressMeter *progress)
 {
-    unsigned want = opts.jobs == 0 ? ThreadPool::defaultThreads()
-                                   : opts.jobs;
-    ProgressMeter *progress = opts.progress;
+    if (threads == 0)
+        threads = std::max(1u, std::thread::hardware_concurrency());
+    threads = static_cast<unsigned>(
+        std::min<std::size_t>(threads, jobs.size()));
 
-    if (want == 1 || jobs.size() <= 1) {
-        // The exact old serial path: no pool, no worker threads.
-        for (auto &job : jobs) {
-            job();
+    std::atomic<std::size_t> next{0};
+    std::mutex error_mutex;
+    std::exception_ptr first_error; // guarded by error_mutex
+    auto work = [&] {
+        for (;;) {
+            const std::size_t i = next.fetch_add(1);
+            if (i >= jobs.size())
+                return;
+            try {
+                jobs[i]();
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(error_mutex);
+                if (!first_error)
+                    first_error = std::current_exception();
+            }
             if (progress)
                 progress->tick();
         }
-        return;
-    }
+    };
 
-    unsigned threads = static_cast<unsigned>(
-        std::min<std::size_t>(want, jobs.size()));
-    ThreadPool pool(threads);
-    for (auto &job : jobs) {
-        pool.submit([job = std::move(job), progress] {
-            job();
-            if (progress)
-                progress->tick();
-        });
+    // Reserved up front: once a worker runs, only the thread
+    // constructor below may throw, and its failure is handled.
+    std::vector<std::thread> workers;
+    workers.reserve(threads);
+    try {
+        while (threads > 1 && workers.size() < threads)
+            workers.emplace_back(work);
+    } catch (const std::system_error &e) {
+        // Out of threads: whoever did start drains the cursor.
+        warn("runJobs: started " + std::to_string(workers.size()) +
+             " of " + std::to_string(threads) + " workers: " +
+             e.what());
     }
-    pool.wait();
-}
-
-std::vector<sim::RunOutput>
-runSweep(const std::vector<sim::RunSpec> &specs,
-         const TraceFactory &make_trace, const SweepOptions &opts)
-{
-    std::vector<sim::RunOutput> outs(specs.size());
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        jobs.push_back([&specs, &outs, &make_trace, i] {
-            std::unique_ptr<trace::TraceSource> src = make_trace(i);
-            outs[i] = sim::runTrace(*src, specs[i]);
-        });
-    }
-    runJobs(std::move(jobs), opts);
-    return outs;
+    if (workers.empty())
+        work(); // one worker: inline, in order, on this thread
+    for (std::thread &w : workers)
+        w.join();
+    if (first_error)
+        std::rethrow_exception(first_error);
 }
 
 namespace {
@@ -141,15 +146,6 @@ statusFromError(const Error &e)
       case ErrorCode::Budget: return JobStatus::OverBudget;
       default: return JobStatus::Failed;
     }
-}
-
-std::string
-hex16(std::uint64_t v)
-{
-    char buf[20];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
 }
 
 /** Run one slot with retry, timing, deadline and fault hooks. */
@@ -253,7 +249,7 @@ runOneJob(const std::vector<sim::RunSpec> &specs,
             break; // deterministic: the same spec blows the same budget
         if (res.status == JobStatus::TimedOut)
             continue; // retryable under max_retries (load may clear)
-        if (!opts.retry_all_errors && !res.error.transient())
+        if (!res.error.transient())
             break;
     }
     if (opts.inject)
@@ -442,11 +438,8 @@ runChecked(const std::vector<sim::RunSpec> &specs,
 
         // Jobs never throw (every attempt's exception is folded into
         // the slot), so runJobs' first-exception rethrow stays
-        // dormant and the pool always drains fully.
-        SweepOptions pool_opts;
-        pool_opts.jobs = opts.jobs;
-        pool_opts.progress = opts.progress;
-        runJobs(std::move(jobs), pool_opts);
+        // dormant.
+        runJobs(std::move(jobs), opts.jobs, opts.progress);
 
         if (watchdog)
             result.stalls = watchdog->reports();
@@ -455,7 +448,7 @@ runChecked(const std::vector<sim::RunSpec> &specs,
     // Drain: final flush + close under the journal mutex. A SIGINT
     // (or watchdog grace-period escalation) that lands while workers
     // are still appending cannot race this — appends hold the same
-    // mutex, and the pool and watchdog are both gone by now.
+    // mutex, and the workers and the watchdog are joined by now.
     if (writer.isOpen()) {
         std::lock_guard<std::mutex> lock(journal_mutex);
         Error e = writer.close();

@@ -4,12 +4,11 @@
  *
  * Paper sweeps replay one seed-determined trace through many
  * independent RunSpecs; no mutable state is shared between runs, so
- * they are embarrassingly parallel. runSweep() fans a vector of
- * specs across a work-stealing ThreadPool — each job gets its own
- * TraceSource from a caller-supplied factory, so workers never
- * share a generator or a cursor — and returns the RunOutputs *in
- * submission order* regardless of completion order: the result
- * vector is bit-identical to what the old serial loop produced.
+ * they are embarrassingly parallel. runSweepChecked() makes each
+ * spec one job of runJobs() — each job gets its own TraceSource, so
+ * workers never share a generator or a cursor — and returns one
+ * JobResult per spec *in submission order* regardless of completion
+ * order: the outputs are bit-identical at any jobs value.
  *
  * Given the trace's config instead of a factory, runSweepChecked()
  * synthesizes the trace once, charged to the sweep's memory budget,
@@ -17,9 +16,9 @@
  * cursor (generate once, replay many). Every job replays the same
  * stream either way, so the outputs are identical.
  *
- * With jobs == 1 the sweep bypasses the pool entirely and runs each
- * spec inline, in order, on the calling thread: the exact old
- * serial path.
+ * runJobs() is the one job runner: each worker takes the next job
+ * from one shared cursor. With one worker the same loop runs inline,
+ * in order, on the calling thread.
  *
  * @code
  *   std::vector<sim::RunSpec> specs = ...;
@@ -39,7 +38,7 @@
 
 #include "exec/job_result.h"
 #include "exec/report.h"
-#include "exec/thread_pool.h"
+#include "exec/watchdog.h"
 #include "sim/runner.h"
 #include "trace/atum_like.h"
 #include "trace/trace_file.h"
@@ -50,26 +49,24 @@ namespace exec {
 
 class FaultInjector;
 
-/** How a sweep is executed. */
+/** How runSweepChecked() executes a sweep. */
 struct SweepOptions
 {
-    /** Worker threads; 0 = all hardware threads, 1 = serial inline
-     *  (no pool). More jobs than specs never hurts: the pool is
-     *  sized to min(jobs, specs). */
+    /** Worker threads (runJobs()); 0 = all hardware threads, 1 =
+     *  inline on the calling thread, in spec order. Never more
+     *  workers than jobs left to run. */
     unsigned jobs = 0;
     /** Optional completed-job sink (ticked once per job, from the
      *  worker that finished it). Not owned. */
     ProgressMeter *progress = nullptr;
 
-    // --- fault tolerance; honored by runSweepChecked() only ---
+    // --- fault tolerance ---
 
     /** Extra attempts per job after the first fails. Only transient
-     *  (Io) errors are retried unless retry_all_errors is set;
-     *  retries are deterministic — the factory rebuilds the same
-     *  trace, so a genuinely deterministic failure fails again. */
+     *  (Io) errors and timeouts are retried; retries are
+     *  deterministic — the factory rebuilds the same trace, so a
+     *  genuinely deterministic failure would fail again. */
     unsigned max_retries = 1;
-    /** Retry every failure class, not just transient Io errors. */
-    bool retry_all_errors = false;
     /** Fault source for tests/fuzzing (not owned; may be null). */
     FaultInjector *inject = nullptr;
     /** Cooperative cancellation (not owned; may be null). Jobs not
@@ -134,37 +131,30 @@ TraceFactory fileTraceFactory(const std::string &path,
                               ErrorPolicy policy = ErrorPolicy());
 
 /**
- * Run every spec in @p specs against its own trace from
- * @p make_trace and return the outputs in submission order.
- * Exceptions from any job are rethrown (first one wins) after the
- * remaining jobs finish.
+ * Run independent @p jobs on @p threads workers (0 = all hardware
+ * threads; never more workers than jobs). Each worker takes the
+ * next index from one shared cursor, runs that job and ticks
+ * @p progress (may be null). With one worker the jobs run inline on
+ * the calling thread, in vector order; otherwise completion order
+ * is unspecified. Each job must write only its own pre-allocated
+ * slot. The first exception a job throws is rethrown once every job
+ * has run.
  */
-std::vector<sim::RunOutput>
-runSweep(const std::vector<sim::RunSpec> &specs,
-         const TraceFactory &make_trace,
-         const SweepOptions &opts = {});
+void runJobs(std::vector<std::function<void()>> jobs, unsigned threads,
+             ProgressMeter *progress = nullptr);
 
 /**
- * Lower-level entry: run arbitrary independent thunks. Each job
- * must write its results into its own pre-allocated slot; jobs must
- * not share mutable state. With opts.jobs == 1 the jobs run inline
- * in vector order (the exact serial path); otherwise completion
- * order is unspecified. Exceptions are rethrown after all jobs
- * finish (first one wins).
- */
-void runJobs(std::vector<std::function<void()>> jobs,
-             const SweepOptions &opts = {});
-
-/**
- * Fault-isolated sweep: like runSweep(), but each slot records its
- * own JobResult instead of the first exception aborting the whole
- * run. Per job: bounded deterministic retry (opts.max_retries, Io
- * errors only by default), wall-time measurement, optional journal
- * checkpointing and resume, and cooperative cancellation.
+ * Fault-isolated sweep: run every spec in @p specs against its own
+ * trace from @p make_trace, one runJobs() job per spec. Each slot
+ * records its own JobResult instead of the first exception
+ * aborting the whole run. Per job: bounded deterministic retry
+ * (opts.max_retries, transient Io errors and timeouts only),
+ * wall-time measurement, optional journal checkpointing and resume,
+ * and cooperative cancellation.
  *
- * Slots completed by earlier attempts are bit-identical to what the
- * serial path produces — isolation only wraps the job boundary, it
- * never alters the simulation.
+ * Every Ok slot is bit-identical to what a plain sim::runTrace()
+ * loop produces — isolation only wraps the job boundary, it never
+ * alters the simulation.
  *
  * Throws ErrorException only for caller mistakes (unreadable resume
  * journal, spec-hash mismatch, unwritable journal path); job

@@ -4,8 +4,10 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
+#include "util/error.h"
 #include "util/logging.h"
 
 namespace assoc {
@@ -109,6 +111,22 @@ ArgParser::getUint(const std::string &name) const
     std::int64_t v = getInt(name);
     fatalIf(v < 0, "flag --" + name + " must be non-negative");
     return static_cast<std::uint64_t>(v);
+}
+
+std::uint32_t
+ArgParser::getUint32(const std::string &name) const
+{
+    return checkUint32(name, getUint(name));
+}
+
+std::uint32_t
+ArgParser::checkUint32(const std::string &name, std::uint64_t v)
+{
+    if (v > std::numeric_limits<std::uint32_t>::max())
+        throwError(Error::usage("--" + name + "=" +
+                                std::to_string(v) +
+                                " is out of range (max 4294967295)"));
+    return static_cast<std::uint32_t>(v);
 }
 
 double

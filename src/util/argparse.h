@@ -47,6 +47,17 @@ class ArgParser
     /** Unsigned integer value of flag @p name. */
     std::uint64_t getUint(const std::string &name) const;
 
+    /** getUint() narrowed to 32 bits, checked by checkUint32(). */
+    std::uint32_t getUint32(const std::string &name) const;
+
+    /**
+     * @p v, the value of flag --@p name, narrowed to 32 bits. A
+     * value that does not fit is a usage error (ErrorException),
+     * where a plain cast would wrap 4294967297 to 1.
+     */
+    static std::uint32_t checkUint32(const std::string &name,
+                                     std::uint64_t v);
+
     /** Floating-point value of flag @p name. */
     double getDouble(const std::string &name) const;
 

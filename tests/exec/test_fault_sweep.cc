@@ -1,10 +1,10 @@
 /**
  * @file
  * Fault-isolated sweep tests: one failing job must not poison the
- * pool — every surviving slot stays bit-identical to the serial
- * run — transient errors get one deterministic retry, cancellation
- * marks unstarted jobs, and the checked JSON report carries per-job
- * status.
+ * sweep — every surviving slot stays bit-identical to a plain
+ * runTrace() loop — transient errors get one deterministic retry,
+ * hard errors none, cancellation marks unstarted jobs, and the
+ * checked JSON report carries per-job status.
  */
 
 #include <gtest/gtest.h>
@@ -49,17 +49,16 @@ sweepSpecs()
     return specs;
 }
 
+/** Reference outputs from a plain runTrace() loop, encoded. */
 std::vector<std::string>
 serialBaseline(const std::vector<sim::RunSpec> &specs,
                const trace::AtumLikeConfig &tcfg)
 {
-    SweepOptions opts;
-    opts.jobs = 1;
-    std::vector<sim::RunOutput> outs =
-        runSweep(specs, atumTraceFactory(tcfg), opts);
     std::vector<std::string> enc;
-    for (const sim::RunOutput &o : outs)
-        enc.push_back(encodeRunOutput(o));
+    for (const sim::RunSpec &spec : specs) {
+        trace::AtumLikeGenerator gen(tcfg);
+        enc.push_back(encodeRunOutput(sim::runTrace(gen, spec)));
+    }
     return enc;
 }
 
@@ -164,25 +163,26 @@ TEST(FaultSweep, RetriesAreExhaustedDeterministically)
     EXPECT_EQ(inject.injected(), 3u);
 }
 
-TEST(FaultSweep, HardErrorsRetryOnlyWhenAskedTo)
+TEST(FaultSweep, HardErrorsAreNotRetried)
 {
     trace::AtumLikeConfig tcfg = smallTrace();
     std::vector<sim::RunSpec> specs = sweepSpecs();
 
     FaultPlan plan;
     plan.fail_job = 0;
-    plan.fail_attempts = 1; // a Data error, cured on attempt 2
+    plan.fail_attempts = 1; // a Data error a retry would cure
     FaultInjector inject(plan);
     SweepOptions opts;
     opts.jobs = 1;
     opts.max_retries = 1;
-    opts.retry_all_errors = true;
     opts.inject = &inject;
     SweepResult run =
         runSweepChecked(specs, atumTraceFactory(tcfg), opts);
 
-    EXPECT_TRUE(run.jobs[0].ok());
-    EXPECT_EQ(run.jobs[0].attempts, 2u);
+    EXPECT_EQ(run.jobs[0].status, JobStatus::Failed);
+    EXPECT_EQ(run.jobs[0].error.code(), ErrorCode::Data);
+    EXPECT_EQ(run.jobs[0].attempts, 1u);
+    EXPECT_EQ(inject.injected(), 1u);
 }
 
 TEST(FaultSweep, ThrowingLookupFailsOnlyItsJob)
@@ -258,20 +258,6 @@ TEST(FaultSweep, CheckedJsonReportsPerJobStatus)
               std::count(json.begin(), json.end(), '}'));
     EXPECT_EQ(std::count(json.begin(), json.end(), '['),
               std::count(json.begin(), json.end(), ']'));
-}
-
-TEST(FaultSweep, LegacyRunSweepStillThrowsOnFailure)
-{
-    // The unchecked entry keeps its contract: a failing job aborts
-    // the sweep by rethrowing (callers opt into isolation).
-    trace::AtumLikeConfig tcfg = smallTrace();
-    std::vector<sim::RunSpec> specs = sweepSpecs();
-    ThrowingAuditor auditor(1);
-    specs[0].auditor = &auditor;
-    SweepOptions opts;
-    opts.jobs = 2;
-    EXPECT_THROW(runSweep(specs, atumTraceFactory(tcfg), opts),
-                 FatalError);
 }
 
 } // namespace

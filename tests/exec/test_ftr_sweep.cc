@@ -112,6 +112,17 @@ memoryFactory(const std::vector<trace::MemRef> &recs)
     };
 }
 
+/** Reference outputs: a plain runTrace() loop over @p make_trace. */
+std::vector<sim::RunOutput>
+serialOutputs(const std::vector<sim::RunSpec> &specs,
+              const TraceFactory &make_trace)
+{
+    std::vector<sim::RunOutput> outs;
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        outs.push_back(sim::runTrace(*make_trace(i), specs[i]));
+    return outs;
+}
+
 /** Forwarding source that trips @p master after @p after records —
  *  a deterministic stand-in for SIGINT arriving mid-trace. */
 class CancelMidStreamSource : public trace::ForwardingTraceSource
@@ -156,28 +167,28 @@ flipByteInFile(const std::string &path, std::uint64_t offset)
 TEST_F(FtrSweepTest, FileBackedSweepMatchesInMemoryReplay)
 {
     std::vector<sim::RunSpec> specs = sweepSpecs();
-    SweepOptions opts;
-    opts.jobs = 1;
     std::vector<sim::RunOutput> want =
-        runSweep(specs, memoryFactory(recs_), opts);
+        serialOutputs(specs, memoryFactory(recs_));
+    SweepOptions opts;
     opts.jobs = 2;
-    std::vector<sim::RunOutput> got =
-        runSweep(specs, fileTraceFactory(path_), opts);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < got.size(); ++i)
-        EXPECT_EQ(encodeRunOutput(got[i]), encodeRunOutput(want[i]))
+    SweepResult got =
+        runSweepChecked(specs, fileTraceFactory(path_), opts);
+    ASSERT_EQ(got.jobs.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_TRUE(got.jobs[i].ok()) << "job " << i;
+        EXPECT_EQ(encodeRunOutput(got.jobs[i].output),
+                  encodeRunOutput(want[i]))
             << "job " << i;
+    }
 }
 
 TEST_F(FtrSweepTest, KilledMidTraceResumesToByteIdenticalJson)
 {
     std::vector<sim::RunSpec> specs = sweepSpecs();
 
-    // The reference: one clean, uninterrupted serial sweep.
-    SweepOptions clean;
-    clean.jobs = 1;
+    // The reference: one clean, uninterrupted runTrace() loop.
     std::vector<sim::RunOutput> want =
-        runSweep(specs, fileTraceFactory(path_), clean);
+        serialOutputs(specs, fileTraceFactory(path_));
     std::ostringstream want_json;
     writeSweepJson(want_json, specs, want);
 
@@ -275,10 +286,8 @@ TEST_F(FtrSweepTest, SkipAccountingSurvivesTheJournalRoundTrip)
 TEST_F(FtrSweepTest, StreamsWithinAPerJobMemoryBudget)
 {
     std::vector<sim::RunSpec> specs = sweepSpecs();
-    SweepOptions clean;
-    clean.jobs = 1;
     std::vector<sim::RunOutput> want =
-        runSweep(specs, fileTraceFactory(path_), clean);
+        serialOutputs(specs, fileTraceFactory(path_));
 
     // Far smaller than the trace, comfortably above one frame.
     SweepOptions bounded;

@@ -240,11 +240,10 @@ TEST_F(JournalTest, CancelledSweepResumesBitIdentically)
     std::vector<sim::RunSpec> specs = sweepSpecs();
     std::uint64_t hash = hashSpecs(specs, tcfg.seed);
 
-    // Reference: the uninterrupted serial sweep.
-    SweepOptions ref_opts;
-    ref_opts.jobs = 1;
-    std::vector<sim::RunOutput> want =
-        runSweep(specs, atumTraceFactory(tcfg), ref_opts);
+    // Reference: a plain, uninterrupted runTrace() loop.
+    std::vector<sim::RunOutput> want;
+    for (const sim::RunSpec &spec : specs)
+        want.push_back(oneOutput(tcfg, spec));
 
     // Phase 1: cancel after one completed job, journaling.
     CancelToken token;

@@ -1,21 +1,27 @@
 /**
  * @file
- * Integration tests of the parallel sweep engine: runSweep() with
- * several workers must produce results identical to the serial
- * loop, field for field, on a short 2-segment trace; runJobs() with
- * jobs=1 must execute inline in submission order; the progress
- * meter and JSON writer round out the reporting path.
+ * Integration tests of the parallel sweep engine: runSweepChecked()
+ * with several workers must produce results identical to a plain
+ * runTrace() loop, field for field, on a short 2-segment trace;
+ * runJobs() must run every job exactly once, inline and in order
+ * with one worker, and rethrow a job's exception only after every
+ * sibling ran; the progress meter and JSON writer round out the
+ * reporting path.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <mutex>
+#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #include "exec/report.h"
 #include "exec/sweep.h"
-#include "exec/thread_pool.h"
 
 namespace assoc {
 namespace exec {
@@ -98,6 +104,21 @@ expectOutputEq(const sim::RunOutput &p, const sim::RunOutput &s)
         EXPECT_EQ(p.f[i], s.f[i]);
 }
 
+/** The outputs of a checked sweep, which must have run clean. */
+std::vector<sim::RunOutput>
+checkedOutputs(const std::vector<sim::RunSpec> &specs,
+               const TraceFactory &make_trace, unsigned jobs)
+{
+    SweepOptions opts;
+    opts.jobs = jobs;
+    SweepResult run = runSweepChecked(specs, make_trace, opts);
+    EXPECT_TRUE(run.allOk()) << run.firstError().text();
+    std::vector<sim::RunOutput> outs;
+    for (JobResult &j : run.jobs)
+        outs.push_back(std::move(j.output));
+    return outs;
+}
+
 TEST(Sweep, ParallelMatchesSerialLoop)
 {
     const trace::AtumLikeConfig tcfg = smallTrace();
@@ -110,10 +131,8 @@ TEST(Sweep, ParallelMatchesSerialLoop)
         serial.push_back(sim::runTrace(gen, spec));
     }
 
-    SweepOptions opts;
-    opts.jobs = 4;
     std::vector<sim::RunOutput> parallel =
-        runSweep(specs, atumTraceFactory(tcfg), opts);
+        checkedOutputs(specs, atumTraceFactory(tcfg), 4);
 
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
@@ -125,15 +144,10 @@ TEST(Sweep, JobsOneIsTheSerialPath)
     const trace::AtumLikeConfig tcfg = smallTrace();
     const std::vector<sim::RunSpec> specs = sweepSpecs();
 
-    SweepOptions serial_opts;
-    serial_opts.jobs = 1;
     std::vector<sim::RunOutput> one =
-        runSweep(specs, atumTraceFactory(tcfg), serial_opts);
-
-    SweepOptions par_opts;
-    par_opts.jobs = 3;
+        checkedOutputs(specs, atumTraceFactory(tcfg), 1);
     std::vector<sim::RunOutput> many =
-        runSweep(specs, atumTraceFactory(tcfg), par_opts);
+        checkedOutputs(specs, atumTraceFactory(tcfg), 3);
 
     ASSERT_EQ(one.size(), many.size());
     for (std::size_t i = 0; i < one.size(); ++i)
@@ -144,10 +158,8 @@ TEST(Sweep, ResultsComeBackInSubmissionOrder)
 {
     const trace::AtumLikeConfig tcfg = smallTrace();
     const std::vector<sim::RunSpec> specs = sweepSpecs();
-    SweepOptions opts;
-    opts.jobs = 4;
     std::vector<sim::RunOutput> outs =
-        runSweep(specs, atumTraceFactory(tcfg), opts);
+        checkedOutputs(specs, atumTraceFactory(tcfg), 4);
     ASSERT_EQ(outs.size(), 4u);
     // Each spec carries a different L2 associativity; the Naive
     // scheme's worst-case probe count reveals which run landed in
@@ -167,9 +179,7 @@ TEST(Sweep, RunJobsSerialExecutesInOrder)
     std::vector<std::function<void()>> jobs;
     for (int i = 0; i < 8; ++i)
         jobs.push_back([&order, i] { order.push_back(i); });
-    SweepOptions opts;
-    opts.jobs = 1;
-    runJobs(std::move(jobs), opts);
+    runJobs(std::move(jobs), 1);
     ASSERT_EQ(order.size(), 8u);
     for (int i = 0; i < 8; ++i)
         EXPECT_EQ(order[i], i);
@@ -181,23 +191,113 @@ TEST(Sweep, RunJobsTicksProgress)
     std::vector<std::function<void()>> jobs;
     for (int i = 0; i < 16; ++i)
         jobs.push_back([] {});
-    SweepOptions opts;
-    opts.jobs = 4;
-    opts.progress = &meter;
-    runJobs(std::move(jobs), opts);
+    runJobs(std::move(jobs), 4, &meter);
     EXPECT_EQ(meter.completed(), 16u);
     EXPECT_EQ(meter.total(), 16u);
 }
 
 TEST(Sweep, RunJobsPropagatesExceptions)
 {
+    for (unsigned threads : {2u, 1u}) {
+        std::vector<std::function<void()>> jobs;
+        jobs.push_back([] {});
+        jobs.push_back([] { throw std::runtime_error("job failed"); });
+        jobs.push_back([] {});
+        EXPECT_THROW(runJobs(std::move(jobs), threads),
+                     std::runtime_error)
+            << threads << " thread(s)";
+    }
+}
+
+TEST(Sweep, RunJobsExceptionWaitsForEverySibling)
+{
+    // The failure never skips a sibling, inline or on workers: the
+    // job after the throwing one still runs before the rethrow.
+    for (unsigned threads : {2u, 1u}) {
+        std::atomic<int> ran{0};
+        std::vector<std::function<void()>> jobs;
+        jobs.push_back([&] { ++ran; });
+        jobs.push_back([] { throw std::runtime_error("job failed"); });
+        jobs.push_back([&] { ++ran; });
+        EXPECT_THROW(runJobs(std::move(jobs), threads),
+                     std::runtime_error)
+            << threads << " thread(s)";
+        EXPECT_EQ(ran.load(), 2) << threads << " thread(s)";
+    }
+}
+
+TEST(Sweep, RunJobsRunsEveryJobExactlyOnce)
+{
+    constexpr int kJobs = 1000;
+    std::vector<std::atomic<int>> hits(kJobs);
+    for (auto &h : hits)
+        h = 0;
     std::vector<std::function<void()>> jobs;
-    jobs.push_back([] {});
-    jobs.push_back([] { throw std::runtime_error("job failed"); });
-    jobs.push_back([] {});
-    SweepOptions opts;
-    opts.jobs = 2;
-    EXPECT_THROW(runJobs(std::move(jobs), opts), std::runtime_error);
+    for (int i = 0; i < kJobs; ++i)
+        jobs.push_back([&hits, i] { ++hits[i]; });
+    runJobs(std::move(jobs), 4);
+    for (int i = 0; i < kJobs; ++i)
+        EXPECT_EQ(hits[i].load(), 1) << "job " << i;
+}
+
+TEST(Sweep, RunJobsStressTenThousandNoops)
+{
+    std::atomic<int> count{0};
+    std::vector<std::function<void()>> jobs(10000, [&] { ++count; });
+    runJobs(std::move(jobs), 8);
+    EXPECT_EQ(count.load(), 10000);
+}
+
+TEST(Sweep, RunJobsUnevenJobsAllComplete)
+{
+    // A few slow jobs hold their workers while the others drain the
+    // rest of the cursor.
+    std::atomic<int> count{0};
+    std::vector<std::function<void()>> jobs;
+    for (int i = 0; i < 64; ++i) {
+        jobs.push_back([&count, i] {
+            if (i % 16 == 0)
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(20));
+            ++count;
+        });
+    }
+    runJobs(std::move(jobs), 4);
+    EXPECT_EQ(count.load(), 64);
+}
+
+TEST(Sweep, RunJobsRunsOnWorkerThreads)
+{
+    // Each job takes a millisecond, so a calling thread that joined
+    // in would get some of them.
+    std::mutex mu;
+    std::set<std::thread::id> ids;
+    std::vector<std::function<void()>> jobs(32, [&] {
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            ids.insert(std::this_thread::get_id());
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    });
+    runJobs(std::move(jobs), 2);
+    EXPECT_FALSE(ids.empty());
+    EXPECT_EQ(ids.count(std::this_thread::get_id()), 0u);
+}
+
+TEST(Sweep, RunJobsWithNoJobsReturnsAtOnce)
+{
+    ProgressMeter meter(0);
+    runJobs({}, 4, &meter);
+    runJobs({}, 1, &meter);
+    EXPECT_EQ(meter.completed(), 0u);
+}
+
+TEST(Sweep, RunJobsZeroThreadsRunsEverything)
+{
+    std::atomic<int> count{0};
+    std::vector<std::function<void()>> jobs(64, [&] { ++count; });
+    runJobs(std::move(jobs), 0);
+    EXPECT_EQ(count.load(), 64);
 }
 
 TEST(Report, JsonEscapeHandlesSpecials)
@@ -217,10 +317,8 @@ TEST(Report, SweepJsonCarriesRunsAndSchemes)
     core::SchemeSpec mru;
     mru.kind = core::SchemeKind::Mru;
     specs[0].schemes = {mru};
-    SweepOptions opts;
-    opts.jobs = 1;
     std::vector<sim::RunOutput> outs =
-        runSweep(specs, atumTraceFactory(tcfg), opts);
+        checkedOutputs(specs, atumTraceFactory(tcfg), 1);
 
     std::ostringstream os;
     writeSweepJson(os, specs, outs);

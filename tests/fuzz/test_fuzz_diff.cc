@@ -153,16 +153,6 @@ TEST(RunFuzz, ReplayOfACleanCasePasses)
     EXPECT_EQ(sum.cases_run, 1u);
 }
 
-TEST(DigestMix, OrderSensitive)
-{
-    std::uint64_t a = kDigestInit, b = kDigestInit;
-    digestMix(a, 1);
-    digestMix(a, 2);
-    digestMix(b, 2);
-    digestMix(b, 1);
-    EXPECT_NE(a, b);
-}
-
 TEST(FormatRef, RendersTypesAndAddresses)
 {
     trace::MemRef r;

@@ -55,18 +55,16 @@ threeSpecs()
     return specs;
 }
 
-/** Clean serial outputs for bit-comparison. */
+/** Clean outputs of a plain runTrace() loop, for bit-comparison. */
 std::vector<std::string>
 golden(const std::vector<sim::RunSpec> &specs,
        const trace::AtumLikeConfig &tcfg)
 {
-    SweepOptions opt;
-    opt.jobs = 1;
-    std::vector<sim::RunOutput> outs =
-        runSweep(specs, atumTraceFactory(tcfg), opt);
     std::vector<std::string> enc;
-    for (const sim::RunOutput &o : outs)
-        enc.push_back(encodeRunOutput(o));
+    for (const sim::RunSpec &spec : specs) {
+        trace::AtumLikeGenerator gen(tcfg);
+        enc.push_back(encodeRunOutput(sim::runTrace(gen, spec)));
+    }
     return enc;
 }
 

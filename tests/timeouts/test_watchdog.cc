@@ -1,13 +1,13 @@
 // Unit tests for the Watchdog deadline-enforcement thread: arming,
 // deadline misses tripping tokens, stall reports, grace-period
-// escalation, and disarm idempotence (exec/thread_pool.h).
+// escalation, and disarm idempotence (exec/watchdog.h).
 
 #include <chrono>
 #include <thread>
 
 #include <gtest/gtest.h>
 
-#include "exec/thread_pool.h"
+#include "exec/watchdog.h"
 
 namespace assoc {
 namespace exec {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "util/argparse.h"
+#include "util/error.h"
 #include "util/logging.h"
 
 namespace assoc {
@@ -117,6 +118,26 @@ TEST(ArgParser, UintRejectsNegative)
     const char *argv[] = {"prog", "--count=-5"};
     ASSERT_TRUE(p.parse(2, argv));
     EXPECT_THROW(p.getUint("count"), FatalError);
+}
+
+TEST(ArgParser, Uint32RejectsValuesPast32Bits)
+{
+    ArgParser p = makeParser();
+    const char *argv[] = {"prog", "--count=4294967297"};
+    ASSERT_TRUE(p.parse(2, argv));
+    try {
+        p.getUint32("count");
+        FAIL() << "4294967297 must not wrap to 1";
+    } catch (const ErrorException &e) {
+        EXPECT_EQ(e.error().code(), ErrorCode::Usage);
+        EXPECT_NE(std::string(e.what()).find(
+                      "--count=4294967297 is out of range "
+                      "(max 4294967295)"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(ArgParser::checkUint32("count", 4294967295u),
+              4294967295u);
 }
 
 TEST(ArgParser, HelpReturnsFalse)

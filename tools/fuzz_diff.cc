@@ -35,6 +35,7 @@
 #include "trace/atum_like.h"
 #include "util/argparse.h"
 #include "util/error.h"
+#include "util/fnv.h"
 #include "util/logging.h"
 
 namespace {
@@ -51,18 +52,19 @@ atumDigest(std::uint64_t seed)
     cfg.segments = 2;
     cfg.refs_per_segment = 20000;
     trace::AtumLikeGenerator gen(cfg);
-    std::uint64_t h = check::kDigestInit;
+    std::uint64_t h = kFnvInit;
     trace::MemRef r;
     while (gen.next(r)) {
-        check::digestMix(h, r.addr);
-        check::digestMix(h, static_cast<std::uint64_t>(r.type));
-        check::digestMix(h, r.pid);
+        fnvMix(h, r.addr);
+        fnvMix(h, static_cast<std::uint64_t>(r.type));
+        fnvMix(h, r.pid);
     }
     return h;
 }
 
 /** Digest a small parallel sweep (jobs=2): RunOutputs must be
- *  bit-identical across processes and thread schedules. */
+ *  bit-identical across processes and thread schedules. A job that
+ *  does not finish Ok is an error, never part of a digest. */
 std::uint64_t
 sweepDigest(std::uint64_t seed)
 {
@@ -87,24 +89,24 @@ sweepDigest(std::uint64_t seed)
 
     exec::SweepOptions opt;
     opt.jobs = 2;
-    std::vector<sim::RunOutput> outs =
-        exec::runSweep(specs, exec::atumTraceFactory(tcfg), opt);
+    exec::SweepResult run = exec::runSweepChecked(specs, tcfg, opt);
+    if (!run.allOk())
+        throwError(Error(run.firstError())
+                       .withContext("--digest sweep"));
 
-    std::uint64_t h = check::kDigestInit;
-    for (const sim::RunOutput &out : outs) {
-        check::digestMix(h, out.stats.proc_refs);
-        check::digestMix(h, out.stats.l1_misses);
-        check::digestMix(h, out.stats.read_in_hits);
-        check::digestMix(h, out.stats.write_backs);
+    std::uint64_t h = kFnvInit;
+    for (const exec::JobResult &job : run.jobs) {
+        const sim::RunOutput &out = job.output;
+        fnvMix(h, out.stats.proc_refs);
+        fnvMix(h, out.stats.l1_misses);
+        fnvMix(h, out.stats.read_in_hits);
+        fnvMix(h, out.stats.write_backs);
         for (const core::ProbeStats &ps : out.probes) {
-            check::digestMix(h, ps.read_in_hits.count());
-            check::digestMix(
-                h, static_cast<std::uint64_t>(ps.read_in_hits.sum()));
-            check::digestMix(
-                h,
-                static_cast<std::uint64_t>(ps.read_in_misses.sum()));
-            check::digestMix(
-                h, static_cast<std::uint64_t>(ps.write_backs.sum()));
+            fnvMix(h, ps.read_in_hits.count());
+            fnvMix(h, static_cast<std::uint64_t>(ps.read_in_hits.sum()));
+            fnvMix(h,
+                   static_cast<std::uint64_t>(ps.read_in_misses.sum()));
+            fnvMix(h, static_cast<std::uint64_t>(ps.write_backs.sum()));
         }
     }
     return h;

@@ -114,19 +114,6 @@ parseThreadList(const std::string &s)
     return out;
 }
 
-/** Flag --@p name narrowed to 32 bits; a usage error when it does
- *  not fit (a plain cast wraps 4294967297 to 1). */
-std::uint32_t
-getUint32(const ArgParser &args, const std::string &name)
-{
-    std::uint64_t v = args.getUint(name);
-    if (v > std::numeric_limits<std::uint32_t>::max())
-        throwError(Error::usage("--" + name + "=" +
-                                std::to_string(v) +
-                                " is out of range (max 4294967295)"));
-    return static_cast<std::uint32_t>(v);
-}
-
 /** Parse --quota-rate "N/D" (tokens per request tick). */
 void
 parseQuotaRate(const std::string &s, std::uint64_t &num,
@@ -280,15 +267,15 @@ main(int argc, char **argv)
         if (args.getBool("chaos"))
             return runChaos(args);
 
-        mem::CacheGeometry geom(getUint32(args, "size"),
-                                getUint32(args, "block"),
-                                getUint32(args, "assoc"));
+        mem::CacheGeometry geom(args.getUint32("size"),
+                                args.getUint32("block"),
+                                args.getUint32("assoc"));
 
         svc::SvcConfig cfg;
         cfg.engine.policy =
             policyFromString(args.getString("policy"));
-        cfg.engine.max_stripes = getUint32(args, "stripes");
-        cfg.engine.optimistic_retries = getUint32(args, "retries");
+        cfg.engine.max_stripes = args.getUint32("stripes");
+        cfg.engine.optimistic_retries = args.getUint32("retries");
 
         std::vector<unsigned> thread_counts =
             parseThreadList(args.getString("threads"));
@@ -302,7 +289,7 @@ main(int argc, char **argv)
                 "--probe-frac/--write-frac must be in [0, 1]");
 
         std::uint32_t capacity = geom.sets() * geom.assoc();
-        std::uint32_t working_set = getUint32(args, "working-set");
+        std::uint32_t working_set = args.getUint32("working-set");
         if (working_set == 0)
             working_set = capacity * 4;
 
@@ -325,7 +312,7 @@ main(int argc, char **argv)
                     " times the --quota-rate denominator overflows "
                     "64 bits"));
             cfg.admission.max_inflight =
-                getUint32(args, "max-inflight");
+                args.getUint32("max-inflight");
             Expected<svc::ShedPolicy> pol =
                 svc::shedPolicyFromString(
                     args.getString("shed-policy"));
@@ -344,7 +331,7 @@ main(int argc, char **argv)
                                .withContext("--deadline"));
             deadline_ns = ns.value();
         }
-        unsigned retry_attempts = getUint32(args, "retry-attempts");
+        unsigned retry_attempts = args.getUint32("retry-attempts");
         if (retry_attempts == 0)
             retry_attempts = 1;
         std::uint64_t flood = args.getUint("flood-tenant");

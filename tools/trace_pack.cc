@@ -39,6 +39,7 @@
 #include "trace/trace_file.h"
 #include "util/argparse.h"
 #include "util/error.h"
+#include "util/fnv.h"
 #include "util/logging.h"
 
 using namespace assoc;
@@ -54,12 +55,12 @@ class TraceDigest
     void
     add(const MemRef &r)
     {
-        step(r.addr & 0xff);
-        step((r.addr >> 8) & 0xff);
-        step((r.addr >> 16) & 0xff);
-        step((r.addr >> 24) & 0xff);
-        step(static_cast<std::uint8_t>(r.type));
-        step(r.pid);
+        fnvByte(h_, r.addr & 0xff);
+        fnvByte(h_, (r.addr >> 8) & 0xff);
+        fnvByte(h_, (r.addr >> 16) & 0xff);
+        fnvByte(h_, (r.addr >> 24) & 0xff);
+        fnvByte(h_, static_cast<std::uint8_t>(r.type));
+        fnvByte(h_, r.pid);
         ++n_;
     }
 
@@ -67,24 +68,9 @@ class TraceDigest
     std::uint64_t records() const { return n_; }
 
   private:
-    void
-    step(std::uint8_t b)
-    {
-        h_ = (h_ ^ b) * 0x100000001b3ULL;
-    }
-
-    std::uint64_t h_ = 0xcbf29ce484222325ULL;
+    std::uint64_t h_ = kFnvInit;
     std::uint64_t n_ = 0;
 };
-
-std::uint64_t
-fnvString(const std::string &s)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : s)
-        h = (h ^ c) * 0x100000001b3ULL;
-    return h;
-}
 
 ErrorPolicy
 policyFromArgs(const ArgParser &args)
@@ -161,7 +147,7 @@ cmdSweep(const ArgParser &args, const std::string &path)
     std::vector<sim::RunSpec> specs = sweepSpecs();
 
     exec::SweepOptions opts;
-    opts.jobs = static_cast<unsigned>(args.getUint("jobs"));
+    opts.jobs = args.getUint32("jobs");
     opts.journal_path = args.getString("journal");
     opts.resume_path = args.getString("resume");
     opts.spec_hash = exec::hashSpecs(specs, fnvString(path));
@@ -289,14 +275,13 @@ main(int argc, char **argv)
                 "usage: trace_pack "
                 "gen|pack|unpack|info|verify|corrupt|sweep <files>");
         const std::string &cmd = pos[0];
-        std::uint32_t frame_records = static_cast<std::uint32_t>(
-            countArg(args, "frame-records"));
+        std::uint32_t frame_records = ArgParser::checkUint32(
+            "frame-records", countArg(args, "frame-records"));
 
         if (cmd == "gen") {
             fatalIf(pos.size() != 2, "usage: trace_pack gen <out>");
             AtumLikeConfig cfg;
-            cfg.segments =
-                static_cast<unsigned>(args.getUint("segments"));
+            cfg.segments = args.getUint32("segments");
             if (cfg.segments == 0)
                 cfg.segments = 1;
             if (args.getUint("seed") != 0)
@@ -402,8 +387,7 @@ main(int argc, char **argv)
                             pos[1].c_str(),
                             static_cast<unsigned long long>(keep));
             } else {
-                unsigned flips = static_cast<unsigned>(
-                    args.getUint("flips"));
+                unsigned flips = args.getUint32("flips");
                 // Protect the 32-byte file header: damage recovery
                 // is frame-level; a destroyed header is a different
                 // (and separately tested) failure.
