@@ -34,10 +34,8 @@ main(int argc, char **argv)
         return 0;
     return guardedMain("bench_crossover", [&]() -> int {
         CommonArgs args = readCommonFlags(parser);
-        std::uint32_t l1_bytes =
-            static_cast<std::uint32_t>(parser.getUint("l1"));
-        std::uint32_t l2_bytes =
-            static_cast<std::uint32_t>(parser.getUint("l2"));
+        std::uint32_t l1_bytes = parser.getUint32("l1");
+        std::uint32_t l2_bytes = parser.getUint32("l2");
 
         Table2Catalog catalog;
 

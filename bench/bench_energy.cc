@@ -69,13 +69,10 @@ main(int argc, char **argv)
         return 0;
     return guardedMain("bench_energy", [&]() -> int {
         CommonArgs args = readCommonFlags(parser);
-        unsigned t = static_cast<unsigned>(parser.getUint("tagbits"));
-        unsigned assoc =
-            static_cast<unsigned>(parser.getUint("assoc"));
-        std::uint32_t l1_bytes =
-            static_cast<std::uint32_t>(parser.getUint("l1"));
-        std::uint32_t l2_bytes =
-            static_cast<std::uint32_t>(parser.getUint("l2"));
+        unsigned t = parser.getUint32("tagbits");
+        unsigned assoc = parser.getUint32("assoc");
+        std::uint32_t l1_bytes = parser.getUint32("l1");
+        std::uint32_t l2_bytes = parser.getUint32("l2");
 
         // One simulation, six observers: every scheme prices the
         // same access stream.

@@ -35,10 +35,8 @@ main(int argc, char **argv)
         return 0;
     return guardedMain("bench_l3", [&]() -> int {
         CommonArgs args = readCommonFlags(parser);
-        std::uint32_t l3_bytes =
-            static_cast<std::uint32_t>(parser.getUint("l3"));
-        std::uint32_t l3_block =
-            static_cast<std::uint32_t>(parser.getUint("l3block"));
+        std::uint32_t l3_bytes = parser.getUint32("l3");
+        std::uint32_t l3_block = parser.getUint32("l3block");
 
         std::printf("Third-level study: 4K-16 L1, 64K-32 4-way L2, "
                     "%s a-way L3\n\n",

@@ -42,8 +42,7 @@ main(int argc, char **argv)
     if (!parser.parse(argc, argv))
         return 0;
     return guardedMain("bench_table1", [&]() -> int {
-        unsigned t =
-            static_cast<unsigned>(parser.getUint("tagbits"));
+        unsigned t = parser.getUint32("tagbits");
         bench::CommonArgs args = bench::readCommonFlags(parser);
 
         TextTable table;

@@ -31,7 +31,7 @@ main(int argc, char **argv)
         return 0;
     return guardedMain("bench_table4", [&]() -> int {
         CommonArgs args = readCommonFlags(parser);
-        unsigned t = static_cast<unsigned>(parser.getUint("tagbits"));
+        unsigned t = parser.getUint32("tagbits");
 
         // All 24 (associativity x configuration) runs are
         // independent: submit them as one sweep, then render the

@@ -38,8 +38,7 @@ main(int argc, char **argv)
     if (!parser.parse(argc, argv))
         return 0;
     return guardedMain("coherency_sim", [&]() -> int {
-        unsigned segments =
-            static_cast<unsigned>(parser.getUint("segments"));
+        unsigned segments = parser.getUint32("segments");
         double rate = parser.getDouble("rate");
 
         std::printf("One node: 16K-16 L1 + 256K-32 L2, remote "

@@ -62,18 +62,15 @@ main(int argc, char **argv)
     if (!parser.parse(argc, argv))
         return 0;
     return guardedMain("l2_design_space", [&]() -> int {
-        unsigned segments =
-            static_cast<unsigned>(parser.getUint("segments"));
+        unsigned segments = parser.getUint32("segments");
         std::string tech_name = parser.getString("tech");
         fatalIf(tech_name != "sram" && tech_name != "dram",
                 "--tech must be sram or dram");
         hw::RamTech tech = tech_name == "sram" ? hw::RamTech::Sram
                                                : hw::RamTech::Dram;
-        std::uint32_t l1_bytes =
-            static_cast<std::uint32_t>(parser.getUint("l1"));
+        std::uint32_t l1_bytes = parser.getUint32("l1");
 
-        unsigned jobs =
-            static_cast<unsigned>(parser.getUint("jobs"));
+        unsigned jobs = parser.getUint32("jobs");
 
         hw::Table2Catalog catalog;
 

@@ -37,10 +37,8 @@ main(int argc, char **argv)
     if (!parser.parse(argc, argv))
         return 0;
     return guardedMain("mru_study", [&]() -> int {
-        unsigned segments =
-            static_cast<unsigned>(parser.getUint("segments"));
-        unsigned assoc =
-            static_cast<unsigned>(parser.getUint("assoc"));
+        unsigned segments = parser.getUint32("segments");
+        unsigned assoc = parser.getUint32("assoc");
         fatalIf(!isPow2(assoc) || assoc < 2,
                 "--assoc must be a power of two >= 2");
 

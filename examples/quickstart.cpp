@@ -35,8 +35,7 @@ main(int argc, char **argv)
         // 1. A workload: the built-in ATUM-like multiprogrammed
         //    trace (deterministic; ~350k references per segment).
         trace::AtumLikeConfig tcfg;
-        tcfg.segments =
-            static_cast<unsigned>(parser.getUint("segments"));
+        tcfg.segments = parser.getUint32("segments");
         trace::AtumLikeGenerator trace(tcfg);
 
         // 2. A cache hierarchy: 16 KB direct-mapped write-back L1

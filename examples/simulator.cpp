@@ -84,11 +84,10 @@ main(int argc, char **argv)
     return guardedMain("simulator", [&]() -> int {
         auto workload = openWorkload(
             parser.getString("trace"),
-            static_cast<unsigned>(parser.getUint("segments")),
+            parser.getUint32("segments"),
             parser.getUint("seed"));
 
-        unsigned tag_bits =
-            static_cast<unsigned>(parser.getUint("tagbits"));
+        unsigned tag_bits = parser.getUint32("tagbits");
         mem::HierarchyConfig hcfg{
             sim::parseCacheSpec(parser.getString("l1")),
             sim::parseCacheSpec(parser.getString("l2")), true};

@@ -113,8 +113,7 @@ main(int argc, char **argv)
             fatalIf(pos.size() != 2,
                     "usage: trace_tools generate <out>");
             AtumLikeConfig cfg;
-            cfg.segments =
-                static_cast<unsigned>(parser.getUint("segments"));
+            cfg.segments = parser.getUint32("segments");
             if (parser.getUint("seed") != 0)
                 cfg.seed = parser.getUint("seed");
             AtumLikeGenerator gen(cfg);
@@ -135,8 +134,7 @@ main(int argc, char **argv)
             fatalIf(pos.size() != 2,
                     "usage: trace_tools stats <in>");
             auto in = openTrace(pos[1], policy);
-            unsigned block =
-                static_cast<unsigned>(parser.getUint("block"));
+            unsigned block = parser.getUint32("block");
             if (parser.getBool("per-segment")) {
                 std::vector<TraceStats> segs =
                     collectSegmentStats(*in, block);

@@ -86,11 +86,9 @@ main(int argc, char **argv)
     if (!parser.parse(argc, argv))
         return 0;
     return guardedMain("transform_study", [&]() -> int {
-        unsigned segments =
-            static_cast<unsigned>(parser.getUint("segments"));
-        unsigned t = static_cast<unsigned>(parser.getUint("tagbits"));
-        unsigned assoc =
-            static_cast<unsigned>(parser.getUint("assoc"));
+        unsigned segments = parser.getUint32("segments");
+        unsigned t = parser.getUint32("tagbits");
+        unsigned assoc = parser.getUint32("assoc");
 
         const TransformKind kinds[] = {
             TransformKind::None, TransformKind::XorLow,

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace assoc {
 
@@ -59,22 +60,28 @@ void inform(const std::string &msg);
 void setQuiet(bool quiet);
 
 /**
- * Check a user-facing precondition; calls fatal() with @p msg when
- * @p cond is false.
+ * Check a user-facing precondition: calls fatal() with @p msg when
+ * @p cond is true. The message is materialized as a std::string only
+ * when the check fails, so a passing check with a literal message
+ * allocates nothing.
  */
 inline void
-fatalIf(bool cond, const std::string &msg)
+fatalIf(bool cond, std::string_view msg)
 {
     if (cond)
-        fatal(msg);
+        fatal(std::string(msg));
 }
 
-/** Check an internal invariant; calls panic() when @p cond is false. */
+/**
+ * Check an internal invariant: calls panic() with @p msg when @p cond
+ * is true. As with fatalIf(), the message is materialized only on
+ * failure.
+ */
 inline void
-panicIf(bool cond, const std::string &msg)
+panicIf(bool cond, std::string_view msg)
 {
     if (cond)
-        panic(msg);
+        panic(std::string(msg));
 }
 
 } // namespace assoc

@@ -2,6 +2,9 @@
 
 #include "util/logging.h"
 
+#include <string>
+#include <string_view>
+
 namespace assoc {
 namespace {
 
@@ -35,6 +38,54 @@ TEST(Logging, PanicIfOnlyFiresWhenTrue)
 {
     EXPECT_NO_THROW(panicIf(false, "no"));
     EXPECT_THROW(panicIf(true, "yes"), PanicError);
+}
+
+// The what() text a failing fatalIf/panicIf throws, or "" if it
+// throws nothing.
+template <typename Error, typename Check>
+std::string
+thrownText(Check check)
+{
+    try {
+        check();
+    } catch (const Error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Logging, FailingChecksCarryTheMessageInEveryArgumentForm)
+{
+    const std::string lvalue = "from a string";
+    const std::string name = "jobs";
+    const char *pointer = "from a pointer";
+    // A view that is not NUL-terminated: passing .data() along would
+    // read on past "abc".
+    const std::string_view prefix = std::string_view("abcdef").substr(0, 3);
+
+    EXPECT_EQ(thrownText<FatalError>([] { fatalIf(true, "literal"); }),
+              "fatal: literal");
+    EXPECT_EQ(thrownText<FatalError>([&] { fatalIf(true, lvalue); }),
+              "fatal: from a string");
+    EXPECT_EQ(thrownText<FatalError>(
+                  [&] { fatalIf(true, "flag --" + name + " is bad"); }),
+              "fatal: flag --jobs is bad");
+    EXPECT_EQ(thrownText<FatalError>([&] { fatalIf(true, pointer); }),
+              "fatal: from a pointer");
+    EXPECT_EQ(thrownText<FatalError>([&] { fatalIf(true, prefix); }),
+              "fatal: abc");
+
+    EXPECT_EQ(thrownText<PanicError>([] { panicIf(true, "literal"); }),
+              "panic: literal");
+    EXPECT_EQ(thrownText<PanicError>([&] { panicIf(true, lvalue); }),
+              "panic: from a string");
+    EXPECT_EQ(thrownText<PanicError>(
+                  [&] { panicIf(true, "flag --" + name + " is bad"); }),
+              "panic: flag --jobs is bad");
+    EXPECT_EQ(thrownText<PanicError>([&] { panicIf(true, pointer); }),
+              "panic: from a pointer");
+    EXPECT_EQ(thrownText<PanicError>([&] { panicIf(true, prefix); }),
+              "panic: abc");
 }
 
 TEST(Logging, FatalErrorIsARuntimeError)

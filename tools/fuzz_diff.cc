@@ -165,14 +165,12 @@ main(int argc, char **argv)
             opt.seed = args.getUint("seed");
             opt.iterations = args.getUint("iterations");
             if (args.given("threads"))
-                opt.threads =
-                    static_cast<unsigned>(args.getUint("threads"));
+                opt.threads = args.getUint32("threads");
             if (args.given("config")) {
                 opt.have_only_case = true;
                 opt.only_case = args.getUint("config");
             }
-            opt.max_failures = static_cast<unsigned>(
-                args.getUint("max-failures"));
+            opt.max_failures = args.getUint32("max-failures");
             opt.log = &std::cerr;
 
             check::SvcChaosSummary sum = check::runSvcChaos(opt);
@@ -195,14 +193,12 @@ main(int argc, char **argv)
             check::SvcFuzzOptions opt;
             opt.seed = args.getUint("seed");
             opt.iterations = args.getUint("iterations");
-            opt.threads =
-                static_cast<unsigned>(args.getUint("threads"));
+            opt.threads = args.getUint32("threads");
             if (args.given("config")) {
                 opt.have_only_case = true;
                 opt.only_case = args.getUint("config");
             }
-            opt.max_failures = static_cast<unsigned>(
-                args.getUint("max-failures"));
+            opt.max_failures = args.getUint32("max-failures");
             opt.log = &std::cerr;
 
             check::SvcFuzzSummary sum = check::runSvcFuzz(opt);
@@ -227,8 +223,7 @@ main(int argc, char **argv)
                 opt.have_only_case = true;
                 opt.only_case = args.getUint("config");
             }
-            opt.max_failures = static_cast<unsigned>(
-                args.getUint("max-failures"));
+            opt.max_failures = args.getUint32("max-failures");
             opt.log = &std::cerr;
             if (args.given("job-timeout")) {
                 Expected<std::uint64_t> ns =
@@ -260,8 +255,7 @@ main(int argc, char **argv)
         }
         opt.inject = check::bugInjectionFromString(
             args.getString("inject"));
-        opt.max_failures = static_cast<unsigned>(
-            args.getUint("max-failures"));
+        opt.max_failures = args.getUint32("max-failures");
         opt.minimize = !args.getBool("no-minimize");
         opt.log = &std::cerr;
 
