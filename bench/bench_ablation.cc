@@ -417,9 +417,9 @@ hashRehashVsTwoWay(const CommonArgs &args)
     table.setHeader({"Organization", "Hit ratio", "Hit probes",
                      "Miss probes", "Total", "Swaps/read-in"});
     MeanAccum swap_all = swap_meter.stats().read_in_hits;
-    swap_all.merge(swap_meter.stats().read_in_misses);
+    mergeStats(swap_all, swap_meter.stats().read_in_misses);
     MeanAccum mru_all = mru_meter.stats().read_in_hits;
-    mru_all.merge(mru_meter.stats().read_in_misses);
+    mergeStats(mru_all, mru_meter.stats().read_in_misses);
     table.addRow(
         {"2-way swap-MRU", TextTable::num(two_way_hr, 4),
          TextTable::num(swap_meter.stats().read_in_hits.mean(), 2),
@@ -461,6 +461,10 @@ main(int argc, char **argv)
         return 0;
     return guardedMain("bench_ablation", [&]() -> int {
         CommonArgs args = readCommonFlags(parser);
+        // A journal checkpoints one sweep; each ablation restarts it.
+        if (!args.journal_path.empty() || !args.resume_path.empty())
+            throwError(Error::usage("bench_ablation runs several sweeps: "
+                                    "--journal and --resume are refused"));
         subsetSweep(args);
         hintAccuracy(args);
         tagWidthSweep(args);

@@ -49,7 +49,7 @@ main(int argc, char **argv)
                 sim::RunOutput out = sim::runTrace(gen, spec);
                 table.addRow(
                     {std::to_string(a),
-                     TextTable::num(out.coherency_invalidations),
+                     TextTable::num(out.stats.coherency_invalidations),
                      TextTable::num(out.mean_occupancy, 4),
                      TextTable::num(out.stats.localMissRatio(), 4)});
             }

@@ -85,7 +85,7 @@ main(int argc, char **argv)
                  TextTable::num(out.mean_occupancy, 4),
                  TextTable::num(out.probes[0].totalMean(), 2),
                  TextTable::num(out.probes[1].totalMean(), 2),
-                 TextTable::num(out.coherency_invalidations)});
+                 TextTable::num(out.stats.coherency_invalidations)});
         }
         table.print(std::cout);
         std::printf(

@@ -1,5 +1,6 @@
 #include "check/fault_campaign.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <ostream>
@@ -675,7 +676,14 @@ caseLookupThrow(std::uint64_t case_seed, CaseCheck &chk,
     std::vector<std::string> want = baselineOutputs(specs, tcfg);
 
     std::size_t bad = rng.below(3);
-    exec::ThrowingAuditor auditor(1 + rng.below(500));
+    // Throw at an audit the job reaches (one per meter and lookup).
+    std::uint64_t audits = 0;
+    sim::RunOutput base = exec::decodeRunOutput(want[bad]).take();
+    for (const core::ProbeStats &p : base.probes)
+        audits += p.metered;
+    exec::ThrowingAuditor auditor(
+        1 + rng.below(static_cast<std::uint32_t>(
+                std::min<std::uint64_t>(audits, 500))));
     specs[bad].auditor = &auditor;
 
     exec::SweepOptions opt;

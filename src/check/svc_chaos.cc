@@ -295,7 +295,7 @@ runSvcChaos(const SvcChaosOptions &opt)
         SvcChaosRun second = runSvcChaosCase(c);
         ++out.cases_run;
         out.ops += first.ops + second.ops;
-        out.totals.merge(first.totals);
+        mergeStats(out.totals, first.totals);
         fnvMix(h, first.determinism_digest);
 
         ViolationLog &log = first.log;

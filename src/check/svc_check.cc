@@ -293,7 +293,7 @@ void
 checkStatsMerge(const svc::TenantStats &merged,
                 const svc::TenantStats &reference, ViolationLog &log)
 {
-    if (merged.identicalOutcomes(reference))
+    if (identicalStats(merged, reference))
         return;
     std::ostringstream os;
     os << "stats merge diverges from the serial run: "

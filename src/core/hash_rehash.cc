@@ -90,7 +90,7 @@ double
 HashRehashShadow::totalProbes() const
 {
     MeanAccum all = hit_probes_;
-    all.merge(miss_probes_);
+    mergeStats(all, miss_probes_);
     return all.mean();
 }
 

@@ -16,6 +16,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
+
+#include "util/stats.h"
 
 namespace assoc {
 namespace core {
@@ -37,33 +40,67 @@ struct LookupInput
 };
 
 /**
- * Per-access micro-event counts underneath the probe total: what
- * hardware structure each probe actually touched. Probes remain the
- * paper's cost unit; events are the energy model's (src/hw) — a
- * k-bit field read, a full t-bit tag read, and a memo-table access
- * cost different energy even when each is "one probe".
+ * Micro-event counts underneath the probe total: what hardware
+ * structure each probe actually touched. Probes remain the paper's
+ * cost unit; events are the energy model's (src/hw) — a k-bit field
+ * read, a full t-bit tag read, and a memo-table access cost
+ * different energy even when each is "one probe". One access counts
+ * in 32 bits (ProbeEvents), a run's totals in 64 (ProbeEventTotals).
  */
-struct ProbeEvents
+template <class Count>
+struct BasicProbeEvents
 {
-    std::uint32_t tag_reads = 0;    ///< full t-bit tag-array reads
-    std::uint32_t field_reads = 0;  ///< k-bit partial-field reads
-    std::uint32_t tag_compares = 0; ///< full-width tag compares
-    std::uint32_t list_reads = 0;   ///< MRU-list reads
-    std::uint32_t memo_reads = 0;   ///< memo/prediction-table reads
-    std::uint32_t memo_writes = 0;  ///< memo/prediction-table updates
+    Count tag_reads = 0;    ///< full t-bit tag-array reads
+    Count field_reads = 0;  ///< k-bit partial-field reads
+    Count tag_compares = 0; ///< full-width tag compares
+    Count list_reads = 0;   ///< MRU-list reads
+    Count memo_reads = 0;   ///< memo/prediction-table reads
+    Count memo_writes = 0;  ///< memo/prediction-table updates
 
-    ProbeEvents &
-    operator+=(const ProbeEvents &o)
+    /** The field list (util/stats.h), shared by every Count. */
+    template <class V>
+    static constexpr void
+    fields(V &&v)
     {
-        tag_reads += o.tag_reads;
-        field_reads += o.field_reads;
-        tag_compares += o.tag_compares;
-        list_reads += o.list_reads;
-        memo_reads += o.memo_reads;
-        memo_writes += o.memo_writes;
+        constexpr StatClass d = StatClass::Deterministic;
+        v("tag_reads", &BasicProbeEvents::tag_reads, d);
+        v("field_reads", &BasicProbeEvents::field_reads, d);
+        v("tag_compares", &BasicProbeEvents::tag_compares, d);
+        v("list_reads", &BasicProbeEvents::list_reads, d);
+        v("memo_reads", &BasicProbeEvents::memo_reads, d);
+        v("memo_writes", &BasicProbeEvents::memo_writes, d);
+    }
+
+    /** The @p i-th member of the list. */
+    static consteval Count BasicProbeEvents::*
+    field(std::size_t i)
+    {
+        Count BasicProbeEvents::*at = nullptr;
+        fields([&](const char *, Count BasicProbeEvents::*m, StatClass) {
+            if (i-- == 0)
+                at = m;
+        });
+        return at;
+    }
+
+    /** Add @p o's counts, whatever their width: one add per event. */
+    template <class Other>
+    constexpr BasicProbeEvents &
+    operator+=(const BasicProbeEvents<Other> &o)
+    {
+        // Every member is a Count, and the list names them all.
+        constexpr std::size_t n = sizeof(BasicProbeEvents) / sizeof(Count);
+        [&]<std::size_t... I>(std::index_sequence<I...>) {
+            ((this->*field(I) += o.*BasicProbeEvents<Other>::field(I)), ...);
+        }(std::make_index_sequence<n>());
         return *this;
     }
 };
+
+using ProbeEvents = BasicProbeEvents<std::uint32_t>;
+using ProbeEventTotals = BasicProbeEvents<std::uint64_t>;
+static_assert(listsEveryMember<ProbeEvents>());
+static_assert(listsEveryMember<ProbeEventTotals>());
 
 /** What a lookup concluded and what it cost. */
 struct LookupResult

@@ -10,7 +10,7 @@ double
 ProbeStats::hitsMean() const
 {
     MeanAccum m = read_in_hits;
-    m.merge(write_backs);
+    mergeStats(m, write_backs);
     return m.mean();
 }
 
@@ -18,7 +18,7 @@ double
 ProbeStats::readInMean() const
 {
     MeanAccum m = read_in_hits;
-    m.merge(read_in_misses);
+    mergeStats(m, read_in_misses);
     return m.mean();
 }
 
@@ -26,22 +26,9 @@ double
 ProbeStats::totalMean() const
 {
     MeanAccum m = read_in_hits;
-    m.merge(read_in_misses);
-    m.merge(write_backs);
+    mergeStats(m, read_in_misses);
+    mergeStats(m, write_backs);
     return m.mean();
-}
-
-void
-ProbeStats::reset()
-{
-    read_in_hits.reset();
-    read_in_misses.reset();
-    write_backs.reset();
-    alias_hits = 0;
-    alias_wrong_way = 0;
-    events = EventTotals{};
-    memo_hits = 0;
-    metered = 0;
 }
 
 ProbeMeter::ProbeMeter(std::unique_ptr<LookupStrategy> strategy,
@@ -94,7 +81,7 @@ ProbeMeter::observe(const mem::L2AccessView &view)
 
     LookupResult res = strategy_->lookup(in);
 
-    stats_.events.add(res.events);
+    stats_.events += res.events;
     ++stats_.metered;
     if (res.memo_hit)
         ++stats_.memo_hits;

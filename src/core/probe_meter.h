@@ -49,30 +49,7 @@ struct ProbeStats
     std::uint64_t alias_hits = 0; ///< scheme hit where simulator missed
     std::uint64_t alias_wrong_way = 0; ///< scheme hit a different way
 
-    /** 64-bit event totals behind the probe counts (the energy
-     *  model's input, src/hw/energy_model.h): per-access ProbeEvents
-     *  are 32-bit, but a long run's totals need the headroom. */
-    struct EventTotals
-    {
-        std::uint64_t tag_reads = 0;
-        std::uint64_t field_reads = 0;
-        std::uint64_t tag_compares = 0;
-        std::uint64_t list_reads = 0;
-        std::uint64_t memo_reads = 0;
-        std::uint64_t memo_writes = 0;
-
-        void
-        add(const ProbeEvents &e)
-        {
-            tag_reads += e.tag_reads;
-            field_reads += e.field_reads;
-            tag_compares += e.tag_compares;
-            list_reads += e.list_reads;
-            memo_reads += e.memo_reads;
-            memo_writes += e.memo_writes;
-        }
-    };
-    EventTotals events;
+    ProbeEventTotals events; ///< the energy model's input (src/hw)
     /** Accesses where a memo table skipped every tag probe. */
     std::uint64_t memo_hits = 0;
     /** Metered (non-free) accesses contributing to events. */
@@ -87,8 +64,23 @@ struct ProbeStats
     /** Mean probes over everything (Table 4 "Total"). */
     double totalMean() const;
 
-    void reset();
+    /** The field list (util/stats.h), in journal order. */
+    template <class V>
+    static constexpr void
+    fields(V &&v)
+    {
+        constexpr StatClass d = StatClass::Deterministic;
+        v("read_in_hits", &ProbeStats::read_in_hits, d);
+        v("read_in_misses", &ProbeStats::read_in_misses, d);
+        v("write_backs", &ProbeStats::write_backs, d);
+        v("alias_hits", &ProbeStats::alias_hits, d);
+        v("alias_wrong_way", &ProbeStats::alias_wrong_way, d);
+        v("events", &ProbeStats::events, d);
+        v("memo_hits", &ProbeStats::memo_hits, d);
+        v("metered", &ProbeStats::metered, d);
+    }
 };
+static_assert(listsEveryMember<ProbeStats>());
 
 class ProbeMeter;
 

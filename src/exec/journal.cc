@@ -1,69 +1,17 @@
 #include "exec/journal.h"
 
-#include <cstring>
+#include <bit>
+#include <iomanip>
 #include <sstream>
+#include <string_view>
 
 #include "util/fnv.h"
+#include "util/stats.h"
 
 namespace assoc {
 namespace exec {
 
 namespace {
-
-std::uint64_t
-doubleBits(double d)
-{
-    std::uint64_t u = 0;
-    std::memcpy(&u, &d, sizeof(u));
-    return u;
-}
-
-double
-bitsDouble(std::uint64_t u)
-{
-    double d = 0.0;
-    std::memcpy(&d, &u, sizeof(d));
-    return d;
-}
-
-/** Hex-encode a string (names may contain spaces). */
-std::string
-hexString(const std::string &s)
-{
-    static const char digits[] = "0123456789abcdef";
-    std::string out;
-    out.reserve(s.size() * 2);
-    for (char c : s) {
-        unsigned char u = static_cast<unsigned char>(c);
-        out += digits[u >> 4];
-        out += digits[u & 0xf];
-    }
-    return out.empty() ? "-" : out;
-}
-
-bool
-unhexString(const std::string &h, std::string &out)
-{
-    out.clear();
-    if (h == "-")
-        return true;
-    if (h.size() % 2 != 0)
-        return false;
-    auto nib = [](char c) -> int {
-        if (c >= '0' && c <= '9')
-            return c - '0';
-        if (c >= 'a' && c <= 'f')
-            return c - 'a' + 10;
-        return -1;
-    };
-    for (std::size_t i = 0; i < h.size(); i += 2) {
-        int hi = nib(h[i]), lo = nib(h[i + 1]);
-        if (hi < 0 || lo < 0)
-            return false;
-        out += static_cast<char>((hi << 4) | lo);
-    }
-    return true;
-}
 
 /** Token-level reader with failure latching. */
 class TokenReader
@@ -77,43 +25,38 @@ class TokenReader
         return static_cast<bool>(iss_ >> out);
     }
 
+    /** A string written with std::quoted (names may hold spaces). */
     bool
-    u64(std::uint64_t &out)
+    quoted(std::string &out)
+    {
+        return static_cast<bool>(iss_ >> std::quoted(out));
+    }
+
+    /** A counter, in decimal unless @p base says otherwise, written
+     *  after @p prefix (e.g. "d=" before a digest). */
+    bool
+    number(std::uint64_t &out, int base = 10, std::string_view prefix = "")
     {
         std::string tok;
-        if (!word(tok))
+        if (!word(tok) || !tok.starts_with(prefix))
             return false;
         try {
             std::size_t pos = 0;
-            out = std::stoull(tok, &pos, 10);
-            return pos == tok.size();
+            out = std::stoull(tok.substr(prefix.size()), &pos, base);
+            return pos == tok.size() - prefix.size();
         } catch (const std::logic_error &) {
             return false;
         }
     }
 
+    /** A double, as the hex of its bits. */
     bool
-    hexU64(std::uint64_t &out)
-    {
-        std::string tok;
-        if (!word(tok))
-            return false;
-        try {
-            std::size_t pos = 0;
-            out = std::stoull(tok, &pos, 16);
-            return pos == tok.size();
-        } catch (const std::logic_error &) {
-            return false;
-        }
-    }
-
-    bool
-    bitsDoubleTok(double &out)
+    number(double &out)
     {
         std::uint64_t u = 0;
-        if (!hexU64(u))
+        if (!number(u, 16))
             return false;
-        out = bitsDouble(u);
+        out = std::bit_cast<double>(u);
         return true;
     }
 
@@ -125,31 +68,45 @@ class TokenReader
         return word(tok) && tok == kw;
     }
 
+    /** The rest of the line, after its separating space. */
+    std::string
+    rest()
+    {
+        std::string out;
+        std::getline(iss_, out);
+        return out.starts_with(' ') ? out.substr(1) : out;
+    }
+
   private:
     std::istringstream iss_;
 };
 
+/** Append every number of @p record, in its list's order: counters
+ *  in decimal, doubles as the hex of their bits. */
+template <class Record>
 void
-encodeAccum(std::ostringstream &os, const MeanAccum &a)
+encodeStats(std::ostringstream &os, const Record &record)
 {
-    os << " " << hex16(doubleBits(a.sum())) << " "
-       << hex16(doubleBits(a.sumSquares())) << " " << a.count();
+    forEachStat(record, [&](const char *, const auto &v, StatClass) {
+        if constexpr (std::is_same_v<std::remove_cvref_t<decltype(v)>,
+                                     double>)
+            os << " " << hex16(std::bit_cast<std::uint64_t>(v));
+        else
+            os << " " << v;
+    });
 }
 
+/** Read back what encodeStats() wrote. */
+template <class Record>
 bool
-decodeAccum(TokenReader &r, MeanAccum &a)
+decodeStats(TokenReader &r, Record &record)
 {
-    double sum = 0.0, sumsq = 0.0;
-    std::uint64_t n = 0;
-    if (!r.bitsDoubleTok(sum) || !r.bitsDoubleTok(sumsq) || !r.u64(n))
-        return false;
-    a = MeanAccum::fromRaw(sum, sumsq, n);
-    return true;
+    bool ok = true;
+    forEachStat(record, [&](const char *, auto &v, StatClass) {
+        ok = ok && r.number(v);
+    });
+    return ok;
 }
-
-} // namespace
-
-namespace {
 
 /** Fold one spec's result-relevant fields into @p h. */
 void
@@ -180,7 +137,7 @@ fnvMixSpec(std::uint64_t &h, const sim::RunSpec &spec)
     }
     fnvMix(h, spec.wb_optimization);
     fnvMix(h, spec.with_distances);
-    fnvMix(h, doubleBits(spec.coherency_rate));
+    fnvMix(h, std::bit_cast<std::uint64_t>(spec.coherency_rate));
     fnvMix(h, spec.occupancy_sample_period);
 }
 
@@ -209,31 +166,18 @@ std::string
 encodeRunOutput(const sim::RunOutput &out)
 {
     std::ostringstream os;
-    const mem::HierarchyStats &st = out.stats;
-    os << "v2 stats";
-    for (std::uint64_t v :
-         {st.proc_refs, st.l1_hits, st.l1_misses, st.read_ins,
-          st.read_in_hits, st.read_in_misses, st.write_backs,
-          st.write_back_hits, st.write_back_misses, st.hint_correct,
-          st.hint_wrong, st.flushes, st.inclusion_invalidations,
-          st.inclusion_dirty_invalidations,
-          st.coherency_invalidations})
-        os << " " << v;
+    os << "v3 stats";
+    encodeStats(os, out.stats);
     os << " schemes " << out.probes.size();
     for (std::size_t i = 0; i < out.probes.size(); ++i) {
-        const core::ProbeStats &p = out.probes[i];
-        os << " " << hexString(i < out.names.size() ? out.names[i]
-                                                    : std::string());
-        encodeAccum(os, p.read_in_hits);
-        encodeAccum(os, p.read_in_misses);
-        encodeAccum(os, p.write_backs);
-        os << " " << p.alias_hits << " " << p.alias_wrong_way;
+        os << " " << std::quoted(i < out.names.size() ? out.names[i]
+                                                      : std::string());
+        encodeStats(os, out.probes[i]);
     }
     os << " f " << out.f.size();
     for (double v : out.f)
-        os << " " << hex16(doubleBits(v));
-    os << " occ " << hex16(doubleBits(out.mean_occupancy));
-    os << " coh " << out.coherency_invalidations;
+        os << " " << hex16(std::bit_cast<std::uint64_t>(v));
+    os << " occ " << hex16(std::bit_cast<std::uint64_t>(out.mean_occupancy));
     os << " skips " << out.skipped_records;
     return os.str();
 }
@@ -241,56 +185,36 @@ encodeRunOutput(const sim::RunOutput &out)
 Expected<sim::RunOutput>
 decodeRunOutput(const std::string &payload)
 {
+    // Older payloads (v1, v2) left counters out, so they fail here
+    // and their jobs run again rather than resume with zeros.
     Error bad = Error::data("corrupt journal payload");
     TokenReader r(payload);
-    std::string version;
-    if (!r.word(version) || (version != "v1" && version != "v2") ||
-        !r.keyword("stats"))
-        return bad;
-
     sim::RunOutput out;
-    mem::HierarchyStats &st = out.stats;
-    for (std::uint64_t *v :
-         {&st.proc_refs, &st.l1_hits, &st.l1_misses, &st.read_ins,
-          &st.read_in_hits, &st.read_in_misses, &st.write_backs,
-          &st.write_back_hits, &st.write_back_misses, &st.hint_correct,
-          &st.hint_wrong, &st.flushes, &st.inclusion_invalidations,
-          &st.inclusion_dirty_invalidations,
-          &st.coherency_invalidations})
-        if (!r.u64(*v))
-            return bad;
+    if (!r.keyword("v3") || !r.keyword("stats") ||
+        !decodeStats(r, out.stats))
+        return bad;
 
     std::uint64_t n = 0;
-    if (!r.keyword("schemes") || !r.u64(n) || n > 1000)
+    if (!r.keyword("schemes") || !r.number(n) || n > 1000)
         return bad;
     for (std::uint64_t i = 0; i < n; ++i) {
-        std::string hexname, name;
-        if (!r.word(hexname) || !unhexString(hexname, name))
-            return bad;
+        std::string name;
         core::ProbeStats p;
-        if (!decodeAccum(r, p.read_in_hits) ||
-            !decodeAccum(r, p.read_in_misses) ||
-            !decodeAccum(r, p.write_backs) || !r.u64(p.alias_hits) ||
-            !r.u64(p.alias_wrong_way))
+        if (!r.quoted(name) || !decodeStats(r, p))
             return bad;
         out.names.push_back(std::move(name));
         out.probes.push_back(p);
     }
 
-    if (!r.keyword("f") || !r.u64(n) || n > 100000)
+    if (!r.keyword("f") || !r.number(n) || n > 100000)
         return bad;
     out.f.resize(n);
     for (std::uint64_t i = 0; i < n; ++i)
-        if (!r.bitsDoubleTok(out.f[i]))
+        if (!r.number(out.f[i]))
             return bad;
 
-    if (!r.keyword("occ") || !r.bitsDoubleTok(out.mean_occupancy))
-        return bad;
-    if (!r.keyword("coh") || !r.u64(out.coherency_invalidations))
-        return bad;
-    // v1 predates skip accounting; those journals decode with 0.
-    if (version == "v2" &&
-        (!r.keyword("skips") || !r.u64(out.skipped_records)))
+    if (!r.keyword("occ") || !r.number(out.mean_occupancy) ||
+        !r.keyword("skips") || !r.number(out.skipped_records))
         return bad;
     return out;
 }
@@ -329,57 +253,28 @@ readJournal(const std::string &path, MemBudget *budget)
         }
         if (line.empty() || line[0] == '#')
             continue;
-        std::istringstream iss(line);
+        TokenReader r(line);
         std::string kind;
-        iss >> kind;
+        r.word(kind);
         if (kind == "meta") {
-            std::string hash_kv, jobs_kv;
-            iss >> hash_kv >> jobs_kv;
-            if (hash_kv.rfind("hash=", 0) != 0 ||
-                jobs_kv.rfind("jobs=", 0) != 0)
+            if (!r.number(data.spec_hash, 16, "hash=") ||
+                !r.number(data.jobs, 10, "jobs="))
                 return Error::data("journal '" + path +
                                    "': bad meta line")
                     .withContext("line " + std::to_string(lineno));
-            try {
-                data.spec_hash = std::stoull(hash_kv.substr(5),
-                                             nullptr, 16);
-                data.jobs = std::stoull(jobs_kv.substr(5));
-            } catch (const std::logic_error &) {
-                return Error::data("journal '" + path +
-                                   "': bad meta line")
-                    .withContext("line " + std::to_string(lineno));
-            }
             have_meta = true;
             continue;
         }
-        if (kind != "job") {
-            ++data.dropped_lines; // unknown/torn line
-            continue;
+        std::uint64_t index = 0, digest = 0;
+        Expected<sim::RunOutput> out = Error::data("not a job line");
+        if (kind == "job" && r.number(index) &&
+            r.number(digest, 16, "d=")) {
+            std::string payload = r.rest();
+            if (fnvString(payload) == digest)
+                out = decodeRunOutput(payload);
         }
-        std::string idx_tok, d_kv;
-        iss >> idx_tok >> d_kv;
-        std::size_t index = 0;
-        std::uint64_t digest = 0;
-        try {
-            index = std::stoull(idx_tok);
-            if (d_kv.rfind("d=", 0) != 0)
-                throw std::invalid_argument("digest");
-            digest = std::stoull(d_kv.substr(2), nullptr, 16);
-        } catch (const std::logic_error &) {
-            ++data.dropped_lines;
-            continue;
-        }
-        std::string payload;
-        std::getline(iss, payload);
-        if (!payload.empty() && payload[0] == ' ')
-            payload.erase(0, 1);
-        if (fnvString(payload) != digest) {
-            ++data.dropped_lines; // torn or corrupted record
-            continue;
-        }
-        Expected<sim::RunOutput> out = decodeRunOutput(payload);
         if (!out) {
-            ++data.dropped_lines;
+            ++data.dropped_lines; // unknown, torn or corrupted line
             continue;
         }
         data.entries[index] = out.take(); // duplicates: last wins

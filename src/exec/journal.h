@@ -14,9 +14,11 @@
  * results, so resuming against a different sweep is rejected. Each
  * job line carries an FNV-1a digest of its payload; doubles are
  * serialized as the hex of their IEEE-754 bit pattern, so restored
- * outputs are bit-exact. The reader is tolerant: a torn final line
- * (the process died mid-write) or a corrupted line is skipped, and
- * a duplicated index keeps the last valid record.
+ * outputs are bit-exact. The v3 payload holds every member of the
+ * stats records, in their field lists' order (util/stats.h). The
+ * reader is tolerant: a torn final line (the process died
+ * mid-write), a corrupted line or an older payload is skipped, so
+ * that job re-runs, and a duplicated index keeps the last record.
  */
 
 #ifndef ASSOC_EXEC_JOURNAL_H

@@ -53,7 +53,7 @@ struct EnergySpec
 
 /**
  * One run's event totals for one scheme, mirroring
- * core::ProbeStats: events from the meter's EventTotals, the
+ * core::ProbeStats: events from the meter's event totals, the
  * access/hit counts from its accumulators. Kept as plain integers
  * so hw stays independent of the core layer.
  */

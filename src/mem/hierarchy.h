@@ -23,6 +23,7 @@
 
 #include "mem/cache.h"
 #include "trace/trace_source.h"
+#include "util/stats.h"
 
 namespace assoc {
 namespace mem {
@@ -146,7 +147,34 @@ struct HierarchyStats
 
     /** Fraction of write-backs whose way hint was correct. */
     double hintAccuracy() const;
+
+    /** The field list (util/stats.h), in journal order. */
+    template <class V>
+    static constexpr void
+    fields(V &&v)
+    {
+        constexpr StatClass d = StatClass::Deterministic;
+        v("proc_refs", &HierarchyStats::proc_refs, d);
+        v("l1_hits", &HierarchyStats::l1_hits, d);
+        v("l1_misses", &HierarchyStats::l1_misses, d);
+        v("read_ins", &HierarchyStats::read_ins, d);
+        v("read_in_hits", &HierarchyStats::read_in_hits, d);
+        v("read_in_misses", &HierarchyStats::read_in_misses, d);
+        v("write_backs", &HierarchyStats::write_backs, d);
+        v("write_back_hits", &HierarchyStats::write_back_hits, d);
+        v("write_back_misses", &HierarchyStats::write_back_misses, d);
+        v("hint_correct", &HierarchyStats::hint_correct, d);
+        v("hint_wrong", &HierarchyStats::hint_wrong, d);
+        v("flushes", &HierarchyStats::flushes, d);
+        v("inclusion_invalidations",
+          &HierarchyStats::inclusion_invalidations, d);
+        v("inclusion_dirty_invalidations",
+          &HierarchyStats::inclusion_dirty_invalidations, d);
+        v("coherency_invalidations",
+          &HierarchyStats::coherency_invalidations, d);
+    }
 };
+static_assert(listsEveryMember<HierarchyStats>());
 
 /** How the level-one cache handles processor writes. */
 enum class L1WritePolicy : std::uint8_t {

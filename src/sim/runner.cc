@@ -100,7 +100,6 @@ runTrace(trace::TraceSource &src, const RunSpec &spec)
     }
     if (occ_samples != 0)
         out.mean_occupancy = occ_sum / occ_samples;
-    out.coherency_invalidations = remote.invalidations();
 
     // Distinguish "stream ended" from "stream died": a reader that
     // stopped on a malformed record must fail the run, not quietly

@@ -93,7 +93,6 @@ struct RunOutput
     std::vector<core::ProbeStats> probes; ///< parallel to schemes
     std::vector<double> f; ///< f[1..a] when with_distances
     double mean_occupancy = 0.0; ///< when sampling was requested
-    std::uint64_t coherency_invalidations = 0;
     /** Records the trace source skipped as damaged/malformed under
      *  ErrorMode::Skip — surfaced so damage is visible in sweep
      *  reports, never silent. */

@@ -42,6 +42,7 @@
 
 #include "svc/concurrent_cache.h"
 #include "util/error.h"
+#include "util/stats.h"
 
 namespace assoc {
 namespace svc {
@@ -108,25 +109,23 @@ opIsWrite(OpKind kind, bool is_write)
  * bucket, so admitted == completed + shed() + failed() — on every
  * shard and on any merge of shards.
  *
- * Determinism split: admitted, shed_quota, shed_writes and degraded
- * are decided by the per-tenant logical-time bucket (degraded is
- * counted when the verdict is issued, not when the relaxed probe
- * completes, so a later in-flight bounce cannot perturb it), so
- * they are bit-identical across reruns of the same seeded workload.
- * shed_inflight (thread timing) and the failed_* counters (wall
- * clocks, signal arrival) are schedule-dependent and excluded from
- * identicalDeterministic() — completed inherits their variance.
+ * Determinism split (fields()): the per-tenant logical-time bucket
+ * decides admitted, shed_quota, shed_writes and degraded (counted
+ * when the verdict is issued, so a later in-flight bounce cannot
+ * perturb it), so they are bit-identical across same-seed reruns.
+ * shed_inflight (thread timing) and failed_* (wall clocks, signals)
+ * are schedule-dependent, and completed inherits their variance.
  */
 struct AdmissionStats
 {
     std::uint64_t admitted = 0;   ///< requests entering the layer
-    std::uint64_t completed = 0;  ///< ran to completion (any gate)
-    std::uint64_t degraded = 0;   ///< verdicts degraded to a probe
     std::uint64_t shed_quota = 0; ///< over quota, RejectNew
     std::uint64_t shed_writes = 0;///< over quota, write-shedding
+    std::uint64_t degraded = 0;   ///< verdicts degraded to a probe
     std::uint64_t shed_inflight = 0; ///< bounced off in-flight cap
     std::uint64_t failed_timeout = 0;  ///< deadline already expired
     std::uint64_t failed_cancelled = 0;///< cancel token tripped
+    std::uint64_t completed = 0;  ///< ran to completion (any gate)
 
     std::uint64_t
     shed() const
@@ -147,30 +146,25 @@ struct AdmissionStats
         return admitted == completed + shed() + failed();
     }
 
-    void
-    merge(const AdmissionStats &other)
+    /** The field list (util/stats.h), in svc_bench's print order:
+     *  the deterministic counters first. */
+    template <class V>
+    static constexpr void
+    fields(V &&v)
     {
-        admitted += other.admitted;
-        completed += other.completed;
-        degraded += other.degraded;
-        shed_quota += other.shed_quota;
-        shed_writes += other.shed_writes;
-        shed_inflight += other.shed_inflight;
-        failed_timeout += other.failed_timeout;
-        failed_cancelled += other.failed_cancelled;
-    }
-
-    /** Bit-for-bit equality of the schedule-independent counters
-     *  (see the struct comment for which those are). */
-    bool
-    identicalDeterministic(const AdmissionStats &other) const
-    {
-        return admitted == other.admitted &&
-               shed_quota == other.shed_quota &&
-               shed_writes == other.shed_writes &&
-               degraded == other.degraded;
+        constexpr StatClass d = StatClass::Deterministic;
+        constexpr StatClass s = StatClass::Scheduled;
+        v("admitted", &AdmissionStats::admitted, d);
+        v("shed_quota", &AdmissionStats::shed_quota, d);
+        v("shed_writes", &AdmissionStats::shed_writes, d);
+        v("degraded", &AdmissionStats::degraded, d);
+        v("shed_inflight", &AdmissionStats::shed_inflight, s);
+        v("failed_timeout", &AdmissionStats::failed_timeout, s);
+        v("failed_cancelled", &AdmissionStats::failed_cancelled, s);
+        v("completed", &AdmissionStats::completed, s);
     }
 };
+static_assert(listsEveryMember<AdmissionStats>());
 
 /**
  * The service-wide admission gate. One instance per CacheService;

@@ -250,7 +250,7 @@ CacheService::totalStats() const
     std::lock_guard<std::mutex> g(open_mutex_);
     TenantStats total;
     for (const auto &s : sessions_)
-        total.merge(s->stats());
+        mergeStats(total, s->stats());
     return total;
 }
 

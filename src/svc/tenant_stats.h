@@ -16,7 +16,7 @@
  * The schedule-dependent counters (optimistic vs locked probe
  * serving, seqlock retries) are observability data about the
  * locking protocol, not about the cache: they legitimately vary
- * run-to-run and are excluded from identicalOutcomes().
+ * run-to-run, so fields() lists them Scheduled.
  */
 
 #ifndef ASSOC_SVC_TENANT_STATS_H
@@ -35,7 +35,6 @@ namespace svc {
 /** One tenant's statistics shard. */
 struct TenantStats
 {
-    // --- deterministic outcome counters -------------------------
     std::uint64_t ops = 0; ///< every recorded operation
 
     std::uint64_t probe_ops = 0;
@@ -58,16 +57,12 @@ struct TenantStats
     /** Scan cost of ops that missed (a full Naive scan). */
     MeanAccum miss_probes;
 
-    // --- schedule-dependent protocol counters (excluded from
-    // --- identicalOutcomes: they vary with thread interleaving) --
     std::uint64_t optimistic_reads = 0; ///< probes served lock-free
     std::uint64_t locked_reads = 0;     ///< probes that fell back
     std::uint64_t seqlock_retries = 0;  ///< torn optimistic attempts
 
-    // --- admission accounting (Session::request only; empty when
-    // --- clients drive the raw per-op interface). Conservation and
-    // --- the deterministic/schedule-dependent split live in
-    // --- AdmissionStats itself — see svc/admission.h. -------------
+    /** Admission accounting (Session::request only; empty when
+     *  clients drive the raw per-op interface). */
     AdmissionStats admission;
 
     /** Fold one operation's result into the shard. */
@@ -110,66 +105,12 @@ struct TenantStats
             miss_probes.record(static_cast<double>(r.probes));
     }
 
-    /** Fold @p other into this shard (exact; order-independent for
-     *  the deterministic counters). */
-    void
-    merge(const TenantStats &other)
-    {
-        ops += other.ops;
-        probe_ops += other.probe_ops;
-        probe_hits += other.probe_hits;
-        lookups += other.lookups;
-        lookup_hits += other.lookup_hits;
-        fills += other.fills;
-        fill_hits += other.fill_hits;
-        invalidates += other.invalidates;
-        invalidate_hits += other.invalidate_hits;
-        accesses += other.accesses;
-        access_hits += other.access_hits;
-        evictions += other.evictions;
-        dirty_evictions += other.dirty_evictions;
-        hit_probes.merge(other.hit_probes);
-        miss_probes.merge(other.miss_probes);
-        optimistic_reads += other.optimistic_reads;
-        locked_reads += other.locked_reads;
-        seqlock_retries += other.seqlock_retries;
-        admission.merge(other.admission);
-    }
-
     /** Ops that found their block (any kind). */
     std::uint64_t
     hits() const
     {
         return probe_hits + lookup_hits + fill_hits +
                invalidate_hits + access_hits;
-    }
-
-    /**
-     * Bit-for-bit equality of the deterministic outcome counters,
-     * raw MeanAccum state included. The protocol counters are
-     * deliberately not compared — see the header comment.
-     */
-    bool
-    identicalOutcomes(const TenantStats &other) const
-    {
-        return ops == other.ops && probe_ops == other.probe_ops &&
-               probe_hits == other.probe_hits &&
-               lookups == other.lookups &&
-               lookup_hits == other.lookup_hits &&
-               fills == other.fills && fill_hits == other.fill_hits &&
-               invalidates == other.invalidates &&
-               invalidate_hits == other.invalidate_hits &&
-               accesses == other.accesses &&
-               access_hits == other.access_hits &&
-               evictions == other.evictions &&
-               dirty_evictions == other.dirty_evictions &&
-               hit_probes.sum() == other.hit_probes.sum() &&
-               hit_probes.sumSquares() == other.hit_probes.sumSquares() &&
-               hit_probes.count() == other.hit_probes.count() &&
-               miss_probes.sum() == other.miss_probes.sum() &&
-               miss_probes.sumSquares() ==
-                   other.miss_probes.sumSquares() &&
-               miss_probes.count() == other.miss_probes.count();
     }
 
     /**
@@ -186,10 +127,41 @@ struct TenantStats
         core::ProbeStats ps;
         ps.read_in_hits = hit_probes;
         ps.read_in_misses = miss_probes;
-        ps.write_backs = MeanAccum::fromRaw(0.0, 0.0, dirty_evictions);
+        ps.write_backs.record(0.0, dirty_evictions);
         return ps;
     }
+
+    /** The field list (util/stats.h). */
+    template <class V>
+    static constexpr void
+    fields(V &&v)
+    {
+        constexpr StatClass d = StatClass::Deterministic;
+        constexpr StatClass s = StatClass::Scheduled;
+        v("ops", &TenantStats::ops, d);
+        v("probe_ops", &TenantStats::probe_ops, d);
+        v("probe_hits", &TenantStats::probe_hits, d);
+        v("lookups", &TenantStats::lookups, d);
+        v("lookup_hits", &TenantStats::lookup_hits, d);
+        v("fills", &TenantStats::fills, d);
+        v("fill_hits", &TenantStats::fill_hits, d);
+        v("invalidates", &TenantStats::invalidates, d);
+        v("invalidate_hits", &TenantStats::invalidate_hits, d);
+        v("accesses", &TenantStats::accesses, d);
+        v("access_hits", &TenantStats::access_hits, d);
+        v("evictions", &TenantStats::evictions, d);
+        v("dirty_evictions", &TenantStats::dirty_evictions, d);
+        v("hit_probes", &TenantStats::hit_probes, d);
+        v("miss_probes", &TenantStats::miss_probes, d);
+        v("optimistic_reads", &TenantStats::optimistic_reads, s);
+        v("locked_reads", &TenantStats::locked_reads, s);
+        v("seqlock_retries", &TenantStats::seqlock_retries, s);
+        // Quota verdicts depend on how requests split into sessions;
+        // same-seed reruns compare AdmissionStats' own list instead.
+        v("admission", &TenantStats::admission, s);
+    }
 };
+static_assert(listsEveryMember<TenantStats>());
 
 } // namespace svc
 } // namespace assoc

@@ -1,15 +1,32 @@
 /**
  * @file
- * Scalar statistics accumulators: running means and ratios.
+ * Scalar statistics accumulators (running means and ratios), and
+ * merge, equality and walks derived from a record's field list.
  */
 
 #ifndef ASSOC_UTIL_STATS_H
 #define ASSOC_UTIL_STATS_H
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <type_traits>
 
 namespace assoc {
+
+/**
+ * How a statistics member behaves across runs of one seeded workload.
+ * A statistics record lists each member once, in a static
+ * `template <class V> static constexpr void fields(V &&v)` that calls
+ * v("name", &Record::member, cls) per member. A member is a number
+ * (an unsigned counter, or a sum held in a double) or a nested record
+ * with its own list, such as a MeanAccum.
+ */
+enum class StatClass : std::uint8_t {
+    Deterministic, ///< bit-identical across reruns and schedules
+    Scheduled,     ///< varies with thread timing or clocks
+};
 
 /**
  * Running mean and variance of a stream of doubles. Sums of squares
@@ -43,23 +60,6 @@ class MeanAccum
     /** Sum of samples. */
     double sum() const { return sum_; }
 
-    /** Sum of squared samples (raw state, for serialization). */
-    double sumSquares() const { return sumsq_; }
-
-    /**
-     * Rebuild an accumulator from its raw state. Used by the sweep
-     * checkpoint journal to round-trip accumulators bit-exactly.
-     */
-    static MeanAccum
-    fromRaw(double sum, double sumsq, std::uint64_t n)
-    {
-        MeanAccum a;
-        a.sum_ = sum;
-        a.sumsq_ = sumsq;
-        a.n_ = n;
-        return a;
-    }
-
     /** Mean (0 when empty). */
     double
     mean() const
@@ -82,21 +82,17 @@ class MeanAccum
     double stddev() const { return std::sqrt(variance()); }
 
     /** Reset to empty. */
-    void
-    reset()
-    {
-        sum_ = 0.0;
-        sumsq_ = 0.0;
-        n_ = 0;
-    }
+    void reset() { *this = MeanAccum(); }
 
-    /** Merge another accumulator into this one. */
-    void
-    merge(const MeanAccum &other)
+    /** The field list: the raw state, which merges by addition. */
+    template <class V>
+    static constexpr void
+    fields(V &&v)
     {
-        sum_ += other.sum_;
-        sumsq_ += other.sumsq_;
-        n_ += other.n_;
+        constexpr StatClass d = StatClass::Deterministic;
+        v("sum", &MeanAccum::sum_, d);
+        v("sumsq", &MeanAccum::sumsq_, d);
+        v("n", &MeanAccum::n_, d);
     }
 
   private:
@@ -143,6 +139,81 @@ class RatioAccum
     std::uint64_t hits_ = 0;
     std::uint64_t tries_ = 0;
 };
+
+/** True when the listed members' sizes add up to sizeof(Record).
+ *  The records have no padding, so a member left out of the list
+ *  fails the static_assert that follows each record. */
+template <class Record>
+consteval bool
+listsEveryMember()
+{
+    std::size_t bytes = 0;
+    Record::fields([&]<class T>(const char *, T Record::*, StatClass) {
+        bytes += sizeof(T);
+    });
+    return bytes == sizeof(Record);
+}
+
+static_assert(listsEveryMember<MeanAccum>());
+
+/**
+ * Call @p fn(name, x, y, cls) on each number of two records of one
+ * type, in list order, descending into nested records (x from @p a,
+ * y from @p b). cls is Scheduled when the member, or a record holding
+ * it, is listed Scheduled.
+ */
+template <class A, class B, class Fn>
+void
+forEachStatPair(A &a, B &b, Fn &&fn,
+                StatClass outer = StatClass::Deterministic)
+{
+    std::remove_const_t<A>::fields(
+        [&](const char *name, auto m, StatClass cls) {
+            if (outer == StatClass::Scheduled)
+                cls = outer;
+            if constexpr (std::is_class_v<
+                              std::remove_cvref_t<decltype(a.*m)>>)
+                forEachStatPair(a.*m, b.*m, fn, cls);
+            else
+                fn(name, a.*m, b.*m, cls);
+        });
+}
+
+/** Call @p fn(name, value, cls) on each number of @p record (see
+ *  forEachStatPair). */
+template <class Record, class Fn>
+void
+forEachStat(Record &record, Fn &&fn)
+{
+    forEachStatPair(record, record,
+                    [&](const char *name, auto &v, const auto &,
+                        StatClass cls) { fn(name, v, cls); });
+}
+
+/** Fold @p from into @p into, number by number. */
+template <class Record>
+void
+mergeStats(Record &into, const Record &from)
+{
+    forEachStatPair(into, from,
+                    [](const char *, auto &a, const auto &b,
+                       StatClass) { a += b; });
+}
+
+/** Bit-for-bit equality of the Deterministic numbers (a MeanAccum's
+ *  raw sum, sum of squares and count). */
+template <class Record>
+bool
+identicalStats(const Record &a, const Record &b)
+{
+    bool same = true;
+    forEachStatPair(a, b, [&](const char *, const auto &x,
+                              const auto &y, StatClass cls) {
+        if (cls == StatClass::Deterministic)
+            same = same && std::memcmp(&x, &y, sizeof(x)) == 0;
+    });
+    return same;
+}
 
 } // namespace assoc
 

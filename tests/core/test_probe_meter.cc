@@ -40,16 +40,6 @@ TEST(ProbeStats, AggregatesFollowTable4Definitions)
     EXPECT_DOUBLE_EQ(s.totalMean(), 11.0 / 4.0);
 }
 
-TEST(ProbeStats, ResetClearsEverything)
-{
-    ProbeStats s;
-    s.read_in_hits.record(2.0);
-    s.alias_hits = 3;
-    s.reset();
-    EXPECT_EQ(s.read_in_hits.count(), 0u);
-    EXPECT_EQ(s.alias_hits, 0u);
-}
-
 TEST(ProbeMeter, TraditionalAlwaysOneProbe)
 {
     TwoLevelHierarchy h(smallConfig());

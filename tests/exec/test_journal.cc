@@ -1,21 +1,25 @@
 /**
  * @file
- * Checkpoint-journal tests: bit-exact encode/decode of RunOutputs,
- * tolerant journal reading (torn and corrupt lines), spec-hash
- * validation, and the headline resume property — a cancelled sweep
- * resumed from its journal merges to a result bit-identical to the
- * uninterrupted run, including across a SIGINT.
+ * Checkpoint-journal tests: bit-exact encode/decode of RunOutputs
+ * (every statistics member, energy events included), tolerant
+ * journal reading (torn and corrupt lines, older payload versions),
+ * spec-hash validation, and the headline resume property — a
+ * cancelled sweep resumed from its journal merges to a result
+ * bit-identical to the uninterrupted run, including across a SIGINT.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 
 #include "exec/fault.h"
 #include "exec/journal.h"
 #include "exec/sweep.h"
+#include "util/fnv.h"
 
 namespace assoc {
 namespace exec {
@@ -56,6 +60,53 @@ oneOutput(const trace::AtumLikeConfig &tcfg, const sim::RunSpec &spec)
 {
     trace::AtumLikeGenerator gen(tcfg);
     return sim::runTrace(gen, spec);
+}
+
+/**
+ * @p out as a v2 payload, the version before every statistics member
+ * was journaled: five ProbeStats members per scheme (no events, memo
+ * hits or metered count) and a separate coherency count. Dropping
+ * the trailing skips field gives the v1 layout.
+ */
+std::string
+v2Payload(const sim::RunOutput &out)
+{
+    auto bits = [](double d) {
+        return hex16(std::bit_cast<std::uint64_t>(d));
+    };
+    // A MeanAccum's raw sum, sum of squares and count.
+    auto accum = [&](std::ostringstream &os, const MeanAccum &a) {
+        forEachStat(a, [&](const char *, const auto &v, StatClass) {
+            if constexpr (std::is_same_v<std::remove_cvref_t<decltype(v)>,
+                                         double>)
+                os << " " << bits(v);
+            else
+                os << " " << v;
+        });
+    };
+    std::ostringstream os;
+    os << "v2 stats";
+    forEachStat(out.stats, [&](const char *, std::uint64_t v,
+                               StatClass) { os << " " << v; });
+    os << " schemes " << out.probes.size();
+    for (std::size_t i = 0; i < out.probes.size(); ++i) {
+        const core::ProbeStats &p = out.probes[i];
+        os << " ";
+        for (unsigned char c : out.names[i])
+            os << "0123456789abcdef"[c >> 4]
+               << "0123456789abcdef"[c & 0xf];
+        accum(os, p.read_in_hits);
+        accum(os, p.read_in_misses);
+        accum(os, p.write_backs);
+        os << " " << p.alias_hits << " " << p.alias_wrong_way;
+    }
+    os << " f " << out.f.size();
+    for (double v : out.f)
+        os << " " << bits(v);
+    os << " occ " << bits(out.mean_occupancy);
+    os << " coh " << out.stats.coherency_invalidations;
+    os << " skips " << out.skipped_records;
+    return os.str();
 }
 
 class JournalTest : public ::testing::Test
@@ -106,30 +157,61 @@ TEST(JournalCodec, SkippedRecordsSurviveTheRoundTrip)
     EXPECT_EQ(encodeRunOutput(back.value()), payload);
 }
 
-TEST(JournalCodec, V1PayloadsDecodeWithZeroSkips)
+TEST(JournalCodec, RoundTripKeepsEveryProbeStatsMember)
 {
-    // Journals written before skip accounting carry no "skips"
-    // field; they must keep decoding (as an undamaged run) so a
-    // resume across the version bump still works.
-    trace::AtumLikeConfig tcfg = smallTrace();
-    sim::RunOutput out = oneOutput(tcfg, sweepSpecs()[0]);
-    out.skipped_records = 7;
-    std::string payload = encodeRunOutput(out);
-    std::size_t at = payload.rfind(" skips ");
-    ASSERT_NE(at, std::string::npos);
-    std::string v1 = "v1" + payload.substr(2, at - 2);
-    Expected<sim::RunOutput> back = decodeRunOutput(v1);
+    // bench_energy's columns come from events, memo_hits and
+    // metered: a job restored from the journal must carry them, not
+    // zeros.
+    sim::RunSpec spec = sweepSpecs()[1];
+    core::SchemeSpec memo, predict;
+    memo.kind = core::SchemeKind::WayMemo;
+    predict.kind = core::SchemeKind::WayPredict;
+    spec.schemes = {memo, predict, core::SchemeSpec::paperPartial(4)};
+    sim::RunOutput out = oneOutput(smallTrace(), spec);
+    Expected<sim::RunOutput> back =
+        decodeRunOutput(encodeRunOutput(out));
     ASSERT_TRUE(back.ok()) << back.error().text();
-    EXPECT_EQ(back.value().skipped_records, 0u);
-    // A v2 payload with the skips field torn off is corrupt.
-    EXPECT_FALSE(decodeRunOutput(payload.substr(0, at)).ok());
+    EXPECT_TRUE(identicalStats(back.value().stats, out.stats));
+    ASSERT_EQ(back.value().probes.size(), out.probes.size());
+    for (std::size_t i = 0; i < out.probes.size(); ++i) {
+        const core::ProbeStats &got = back.value().probes[i];
+        const core::ProbeStats &want = out.probes[i];
+        EXPECT_TRUE(identicalStats(got, want)) << out.names[i];
+        EXPECT_TRUE(identicalStats(got.events, want.events))
+            << out.names[i];
+        EXPECT_EQ(got.memo_hits, want.memo_hits) << out.names[i];
+        EXPECT_EQ(got.metered, want.metered) << out.names[i];
+        EXPECT_GT(got.metered, 0u) << out.names[i];
+    }
+    const std::vector<core::ProbeStats> &got = back.value().probes;
+    EXPECT_GT(got[0].memo_hits, 0u);
+    EXPECT_GT(got[0].events.memo_reads, 0u);
+    EXPECT_GT(got[1].events.memo_reads, 0u);
+    EXPECT_GT(got[2].events.field_reads, 0u);
+    EXPECT_GT(got[2].events.tag_reads, 0u);
+}
+
+TEST(JournalCodec, OlderPayloadsDoNotDecode)
+{
+    // v1 and v2 payloads left counters out. Decoding them with zeros
+    // would resume a job with a wrong result, so they are rejected
+    // and the job runs again.
+    sim::RunOutput out = oneOutput(smallTrace(), sweepSpecs()[0]);
+    std::string v2 = v2Payload(out);
+    EXPECT_FALSE(decodeRunOutput(v2).ok());
+    std::string v1 = "v1" + v2.substr(2, v2.rfind(" skips ") - 2);
+    EXPECT_FALSE(decodeRunOutput(v1).ok());
+    // The current payload with its skips field torn off is corrupt.
+    std::string v3 = encodeRunOutput(out);
+    EXPECT_FALSE(decodeRunOutput(v3.substr(0, v3.rfind(" skips ")))
+                     .ok());
 }
 
 TEST(JournalCodec, RejectsGarbage)
 {
     EXPECT_FALSE(decodeRunOutput("").ok());
     EXPECT_FALSE(decodeRunOutput("v1 nonsense").ok());
-    EXPECT_FALSE(decodeRunOutput("v2 stats 1 2 3").ok());
+    EXPECT_FALSE(decodeRunOutput("v3 stats 1 2 3").ok());
 }
 
 TEST(JournalCodec, HashSpecsSeparatesSweeps)
@@ -217,6 +299,36 @@ TEST_F(JournalTest, CorruptRecordIsDropped)
     EXPECT_GE(data.value().dropped_lines, 1u);
 }
 
+TEST_F(JournalTest, MalformedLinesAreDroppedAndBadMetaIsAnError)
+{
+    trace::AtumLikeConfig tcfg = smallTrace();
+    std::vector<sim::RunSpec> specs = sweepSpecs();
+
+    JournalWriter w;
+    ASSERT_TRUE(w.open(path_, 1, specs.size(), false).ok());
+    ASSERT_TRUE(w.append(0, oneOutput(tcfg, specs[0])).ok());
+    ASSERT_TRUE(w.close().ok());
+    {
+        std::ofstream out(path_, std::ios::app);
+        out << "job x d=00 v3\n"     // index is not a number
+            << "job 1 00 v3\n"       // digest lacks its d=
+            << "job 2 d=zz v3\n"     // digest is not hex
+            << "job 3 d=00x v3\n"    // trailing junk after the digest
+            << "jobs 4 d=00 v3\n";   // unknown line kind
+    }
+    Expected<JournalData> data = readJournal(path_);
+    ASSERT_TRUE(data.ok()) << data.error().text();
+    EXPECT_EQ(data.value().entries.size(), 1u);
+    EXPECT_EQ(data.value().dropped_lines, 5u);
+
+    std::ofstream bad(path_, std::ios::trunc);
+    bad << "meta hash=xyz jobs=3\n";
+    bad.close();
+    Expected<JournalData> meta = readJournal(path_);
+    ASSERT_FALSE(meta.ok());
+    EXPECT_EQ(meta.error().code(), ErrorCode::Data);
+}
+
 TEST_F(JournalTest, MissingFileIsAnError)
 {
     Expected<JournalData> data = readJournal(path_);
@@ -279,6 +391,56 @@ TEST_F(JournalTest, CancelledSweepResumesBitIdentically)
                   encodeRunOutput(want[i]))
             << "slot " << i;
     }
+}
+
+TEST_F(JournalTest, ResumeOverV2LinesRerunsTheirJobs)
+{
+    trace::AtumLikeConfig tcfg = smallTrace();
+    std::vector<sim::RunSpec> specs = sweepSpecs();
+    std::uint64_t hash = hashSpecs(specs, tcfg.seed);
+
+    std::vector<sim::RunOutput> want;
+    for (const sim::RunSpec &spec : specs)
+        want.push_back(oneOutput(tcfg, spec));
+
+    // A journal an older build wrote: the right header, and one
+    // digest-stamped v2 line per job.
+    JournalWriter w;
+    ASSERT_TRUE(w.open(path_, hash, specs.size(), false).ok());
+    ASSERT_TRUE(w.close().ok());
+    {
+        std::ofstream out(path_, std::ios::app);
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            std::string payload = v2Payload(want[i]);
+            out << "job " << i << " d=" << hex16(fnvString(payload))
+                << " " << payload << "\n";
+        }
+    }
+    Expected<JournalData> old = readJournal(path_);
+    ASSERT_TRUE(old.ok()) << old.error().text();
+    EXPECT_TRUE(old.value().entries.empty());
+    EXPECT_EQ(old.value().dropped_lines, specs.size());
+
+    SweepOptions opts;
+    opts.jobs = 2;
+    opts.resume_path = path_;
+    opts.spec_hash = hash;
+    SweepResult run =
+        runSweepChecked(specs, atumTraceFactory(tcfg), opts);
+    EXPECT_EQ(run.resumed, 0u);
+    ASSERT_EQ(run.jobs.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        ASSERT_TRUE(run.jobs[i].ok());
+        EXPECT_FALSE(run.jobs[i].from_journal);
+        EXPECT_EQ(encodeRunOutput(run.jobs[i].output),
+                  encodeRunOutput(want[i]))
+            << "slot " << i;
+    }
+
+    // The rerun appended v3 lines, which a later resume restores.
+    Expected<JournalData> now = readJournal(path_);
+    ASSERT_TRUE(now.ok()) << now.error().text();
+    EXPECT_EQ(now.value().entries.size(), specs.size());
 }
 
 TEST_F(JournalTest, ResumeRejectsASpecHashMismatch)

@@ -105,7 +105,7 @@ TEST(Runner, CoherencyRatePerturbsTheCache)
     spec.coherency_rate = 0.01;
     RunOutput noisy = runTrace(gen, spec);
 
-    EXPECT_GT(noisy.coherency_invalidations, 0u);
+    EXPECT_GT(noisy.stats.coherency_invalidations, 0u);
     EXPECT_GT(noisy.stats.localMissRatio(),
               clean.stats.localMissRatio());
 }

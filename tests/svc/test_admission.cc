@@ -378,7 +378,7 @@ TEST(RequestPath, FloodShedsDeterministically)
         EXPECT_TRUE(out.conservationHolds());
         EXPECT_GT(out.shed_quota, 0u);
     }
-    EXPECT_TRUE(runs[0].identicalDeterministic(runs[1]));
+    EXPECT_TRUE(identicalStats(runs[0], runs[1]));
     EXPECT_EQ(runs[0].shed_quota, runs[1].shed_quota);
 }
 
@@ -557,7 +557,7 @@ TEST(AdmissionStatsMerge, MergesExactlyAndConserves)
     b.failed_cancelled = 1;
     ASSERT_TRUE(a.conservationHolds());
     ASSERT_TRUE(b.conservationHolds());
-    a.merge(b);
+    mergeStats(a, b);
     EXPECT_EQ(a.admitted, 14u);
     EXPECT_EQ(a.completed, 8u);
     EXPECT_TRUE(a.conservationHolds());

@@ -88,8 +88,8 @@ TEST(TenantStats, MergeIsExactSum)
     b.recordOp(hit);
 
     TenantStats total;
-    total.merge(a);
-    total.merge(b);
+    mergeStats(total, a);
+    mergeStats(total, b);
     EXPECT_EQ(total.ops, 3u);
     EXPECT_EQ(total.lookup_hits, 2u);
     EXPECT_EQ(total.evictions, 1u);
@@ -99,9 +99,9 @@ TEST(TenantStats, MergeIsExactSum)
 
     // Merge order cannot matter: these sums are exact.
     TenantStats flipped;
-    flipped.merge(b);
-    flipped.merge(a);
-    EXPECT_TRUE(total.identicalOutcomes(flipped));
+    mergeStats(flipped, b);
+    mergeStats(flipped, a);
+    EXPECT_TRUE(identicalStats(total, flipped));
 }
 
 TEST(TenantStats, IdenticalOutcomesIgnoresProtocolCounters)
@@ -117,7 +117,7 @@ TEST(TenantStats, IdenticalOutcomesIgnoresProtocolCounters)
     r.retries = 5;
     b.recordOp(r);
 
-    EXPECT_TRUE(a.identicalOutcomes(b));
+    EXPECT_TRUE(identicalStats(a, b));
     EXPECT_NE(a.optimistic_reads, b.optimistic_reads);
     EXPECT_NE(a.seqlock_retries, b.seqlock_retries);
 }
@@ -235,7 +235,7 @@ TEST(Service, PartitionedReplayMergesBitForBit)
 
     TenantStats serial_total = serial->totalStats();
     TenantStats merged = parallel->totalStats();
-    EXPECT_TRUE(merged.identicalOutcomes(serial_total));
+    EXPECT_TRUE(identicalStats(merged, serial_total));
     EXPECT_EQ(merged.ops, serial_total.ops);
     check::ViolationLog log;
     check::checkStatsMerge(merged, serial_total, log);

@@ -79,7 +79,7 @@ TEST(SvcChaosRunCase, DeterminismDigestIsStableAcrossRuns)
     ASSERT_TRUE(b.log.ok());
     EXPECT_EQ(a.determinism_digest, b.determinism_digest);
     EXPECT_TRUE(
-        a.totals.identicalDeterministic(b.totals));
+        identicalStats(a.totals, b.totals));
 }
 
 TEST(SvcChaosCampaign, SmallCampaignPassesAndDigestsStably)

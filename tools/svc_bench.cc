@@ -70,6 +70,7 @@
 #include "util/error.h"
 #include "util/logging.h"
 #include "util/rng.h"
+#include "util/stats.h"
 #include "util/table.h"
 
 namespace {
@@ -570,24 +571,22 @@ main(int argc, char **argv)
         if (admission) {
             // The deterministic counters first (bit-identical
             // across same-seed reruns with --max-inflight=0), then
-            // the schedule-dependent ones.
+            // the schedule-dependent ones: AdmissionStats' list order.
             for (const RunRow &row : rows) {
                 const svc::AdmissionStats &a =
                     row.stats.admission;
                 total_shed += a.shed();
-                std::cout << "admission threads="
-                          << row.threads << " deterministic:"
-                          << " admitted=" << a.admitted
-                          << " shed_quota=" << a.shed_quota
-                          << " shed_writes=" << a.shed_writes
-                          << " degraded=" << a.degraded
-                          << " | scheduled:"
-                          << " shed_inflight=" << a.shed_inflight
-                          << " failed_timeout=" << a.failed_timeout
-                          << " failed_cancelled="
-                          << a.failed_cancelled
-                          << " completed=" << a.completed
-                          << " gave_up=" << row.client_gave_up
+                std::cout << "admission threads=" << row.threads
+                          << " deterministic:";
+                StatClass last = StatClass::Deterministic;
+                forEachStat(a, [&](const char *name, std::uint64_t v,
+                                   StatClass cls) {
+                    if (cls != last)
+                        std::cout << " | scheduled:";
+                    last = cls;
+                    std::cout << " " << name << "=" << v;
+                });
+                std::cout << " gave_up=" << row.client_gave_up
                           << "\n";
             }
         }
