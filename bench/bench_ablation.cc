@@ -456,11 +456,11 @@ main(int argc, char **argv)
                      "Ablations: subsets, hints, tag widths, "
                      "write-back policy, swap-MRU, wide tag "
                      "memories, inclusion, warm caches");
-    addCommonFlags(parser);
-    if (!parser.parse(argc, argv))
-        return 0;
+    addSweepFlags(parser);
     return guardedMain("bench_ablation", [&]() -> int {
-        CommonArgs args = readCommonFlags(parser);
+        if (!parser.parse(argc, argv))
+            return 0;
+        CommonArgs args = readSweepFlags(parser);
         // A journal checkpoints one sweep; each ablation restarts it.
         if (!args.journal_path.empty() || !args.resume_path.empty())
             throwError(Error::usage("bench_ablation runs several sweeps: "

@@ -27,9 +27,9 @@ main(int argc, char **argv)
                      "cache utilization under coherency "
                      "invalidations vs associativity");
     addCommonFlags(parser);
-    if (!parser.parse(argc, argv))
-        return 0;
     return guardedMain("bench_coherency", [&]() -> int {
+        if (!parser.parse(argc, argv))
+            return 0;
         CommonArgs args = readCommonFlags(parser);
 
         std::printf("Coherency-invalidation study "

@@ -29,11 +29,11 @@ main(int argc, char **argv)
                      "as the miss penalty grows");
     parser.addFlag("l1", "16384", "level-one bytes");
     parser.addFlag("l2", "262144", "level-two bytes");
-    addCommonFlags(parser);
-    if (!parser.parse(argc, argv))
-        return 0;
+    addSweepFlags(parser);
     return guardedMain("bench_crossover", [&]() -> int {
-        CommonArgs args = readCommonFlags(parser);
+        if (!parser.parse(argc, argv))
+            return 0;
+        CommonArgs args = readSweepFlags(parser);
         std::uint32_t l1_bytes = parser.getUint32("l1");
         std::uint32_t l2_bytes = parser.getUint32("l2");
 

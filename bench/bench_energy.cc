@@ -64,11 +64,11 @@ main(int argc, char **argv)
     parser.addFlag("assoc", "4", "level-two associativity");
     parser.addFlag("l1", "16384", "level-one bytes");
     parser.addFlag("l2", "262144", "level-two bytes");
-    addCommonFlags(parser);
-    if (!parser.parse(argc, argv))
-        return 0;
+    addSweepFlags(parser);
     return guardedMain("bench_energy", [&]() -> int {
-        CommonArgs args = readCommonFlags(parser);
+        if (!parser.parse(argc, argv))
+            return 0;
+        CommonArgs args = readSweepFlags(parser);
         unsigned t = parser.getUint32("tagbits");
         unsigned assoc = parser.getUint32("assoc");
         std::uint32_t l1_bytes = parser.getUint32("l1");

@@ -23,11 +23,11 @@ main(int argc, char **argv)
     ArgParser parser("bench_fig3",
                      "Figure 3: probes vs associativity, with and "
                      "without the write-back optimization");
-    addCommonFlags(parser);
-    if (!parser.parse(argc, argv))
-        return 0;
+    addSweepFlags(parser);
     return guardedMain("bench_fig3", [&]() -> int {
-        CommonArgs args = readCommonFlags(parser);
+        if (!parser.parse(argc, argv))
+            return 0;
+        CommonArgs args = readSweepFlags(parser);
 
         std::printf("Figure 3 — probes per L2 access (read-ins + "
                     "write-backs), 16K-16 L1, 256K-32 L2\n\n");

@@ -21,11 +21,11 @@ main(int argc, char **argv)
 {
     ArgParser parser("bench_fig4",
                      "Figure 4: probes for read-in hits and misses");
-    addCommonFlags(parser);
-    if (!parser.parse(argc, argv))
-        return 0;
+    addSweepFlags(parser);
     return guardedMain("bench_fig4", [&]() -> int {
-        CommonArgs args = readCommonFlags(parser);
+        if (!parser.parse(argc, argv))
+            return 0;
+        CommonArgs args = readSweepFlags(parser);
 
         std::printf("Figure 4 — read-in hits (left) and misses "
                     "(right), 16K-16 L1, 256K-32 L2\n\n");

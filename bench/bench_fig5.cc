@@ -24,11 +24,11 @@ main(int argc, char **argv)
     ArgParser parser("bench_fig5",
                      "Figure 5: reduced MRU lists and the MRU "
                      "distance distribution");
-    addCommonFlags(parser);
-    if (!parser.parse(argc, argv))
-        return 0;
+    addSweepFlags(parser);
     return guardedMain("bench_fig5", [&]() -> int {
-        CommonArgs args = readCommonFlags(parser);
+        if (!parser.parse(argc, argv))
+            return 0;
+        CommonArgs args = readSweepFlags(parser);
 
         std::printf("Figure 5 — the MRU scheme in detail "
                     "(16K-16 L1, 256K-32 L2, read-in hits)\n\n");

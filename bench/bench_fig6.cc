@@ -26,11 +26,11 @@ main(int argc, char **argv)
     ArgParser parser("bench_fig6",
                      "Figure 6: partial compares with larger tags "
                      "and different transformations");
-    addCommonFlags(parser);
-    if (!parser.parse(argc, argv))
-        return 0;
+    addSweepFlags(parser);
     return guardedMain("bench_fig6", [&]() -> int {
-        CommonArgs args = readCommonFlags(parser);
+        if (!parser.parse(argc, argv))
+            return 0;
+        CommonArgs args = readSweepFlags(parser);
 
         std::printf("Figure 6 — partial scheme on read-in hits "
                     "(16K-16 L1, 256K-32 L2)\n\n");

@@ -31,9 +31,9 @@ main(int argc, char **argv)
     parser.addFlag("l3", "1048576", "level-three bytes");
     parser.addFlag("l3block", "64", "level-three block bytes");
     addCommonFlags(parser);
-    if (!parser.parse(argc, argv))
-        return 0;
     return guardedMain("bench_l3", [&]() -> int {
+        if (!parser.parse(argc, argv))
+            return 0;
         CommonArgs args = readCommonFlags(parser);
         std::uint32_t l3_bytes = parser.getUint32("l3");
         std::uint32_t l3_block = parser.getUint32("l3block");

@@ -39,9 +39,9 @@ main(int argc, char **argv)
                      "Table 1: analytic expected probes per lookup");
     parser.addFlag("tagbits", "16", "tag width t in bits");
     bench::addCommonFlags(parser);
-    if (!parser.parse(argc, argv))
-        return 0;
     return guardedMain("bench_table1", [&]() -> int {
+        if (!parser.parse(argc, argv))
+            return 0;
         unsigned t = parser.getUint32("tagbits");
         bench::CommonArgs args = bench::readCommonFlags(parser);
 

@@ -28,9 +28,9 @@ main(int argc, char **argv)
                      "Table 2: trial implementations and measured "
                      "effective access times");
     addCommonFlags(parser);
-    if (!parser.parse(argc, argv))
-        return 0;
     return guardedMain("bench_table2", [&]() -> int {
+        if (!parser.parse(argc, argv))
+            return 0;
         CommonArgs args = readCommonFlags(parser);
 
         Table2Catalog catalog;

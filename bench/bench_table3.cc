@@ -22,9 +22,9 @@ main(int argc, char **argv)
                      "Table 3: trace summary and level-one cache "
                      "miss ratios");
     addCommonFlags(parser);
-    if (!parser.parse(argc, argv))
-        return 0;
     return guardedMain("bench_table3", [&]() -> int {
+        if (!parser.parse(argc, argv))
+            return 0;
         CommonArgs args = readCommonFlags(parser);
         trace::AtumLikeConfig tcfg = traceConfig(args);
 

@@ -26,11 +26,11 @@ main(int argc, char **argv)
     ArgParser parser("bench_table4",
                      "Table 4: probes for all cache configurations");
     parser.addFlag("tagbits", "16", "tag width t in bits");
-    addCommonFlags(parser);
-    if (!parser.parse(argc, argv))
-        return 0;
+    addSweepFlags(parser);
     return guardedMain("bench_table4", [&]() -> int {
-        CommonArgs args = readCommonFlags(parser);
+        if (!parser.parse(argc, argv))
+            return 0;
+        CommonArgs args = readSweepFlags(parser);
         unsigned t = parser.getUint32("tagbits");
 
         // All 24 (associativity x configuration) runs are

@@ -24,6 +24,12 @@ addCommonFlags(ArgParser &parser)
                    "threads, 1 = serial)");
     parser.addSwitch("progress",
                      "print per-job completion lines to stderr");
+}
+
+void
+addSweepFlags(ArgParser &parser)
+{
+    addCommonFlags(parser);
     parser.addFlag("json", "",
                    "also write machine-readable sweep results to "
                    "this file");
@@ -119,6 +125,13 @@ readCommonFlags(const ArgParser &parser)
             "--jobs is out of range");
     args.jobs = static_cast<unsigned>(jobs);
     args.progress = parser.getBool("progress");
+    return args;
+}
+
+CommonArgs
+readSweepFlags(const ArgParser &parser)
+{
+    CommonArgs args = readCommonFlags(parser);
     args.json_path = parser.getString("json");
     std::uint64_t retries = parser.getUint("retries");
     fatalIf(retries > 100, "--retries is out of range");

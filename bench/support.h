@@ -38,7 +38,9 @@ using sim::runTrace;
 using sim::Table4Config;
 using sim::table4Configs;
 
-/** Flags shared by every bench binary. */
+/** Flags shared by the bench binaries. The members after `progress`
+ *  are the sweep flags: only benches that run a sweep register them
+ *  (addSweepFlags); the others keep their defaults. */
 struct CommonArgs
 {
     unsigned segments = 23;     ///< ATUM-like sub-traces to run
@@ -46,8 +48,8 @@ struct CommonArgs
     TextTable::Format format = TextTable::Format::Text;
     unsigned jobs = 0;          ///< sweep workers; 0 = all cores
     bool progress = false;      ///< stderr progress lines
-    std::string json_path;      ///< machine-readable sweep results
 
+    std::string json_path;      ///< machine-readable sweep results
     unsigned retries = 1;       ///< per-job retries (transient errors)
     bool keep_going = false;    ///< render failed jobs as gaps
     std::string journal_path;   ///< --journal: fresh checkpoint file
@@ -59,11 +61,20 @@ struct CommonArgs
     std::uint64_t mem_budget = 0;        ///< --mem-budget bytes (0 = none)
 };
 
-/** Register the shared flags on @p parser. */
+/** Register the flags every bench takes on @p parser: --segments,
+ *  --seed, --output, --jobs and --progress. */
 void addCommonFlags(ArgParser &parser);
 
-/** Extract the shared flags after parsing. */
+/** addCommonFlags() plus the flags of a bench that runs a sweep:
+ *  --json, --retries, --keep-going, --journal, --resume,
+ *  --fail-job, --job-timeout, --sweep-deadline and --mem-budget. */
+void addSweepFlags(ArgParser &parser);
+
+/** Extract the flags addCommonFlags() registered, after parsing. */
 CommonArgs readCommonFlags(const ArgParser &parser);
+
+/** Extract the flags addSweepFlags() registered, after parsing. */
+CommonArgs readSweepFlags(const ArgParser &parser);
 
 /** Trace configuration implied by the shared flags. */
 trace::AtumLikeConfig traceConfig(const CommonArgs &args);

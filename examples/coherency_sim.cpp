@@ -35,9 +35,9 @@ main(int argc, char **argv)
     parser.addFlag("segments", "4", "trace segments to simulate");
     parser.addFlag("rate", "0.005",
                    "remote invalidations per processor reference");
-    if (!parser.parse(argc, argv))
-        return 0;
     return guardedMain("coherency_sim", [&]() -> int {
+        if (!parser.parse(argc, argv))
+            return 0;
         unsigned segments = parser.getUint32("segments");
         double rate = parser.getDouble("rate");
 

@@ -59,9 +59,9 @@ main(int argc, char **argv)
     parser.addFlag("jobs", "0",
                    "parallel simulations (0 = all hardware "
                    "threads, 1 = serial)");
-    if (!parser.parse(argc, argv))
-        return 0;
     return guardedMain("l2_design_space", [&]() -> int {
+        if (!parser.parse(argc, argv))
+            return 0;
         unsigned segments = parser.getUint32("segments");
         std::string tech_name = parser.getString("tech");
         fatalIf(tech_name != "sram" && tech_name != "dram",

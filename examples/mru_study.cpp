@@ -34,9 +34,9 @@ main(int argc, char **argv)
                      "MRU list length vs accuracy and storage");
     parser.addFlag("segments", "6", "trace segments to simulate");
     parser.addFlag("assoc", "8", "level-two associativity");
-    if (!parser.parse(argc, argv))
-        return 0;
     return guardedMain("mru_study", [&]() -> int {
+        if (!parser.parse(argc, argv))
+            return 0;
         unsigned segments = parser.getUint32("segments");
         unsigned assoc = parser.getUint32("assoc");
         fatalIf(!isPow2(assoc) || assoc < 2,

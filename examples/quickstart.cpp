@@ -29,9 +29,9 @@ main(int argc, char **argv)
     ArgParser parser("quickstart",
                      "minimal end-to-end use of the library");
     parser.addFlag("segments", "6", "trace segments to simulate");
-    if (!parser.parse(argc, argv))
-        return 0;
     return guardedMain("quickstart", [&]() -> int {
+        if (!parser.parse(argc, argv))
+            return 0;
         // 1. A workload: the built-in ATUM-like multiprogrammed
         //    trace (deterministic; ~350k references per segment).
         trace::AtumLikeConfig tcfg;

@@ -24,8 +24,7 @@
 #include "sim/config_parse.h"
 #include "sim/runner.h"
 #include "trace/atum_like.h"
-#include "trace/bin_io.h"
-#include "trace/din_io.h"
+#include "trace/trace_file.h"
 #include "util/argparse.h"
 #include "util/table.h"
 #include "util/error.h"
@@ -45,10 +44,7 @@ openWorkload(const std::string &spec, unsigned segments,
             cfg.seed = seed;
         return std::make_unique<trace::AtumLikeGenerator>(cfg);
     }
-    if (spec.size() >= 4 &&
-        spec.compare(spec.size() - 4, 4, ".din") == 0)
-        return std::make_unique<trace::DinTraceSource>(spec);
-    return std::make_unique<trace::BinTraceSource>(spec);
+    return trace::openTraceFile(spec);
 }
 
 } // namespace
@@ -60,7 +56,7 @@ main(int argc, char **argv)
                      "configurable two/three-level simulation with "
                      "probe accounting");
     parser.addFlag("trace", "atum",
-                   "'atum' (built-in generator) or a .din/.bin file");
+                   "'atum' (built-in generator) or a .din/.ftr file");
     parser.addFlag("segments", "6", "segments for the generator");
     parser.addFlag("seed", "0", "generator seed (0 = default)");
     parser.addFlag("l1", "16K-16", "level-one spec SIZE-BLOCK");
@@ -79,9 +75,9 @@ main(int argc, char **argv)
                      "disable the write-back optimization");
     parser.addFlag("coherency", "0",
                    "remote invalidations per reference");
-    if (!parser.parse(argc, argv))
-        return 0;
     return guardedMain("simulator", [&]() -> int {
+        if (!parser.parse(argc, argv))
+            return 0;
         auto workload = openWorkload(
             parser.getString("trace"),
             parser.getUint32("segments"),
@@ -141,6 +137,7 @@ main(int argc, char **argv)
                 hier.access(r);
                 remote.step(hier);
             }
+            trace::throwIfFailed(*workload);
         }
 
         const mem::HierarchyStats &st = hier.stats();

@@ -4,18 +4,17 @@
  *
  * Subcommands (first positional argument):
  *   generate <out>   write the ATUM-like trace to a file
- *                    (.din = ASCII Dinero, .ftr = framed binary,
- *                    anything else = flat binary)
- *   convert <in> <out>  convert between the three formats
+ *                    (.din = ASCII Dinero, .ftr = framed binary)
+ *   convert <in> <out>  convert between the two formats
  *   stats <in>       print reference mix / footprint statistics
  *                    (--per-segment for one row per sub-trace)
  *   simulate <in>    run the file through the paper's default
  *                    hierarchy and print miss ratios
  *
- *   $ ./trace_tools generate /tmp/atum.bin --segments=2
- *   $ ./trace_tools convert /tmp/atum.bin /tmp/atum.din
+ *   $ ./trace_tools generate /tmp/atum.ftr --segments=2
+ *   $ ./trace_tools convert /tmp/atum.ftr /tmp/atum.din
  *   $ ./trace_tools stats /tmp/atum.din --per-segment
- *   $ ./trace_tools simulate /tmp/atum.bin
+ *   $ ./trace_tools simulate /tmp/atum.ftr
  */
 
 #include <cstdio>
@@ -24,9 +23,6 @@
 
 #include "sim/runner.h"
 #include "trace/atum_like.h"
-#include "trace/bin_io.h"
-#include "trace/din_io.h"
-#include "trace/ftr_writer.h"
 #include "trace/trace_file.h"
 #include "trace/trace_stats.h"
 #include "util/argparse.h"
@@ -37,32 +33,6 @@ using namespace assoc;
 using namespace assoc::trace;
 
 namespace {
-
-std::unique_ptr<TraceSource>
-openTrace(const std::string &path, const ErrorPolicy &policy)
-{
-    // Format from the extension (.din/.bin/.ftr) or magic sniff.
-    return openTraceFile(path, policy);
-}
-
-void
-writeTrace(TraceSource &src, const std::string &path)
-{
-    switch (detectTraceFormat(path)) {
-      case TraceFormat::Din:
-        writeDin(src, path);
-        break;
-      case TraceFormat::Ftr: {
-        Expected<std::uint64_t> n = writeFtr(src, path);
-        if (!n.ok())
-            throwError(Error(n.error()));
-        break;
-      }
-      case TraceFormat::Bin:
-        writeBin(src, path);
-        break;
-    }
-}
 
 /** Propagate a reader failure (and report skips) after a drain. */
 void
@@ -94,9 +64,9 @@ main(int argc, char **argv)
                    "skip mode: give up past this many bad records");
     parser.addSwitch("per-segment",
                      "stats: one row per flush-delimited segment");
-    if (!parser.parse(argc, argv))
-        return 0;
     return guardedMain("trace_tools", [&]() -> int {
+        if (!parser.parse(argc, argv))
+            return 0;
         ErrorPolicy policy;
         Expected<ErrorMode> mode =
             errorModeFromString(parser.getString("errors"));
@@ -117,7 +87,7 @@ main(int argc, char **argv)
             if (parser.getUint("seed") != 0)
                 cfg.seed = parser.getUint("seed");
             AtumLikeGenerator gen(cfg);
-            writeTrace(gen, pos[1]);
+            writeTraceFile(gen, pos[1]);
             std::printf("wrote %llu references to %s\n",
                         static_cast<unsigned long long>(
                             gen.totalRefs()),
@@ -125,15 +95,15 @@ main(int argc, char **argv)
         } else if (cmd == "convert") {
             fatalIf(pos.size() != 3,
                     "usage: trace_tools convert <in> <out>");
-            auto in = openTrace(pos[1], policy);
-            writeTrace(*in, pos[2]);
+            auto in = openTraceFile(pos[1], policy);
+            writeTraceFile(*in, pos[2]);
             finishRead(*in, pos[1]);
             std::printf("converted %s -> %s\n", pos[1].c_str(),
                         pos[2].c_str());
         } else if (cmd == "stats") {
             fatalIf(pos.size() != 2,
                     "usage: trace_tools stats <in>");
-            auto in = openTrace(pos[1], policy);
+            auto in = openTraceFile(pos[1], policy);
             unsigned block = parser.getUint32("block");
             if (parser.getBool("per-segment")) {
                 std::vector<TraceStats> segs =
@@ -161,7 +131,7 @@ main(int argc, char **argv)
         } else if (cmd == "simulate") {
             fatalIf(pos.size() != 2,
                     "usage: trace_tools simulate <in>");
-            auto in = openTrace(pos[1], policy);
+            auto in = openTraceFile(pos[1], policy);
             sim::RunSpec spec; // the paper's Figure 3 hierarchy
             core::SchemeSpec naive, mru;
             naive.kind = core::SchemeKind::Naive;

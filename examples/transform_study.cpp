@@ -83,9 +83,9 @@ main(int argc, char **argv)
     parser.addFlag("segments", "4", "trace segments to simulate");
     parser.addFlag("tagbits", "16", "stored tag width t");
     parser.addFlag("assoc", "8", "level-two associativity");
-    if (!parser.parse(argc, argv))
-        return 0;
     return guardedMain("transform_study", [&]() -> int {
+        if (!parser.parse(argc, argv))
+            return 0;
         unsigned segments = parser.getUint32("segments");
         unsigned t = parser.getUint32("tagbits");
         unsigned assoc = parser.getUint32("assoc");

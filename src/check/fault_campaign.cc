@@ -10,7 +10,6 @@
 #include "exec/journal.h"
 #include "exec/sweep.h"
 #include "trace/atum_like.h"
-#include "trace/bin_io.h"
 #include "trace/din_io.h"
 #include "trace/ftr_reader.h"
 #include "trace/ftr_writer.h"
@@ -26,13 +25,11 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/** The sixteen fault families, selected by case index % 16. */
+/** The fourteen fault families, selected by case index % 14. */
 enum class FaultKind {
     DinCorruptFailFast,
     DinCorruptSkip,
     DinCorruptStrict,
-    BinTruncate,
-    BinCorrupt,
     LookupThrow,
     TransientRetry,
     CancelResume,
@@ -46,7 +43,7 @@ enum class FaultKind {
     IoError,
 };
 
-constexpr std::uint64_t kFaultKinds = 16;
+constexpr std::uint64_t kFaultKinds = 14;
 
 const char *
 kindName(FaultKind k)
@@ -58,10 +55,6 @@ kindName(FaultKind k)
         return "din-corrupt-skip";
       case FaultKind::DinCorruptStrict:
         return "din-corrupt-strict";
-      case FaultKind::BinTruncate:
-        return "bin-truncate";
-      case FaultKind::BinCorrupt:
-        return "bin-corrupt";
       case FaultKind::LookupThrow:
         return "lookup-throw";
       case FaultKind::TransientRetry:
@@ -226,90 +219,10 @@ caseDinCorrupt(Scratch &scratch, std::uint64_t case_seed,
                     std::to_string(again) + ")");
 }
 
-/** Truncate a bin file and stream it back under a sampled policy. */
-void
-caseBinTruncate(Scratch &scratch, std::uint64_t case_seed,
-                CaseCheck &chk)
-{
-    Pcg32 rng(case_seed, /*stream=*/0x62696eULL);
-    std::uint64_t refs = 100 + rng.below(400);
-    trace::AtumLikeConfig cfg = smallTrace(case_seed, refs);
-    trace::AtumLikeGenerator gen(cfg);
-
-    std::string path = scratch.file("fault.bin");
-    std::uint64_t written = trace::writeBin(gen, path);
-    std::uint64_t full = 16 + written * 6;
-    std::uint64_t keep = rng.below(static_cast<std::uint32_t>(full));
-    exec::FaultInjector::truncateFile(path, keep);
-
-    const ErrorMode modes[] = {ErrorMode::FailFast, ErrorMode::Skip,
-                               ErrorMode::Strict};
-    ErrorPolicy policy;
-    policy.mode = modes[rng.below(3)];
-    trace::BinTraceSource src(path, policy);
-
-    std::uint64_t streamed = drainBounded(src, written, chk);
-    checkReaderContract(src, policy.mode, policy.max_skips, chk);
-
-    std::uint64_t whole = keep >= 16 ? (keep - 16) / 6 : 0;
-    if (policy.mode != ErrorMode::Skip) {
-        // Truncation is always detectable against the header count.
-        chk.require(src.failed(),
-                    "truncated bin file was not rejected (keep=" +
-                        std::to_string(keep) + "/" +
-                        std::to_string(full) + ")");
-    } else if (keep >= 16 && written - whole <= policy.max_skips) {
-        chk.require(!src.failed(),
-                    "skip-mode reader rejected a clampable "
-                    "truncation: " + src.error().text());
-        chk.require(streamed == whole,
-                    "skip-mode reader streamed " +
-                        std::to_string(streamed) + " of " +
-                        std::to_string(whole) + " whole records");
-        chk.require(src.skippedRecords() == written - whole,
-                    "skip-mode reader miscounted lost records");
-    }
-}
-
-/** Flip body bytes of a bin file (header protected). */
-void
-caseBinCorrupt(Scratch &scratch, std::uint64_t case_seed,
-               CaseCheck &chk)
-{
-    Pcg32 rng(case_seed, /*stream=*/0x626332ULL);
-    std::uint64_t refs = 100 + rng.below(400);
-    trace::AtumLikeConfig cfg = smallTrace(case_seed, refs);
-    trace::AtumLikeGenerator gen(cfg);
-
-    std::string path = scratch.file("fault2.bin");
-    std::uint64_t written = trace::writeBin(gen, path);
-
-    unsigned flips = 1 + rng.below(4);
-    exec::FaultInjector::corruptBytes(path, case_seed ^ 0xb1bULL,
-                                      flips, /*skip=*/16);
-
-    const ErrorMode modes[] = {ErrorMode::FailFast, ErrorMode::Skip,
-                               ErrorMode::Strict};
-    ErrorPolicy policy;
-    policy.mode = modes[rng.below(3)];
-    trace::BinTraceSource src(path, policy);
-
-    // Body flips never touch the header, so the claimed count holds
-    // and the stream can only shrink (bad records dropped).
-    std::uint64_t streamed = drainBounded(src, written, chk);
-    checkReaderContract(src, policy.mode, policy.max_skips, chk);
-    chk.require(streamed + src.skippedRecords() <= written,
-                "corrupt bin reader invented records");
-    if (!src.failed())
-        chk.require(streamed + src.skippedRecords() == written,
-                    "reader lost records without reporting a skip "
-                    "or an error");
-}
-
 /**
- * Post-stream contract for the ftr reader. Unlike din/bin, the
- * policy's skip cap bounds damaged *regions* (damage events); one
- * region may lose many records, all reported via skippedRecords().
+ * Post-stream contract for the ftr reader. Unlike din, the policy's
+ * skip cap bounds damaged *regions* (damage events); one region may
+ * lose many records, all reported via skippedRecords().
  */
 void
 checkFtrContract(const trace::FtrTraceSource &src, ErrorMode mode,
@@ -380,9 +293,7 @@ caseFtrCorrupt(Scratch &scratch, std::uint64_t case_seed,
                                ErrorMode::Strict};
     ErrorPolicy policy;
     policy.mode = modes[rng.below(3)];
-    trace::FtrOptions fopt;
-    fopt.prefetch = rng.below(2) == 0;
-    trace::FtrTraceSource src(path, policy, fopt);
+    trace::FtrTraceSource src(path, policy);
 
     std::uint64_t streamed = drainBounded(src, written, chk);
     checkFtrContract(src, policy.mode, policy.max_skips, chk);
@@ -400,7 +311,8 @@ caseFtrCorrupt(Scratch &scratch, std::uint64_t case_seed,
                         " skipped of " + std::to_string(written) +
                         ")");
 
-    // reset() must replay the identical outcome (prefetch restarts).
+    // reset() must replay the identical outcome (the producer
+    // thread restarts).
     src.reset();
     std::uint64_t again = drainBounded(src, written, chk);
     chk.require(again == streamed,
@@ -433,9 +345,7 @@ caseFtrTruncate(Scratch &scratch, std::uint64_t case_seed,
                                ErrorMode::Strict};
     ErrorPolicy policy;
     policy.mode = modes[rng.below(3)];
-    trace::FtrOptions fopt;
-    fopt.prefetch = rng.below(2) == 0;
-    trace::FtrTraceSource src(path, policy, fopt);
+    trace::FtrTraceSource src(path, policy);
 
     std::uint64_t streamed = drainBounded(src, written, chk);
     checkFtrContract(src, policy.mode, policy.max_skips, chk);
@@ -495,9 +405,7 @@ caseFtrTornFooter(Scratch &scratch, std::uint64_t case_seed,
 
     ErrorPolicy sk;
     sk.mode = ErrorMode::Skip;
-    trace::FtrOptions fopt;
-    fopt.prefetch = rng.below(2) == 0;
-    trace::FtrTraceSource src(path, sk, fopt);
+    trace::FtrTraceSource src(path, sk);
     chk.require(src.indexRebuilt(),
                 "skip-mode reader did not rebuild the torn footer");
 
@@ -526,9 +434,10 @@ caseFtrTornFooter(Scratch &scratch, std::uint64_t case_seed,
                     "the writer flushed " + std::to_string(written));
 }
 
-/** A device that returns EOF early (file shrank / short read): the
- *  reader must report it against the header's claimed count, never
- *  silently deliver a prefix as a complete stream. */
+/** A device that returns EOF early (file shrank / short read) under
+ *  an ftr file: the reader sees a torn tail, so it owes
+ *  caseFtrTruncate's contract — non-skip modes reject, skip mode
+ *  accounts for every record it could not deliver. */
 void
 caseIoShortRead(Scratch &scratch, std::uint64_t case_seed,
                 CaseCheck &chk, std::uint64_t &faults)
@@ -536,11 +445,13 @@ caseIoShortRead(Scratch &scratch, std::uint64_t case_seed,
     Pcg32 rng(case_seed, /*stream=*/0x736872ULL);
     std::uint64_t refs = 100 + rng.below(400);
     trace::AtumLikeConfig cfg = smallTrace(case_seed, refs);
-    trace::AtumLikeGenerator gen(cfg);
 
-    std::string path = scratch.file("short.bin");
-    std::uint64_t written = trace::writeBin(gen, path);
-    std::uint64_t full = 16 + written * 6;
+    std::string path = scratch.file("short.ftr");
+    std::uint64_t written =
+        writeSmallFtr(cfg, path, 1 + rng.below(64), chk);
+    if (written == 0)
+        return;
+    std::uint64_t full = fs::file_size(path);
 
     IoFaultPlan plan;
     plan.short_read_at = rng.below(static_cast<std::uint32_t>(full));
@@ -549,27 +460,37 @@ caseIoShortRead(Scratch &scratch, std::uint64_t case_seed,
     ErrorPolicy policy;
     policy.mode = modes[rng.below(3)];
     std::unique_ptr<trace::TraceSource> src =
-        trace::openTraceFileWithFaults(path, policy, plan);
+        trace::openTraceFile(path, policy, plan);
     faults += 1;
 
     std::uint64_t streamed = drainBounded(*src, written, chk);
-    chk.require(src->failed(),
-                "a short read below the claimed record count went "
-                "unreported (short_read_at=" +
-                    std::to_string(plan.short_read_at) + "/" +
-                    std::to_string(full) + ")");
-    ErrorCode c = src->error().code();
-    chk.require(c == ErrorCode::Data || c == ErrorCode::Io,
-                std::string("short-read error is ") +
-                    errorCodeName(c) + ", want data or io");
-    chk.require(src->skippedRecords() == 0,
-                "a device fault was skipped; short reads are not "
-                "skippable");
-    if (plan.short_read_at >= 16)
-        chk.require(streamed == (plan.short_read_at - 16) / 6,
-                    "reader delivered " + std::to_string(streamed) +
-                        " records before a short read at byte " +
-                        std::to_string(plan.short_read_at));
+    std::string where = " (short_read_at=" +
+                        std::to_string(plan.short_read_at) + "/" +
+                        std::to_string(full) + ")";
+    if (src->failed()) {
+        ErrorCode c = src->error().code();
+        chk.require(c == ErrorCode::Data || c == ErrorCode::Io,
+                    std::string("short-read error is ") +
+                        errorCodeName(c) + ", want data or io");
+    }
+    if (policy.mode == ErrorMode::FailFast)
+        chk.require(src->skippedRecords() == 0,
+                    "fail-fast reader skipped records" + where);
+    if (policy.mode != ErrorMode::Skip ||
+        plan.short_read_at < trace::ftr::kHeaderBytes) {
+        chk.require(src->failed(),
+                    "a short read went unreported" + where);
+    } else {
+        chk.require(!src->failed(),
+                    "skip-mode reader rejected a short read it can "
+                    "recover from: " + src->error().text() + where);
+        chk.require(streamed + src->skippedRecords() == written,
+                    "skip-mode reader miscounted a short read (" +
+                        std::to_string(streamed) + " streamed + " +
+                        std::to_string(src->skippedRecords()) +
+                        " skipped of " + std::to_string(written) +
+                        ")" + where);
+    }
 }
 
 /** A hard device error (EIO) mid-file: every reader and policy must
@@ -583,18 +504,13 @@ caseIoError(Scratch &scratch, std::uint64_t case_seed,
     std::uint64_t refs = 100 + rng.below(400);
     trace::AtumLikeConfig cfg = smallTrace(case_seed, refs);
 
-    unsigned fmt = rng.below(3);
     std::string path;
     std::uint64_t written = 0;
-    if (fmt == 0) {
+    if (rng.below(2) == 0) {
         trace::AtumLikeGenerator gen(cfg);
         path = scratch.file("eio.din");
         written = gen.totalRefs();
         trace::writeDin(gen, path);
-    } else if (fmt == 1) {
-        trace::AtumLikeGenerator gen(cfg);
-        path = scratch.file("eio.bin");
-        written = trace::writeBin(gen, path);
     } else {
         path = scratch.file("eio.ftr");
         written = writeSmallFtr(cfg, path, 1 + rng.below(64), chk);
@@ -610,7 +526,7 @@ caseIoError(Scratch &scratch, std::uint64_t case_seed,
     ErrorPolicy policy;
     policy.mode = modes[rng.below(3)];
     std::unique_ptr<trace::TraceSource> src =
-        trace::openTraceFileWithFaults(path, policy, plan);
+        trace::openTraceFile(path, policy, plan);
     faults += 1;
 
     std::uint64_t streamed = drainBounded(*src, written, chk);
@@ -1080,12 +996,6 @@ runFaultCampaign(const FaultCampaignOptions &opt)
           case FaultKind::DinCorruptStrict:
             caseDinCorrupt(scratch, case_seed, ErrorMode::Strict,
                            chk);
-            break;
-          case FaultKind::BinTruncate:
-            caseBinTruncate(scratch, case_seed, chk);
-            break;
-          case FaultKind::BinCorrupt:
-            caseBinCorrupt(scratch, case_seed, chk);
             break;
           case FaultKind::LookupThrow:
             caseLookupThrow(case_seed, chk, sum.faults_injected);

@@ -296,6 +296,10 @@ TwoLevelHierarchy::run(trace::TraceSource &src, unsigned batch)
     std::vector<trace::MemRef> buf(std::max(batch, 1u));
     while (std::size_t n = src.nextBatch(buf.data(), buf.size()))
         replay(buf.data(), n);
+    // A reader that stopped on a failure must not pass for a clean
+    // end of trace (sim::runTrace checks the same).
+    if (src.failed())
+        throwError(Error(src.error()).withContext("streaming the trace"));
 }
 
 bool

@@ -253,7 +253,9 @@ class TwoLevelHierarchy
      * Stream an entire trace (reset first) through replay(), pulling
      * @p batch references per TraceSource::nextBatch call (0 counts
      * as 1). The statistics are bit-for-bit identical for every batch
-     * size (tests/kernels enforces it).
+     * size (tests/kernels enforces it). When the source stops on a
+     * failure, its Error is thrown (ErrorException) after the
+     * references it did deliver were applied.
      */
     void run(trace::TraceSource &src, unsigned batch = kReplayBatch);
 

@@ -13,8 +13,8 @@ namespace trace {
 using ftr::getU32;
 
 FtrTraceSource::FtrTraceSource(const std::string &path,
-                               ErrorPolicy policy, FtrOptions opt)
-    : name_(path), policy_(policy), opt_(opt)
+                               ErrorPolicy policy)
+    : name_(path), policy_(policy)
 {
     auto f = std::make_unique<std::ifstream>(path, std::ios::binary);
     if (!*f) {
@@ -29,10 +29,8 @@ FtrTraceSource::FtrTraceSource(const std::string &path,
 }
 
 FtrTraceSource::FtrTraceSource(std::unique_ptr<std::istream> in,
-                               std::string name, ErrorPolicy policy,
-                               FtrOptions opt)
-    : name_(std::move(name)), policy_(policy), opt_(opt),
-      in_(std::move(in))
+                               std::string name, ErrorPolicy policy)
+    : name_(std::move(name)), policy_(policy), in_(std::move(in))
 {
     if (!in_ || in_->fail()) {
         header_error_ = Error::io("cannot open ftr trace '" + name_ +
@@ -546,7 +544,7 @@ FtrTraceSource::producerLoop()
 void
 FtrTraceSource::ensureStarted()
 {
-    if (started_ || !opt_.prefetch)
+    if (started_)
         return;
     stop_ = false;
     started_ = true;
@@ -577,19 +575,15 @@ FtrTraceSource::pullBuffer()
         cur_charge_.release();
         cur_.clear();
         cur_pos_ = 0;
+        ensureStarted();
         Slot s;
-        if (opt_.prefetch) {
-            ensureStarted();
-            {
-                std::unique_lock<std::mutex> l(mu_);
-                cv_.wait(l, [&] { return !queue_.empty(); });
-                s = std::move(queue_.front());
-                queue_.pop_front();
-            }
-            cv_.notify_all();
-        } else {
-            s = fillSlot();
+        {
+            std::unique_lock<std::mutex> l(mu_);
+            cv_.wait(l, [&] { return !queue_.empty(); });
+            s = std::move(queue_.front());
+            queue_.pop_front();
         }
+        cv_.notify_all();
         skipped_ = s.skipped_total;
         damage_ = s.damage_total;
         if (s.err.failed()) {

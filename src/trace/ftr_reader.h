@@ -26,11 +26,15 @@
  * FtrWriter::finish() additionally leaves the header's record total
  * unpatched at zero; the same scan then derives the total from the
  * recovered frames, so every flushed frame is still delivered
- * (records that never left the writer's buffer are unknowable). Reading is double-buffered: a
- * producer thread verifies and decodes the next frames while the
- * simulator drains the current one, with every decoded-frame buffer
- * charged to the attached MemBudget and cancellation polled at frame
- * granularity on the producer and every ~1k records on the consumer.
+ * (records that never left the writer's buffer are unknowable).
+ *
+ * A producer thread always verifies and decodes ahead while the
+ * simulator drains the current frame. Every decoded-frame buffer is
+ * charged to the attached MemBudget; a reader holds at most four at
+ * once (the consumer's, kPrefetchDepth queued, and the one the
+ * producer decoded before waiting for queue room) plus one payload
+ * scratch buffer. Cancellation is polled at frame granularity on the
+ * producer and every ~1k records on the consumer.
  */
 
 #ifndef ASSOC_TRACE_FTR_READER_H
@@ -51,28 +55,18 @@
 namespace assoc {
 namespace trace {
 
-/** Reader knobs beyond the ErrorPolicy. */
-struct FtrOptions
-{
-    /** Decode ahead on a producer thread (double-buffered). The
-     *  stream is bit-identical with prefetch on or off. */
-    bool prefetch = true;
-};
-
 /** Streaming TraceSource over an ftr file. */
 class FtrTraceSource : public TraceSource
 {
   public:
     /** Open @p path; problems land in error(), nothing throws. */
     explicit FtrTraceSource(const std::string &path,
-                            ErrorPolicy policy = ErrorPolicy(),
-                            FtrOptions opt = FtrOptions());
+                            ErrorPolicy policy = ErrorPolicy());
 
     /** Read from a caller-supplied stream (fault-injection tests);
      *  @p name labels error messages. */
     FtrTraceSource(std::unique_ptr<std::istream> in, std::string name,
-                   ErrorPolicy policy = ErrorPolicy(),
-                   FtrOptions opt = FtrOptions());
+                   ErrorPolicy policy = ErrorPolicy());
 
     ~FtrTraceSource() override;
 
@@ -122,7 +116,9 @@ class FtrTraceSource : public TraceSource
     void setMemBudget(MemBudget *b) override { budget_ = b; }
 
   private:
-    /** Producer queue depth: one frame draining, two in flight. */
+    /** Decoded frames queued between producer and consumer. The
+     *  producer decodes a frame before it waits for room, so up to
+     *  kPrefetchDepth + 2 decoded frames are charged at once. */
     static constexpr std::size_t kPrefetchDepth = 2;
     /** Consumer records between cancel-token polls. */
     static constexpr std::uint64_t kCancelStride = 1024;
@@ -167,7 +163,6 @@ class FtrTraceSource : public TraceSource
 
     std::string name_;
     ErrorPolicy policy_;
-    FtrOptions opt_;
     std::unique_ptr<std::istream> in_;
 
     // Set once at open.

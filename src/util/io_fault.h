@@ -2,16 +2,20 @@
  * @file
  * Seeded IO-fault injection at the stream layer.
  *
- * The trace readers (din/bin/ftr) accept any std::istream, so fault
+ * The trace readers (din/ftr) accept any std::istream, so fault
  * tests and the `fuzz_diff --inject-faults` campaign wrap a real
  * file in a FaultyStreamBuf that misbehaves at a planned byte
  * offset: a *short read* (the file ends early, as if the tail was
  * torn off by a crashed writer or a truncated download) or a *hard
  * IO error* (EIO from a dying disk — surfaces as badbit on the
- * stream). Readers must turn both into structured Errors; in
- * particular a hard error must never be mistaken for a clean
- * end-of-file (that would silently compute statistics over a
- * prefix).
+ * stream). A hard error must always become a structured Io error,
+ * never a clean end-of-file (that would silently compute statistics
+ * over a prefix). A short read looks exactly like a shorter file,
+ * and each reader treats it as one. Din text cannot tell it apart:
+ * the stream ends without an error, and a line the cut splits is
+ * read as whatever its first part parses to. Ftr, whose header and
+ * footer record the total, counts it as a torn tail — a Data error
+ * under FailFast/Strict, skipped and counted under Skip.
  *
  * Everything is a pure function of the plan, so a failing fuzz case
  * replays byte-identically.

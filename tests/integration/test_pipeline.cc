@@ -8,7 +8,8 @@
 #include "core/scheme.h"
 #include "mem/hierarchy.h"
 #include "trace/atum_like.h"
-#include "trace/bin_io.h"
+#include "trace/ftr_reader.h"
+#include "trace/trace_file.h"
 
 namespace assoc {
 namespace {
@@ -189,15 +190,15 @@ TEST(Pipeline, MeasuredMruHitsMatchDistanceDistribution)
 
 TEST(Pipeline, TraceFileRoundTripGivesIdenticalResults)
 {
-    // Generator -> binary file -> reader must price identically.
+    // Generator -> framed file -> reader must price identically.
     trace::AtumLikeConfig tcfg;
     tcfg.segments = 2;
     tcfg.refs_per_segment = 30000;
     trace::AtumLikeGenerator gen(tcfg);
 
-    std::string path = ::testing::TempDir() + "pipeline_trace.bin";
-    trace::writeBin(gen, path);
-    trace::BinTraceSource file(path);
+    std::string path = ::testing::TempDir() + "pipeline_trace.ftr";
+    trace::writeTraceFile(gen, path);
+    trace::FtrTraceSource file(path);
 
     HierarchyConfig cfg{CacheGeometry(16384, 16, 1),
                         CacheGeometry(256 * 1024, 32, 4), true};

@@ -224,6 +224,53 @@ TEST(TwoLevelHierarchy, RunStreamsWholeTrace)
     EXPECT_GT(s.write_backs, 0u);
 }
 
+/** Delivers its records, then stops on a Data error, as a file
+ *  reader does at a malformed record. */
+class FailingSource : public trace::TraceSource
+{
+  public:
+    bool
+    next(MemRef &ref) override
+    {
+        if (pos_ == 100) {
+            error_ = Error::data("record 100 is malformed");
+            return false;
+        }
+        ref = MemRef{0x40u * pos_++, RefType::Read, 0};
+        return true;
+    }
+
+    void
+    reset() override
+    {
+        pos_ = 0;
+        error_ = Error();
+    }
+
+    const Error &error() const override { return error_; }
+
+  private:
+    std::uint32_t pos_ = 0;
+    Error error_;
+};
+
+TEST(TwoLevelHierarchy, RunThrowsTheSourcesError)
+{
+    FailingSource src;
+    TwoLevelHierarchy h(smallConfig());
+    try {
+        h.run(src);
+        ADD_FAILURE() << "a failed stream ended as if clean";
+    } catch (const ErrorException &e) {
+        EXPECT_EQ(e.error().code(), ErrorCode::Data);
+        EXPECT_NE(e.error().text().find("record 100 is malformed"),
+                  std::string::npos)
+            << e.error().text();
+    }
+    // The references before the failure were applied.
+    EXPECT_EQ(h.stats().proc_refs, 100u);
+}
+
 TEST(TwoLevelHierarchy, InclusionViolationsAreDetected)
 {
     // A tiny L2 with a big L1 forces inclusion violations: blocks

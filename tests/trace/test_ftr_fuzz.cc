@@ -225,11 +225,9 @@ fuzzWholeReader(Pcg32 &rng)
     ErrorPolicy policy;
     policy.mode = ErrorMode::Skip;
     policy.max_skips = 100;
-    FtrOptions opt;
-    opt.prefetch = (rng.below(2) == 0);
     auto in = std::make_unique<std::istringstream>(std::string(
         reinterpret_cast<const char *>(bent.data()), bent.size()));
-    FtrTraceSource src(std::move(in), "fuzz.ftr", policy, opt);
+    FtrTraceSource src(std::move(in), "fuzz.ftr", policy);
 
     std::uint64_t streamed = 0;
     MemRef r;

@@ -4,7 +4,7 @@
  *
  * The format's whole reason to exist is surviving damage, so beyond
  * the pack -> replay property tests (bit-identical streams across
- * frame sizes from 1 to 64Ki, prefetch on or off) this suite holds
+ * frame sizes from 1 to 64Ki) this suite holds
  * the reader to its documented recovery contract for each corruption
  * shape: bit flips in frame headers and payloads resync with *exact*
  * skip accounting, torn-off footers rebuild the index by scan with
@@ -200,22 +200,16 @@ TEST_F(FtrIoTest, RoundTripsAcrossFrameSizes)
     const std::vector<MemRef> recs = makeRecords(5000, 0xF7A01);
     for (std::uint32_t fr : {1u, 3u, 64u, 5000u, 65536u}) {
         ASSERT_EQ(writeFile(recs, path_, fr), recs.size());
-        for (bool prefetch : {true, false}) {
-            FtrOptions opt;
-            opt.prefetch = prefetch;
-            FtrTraceSource src(path_, ErrorPolicy(), opt);
-            ASSERT_FALSE(src.failed()) << src.error().text();
-            EXPECT_EQ(src.totalRecords(), recs.size());
-            EXPECT_EQ(drain(src), recs)
-                << "frame_records=" << fr
-                << " prefetch=" << prefetch;
-            EXPECT_FALSE(src.failed()) << src.error().text();
-            EXPECT_EQ(src.skippedRecords(), 0u);
-            EXPECT_EQ(src.damageEvents(), 0u);
-            // reset() replays the identical stream.
-            src.reset();
-            EXPECT_EQ(drain(src), recs);
-        }
+        FtrTraceSource src(path_);
+        ASSERT_FALSE(src.failed()) << src.error().text();
+        EXPECT_EQ(src.totalRecords(), recs.size());
+        EXPECT_EQ(drain(src), recs) << "frame_records=" << fr;
+        EXPECT_FALSE(src.failed()) << src.error().text();
+        EXPECT_EQ(src.skippedRecords(), 0u);
+        EXPECT_EQ(src.damageEvents(), 0u);
+        // reset() replays the identical stream.
+        src.reset();
+        EXPECT_EQ(drain(src), recs);
     }
 }
 
@@ -326,27 +320,22 @@ TEST_F(FtrIoTest, SkipResyncsWithExactAccounting)
                                  std::size_t(6)}) {
         ASSERT_EQ(writeFile(recs, path_, 64), recs.size());
         flipByte(path_, index[victim].offset + within);
-        for (bool prefetch : {true, false}) {
-            FtrOptions opt;
-            opt.prefetch = prefetch;
-            FtrTraceSource src(path_, skipPolicy(), opt);
-            ASSERT_FALSE(src.failed());
-            std::vector<MemRef> got = drain(src);
-            EXPECT_FALSE(src.failed()) << src.error().text();
-            // Exactly the victim frame's 64 records are lost, as
-            // ONE damage event, and the delivered stream is the
-            // original minus that frame — nothing resequenced.
-            EXPECT_EQ(src.skippedRecords(), 64u);
-            EXPECT_EQ(src.damageEvents(), 1u);
-            std::vector<MemRef> want(recs.begin(),
-                                     recs.begin() +
-                                         static_cast<long>(victim * 64));
-            want.insert(want.end(),
-                        recs.begin() +
-                            static_cast<long>((victim + 1) * 64),
-                        recs.end());
-            EXPECT_EQ(got, want);
-        }
+        FtrTraceSource src(path_, skipPolicy());
+        ASSERT_FALSE(src.failed());
+        std::vector<MemRef> got = drain(src);
+        EXPECT_FALSE(src.failed()) << src.error().text();
+        // Exactly the victim frame's 64 records are lost, as ONE
+        // damage event, and the delivered stream is the original
+        // minus that frame — nothing resequenced.
+        EXPECT_EQ(src.skippedRecords(), 64u);
+        EXPECT_EQ(src.damageEvents(), 1u);
+        std::vector<MemRef> want(recs.begin(),
+                                 recs.begin() +
+                                     static_cast<long>(victim * 64));
+        want.insert(want.end(),
+                    recs.begin() + static_cast<long>((victim + 1) * 64),
+                    recs.end());
+        EXPECT_EQ(got, want);
     }
 }
 
@@ -591,17 +580,12 @@ TEST_F(FtrIoTest, MemBudgetBoundsDecodedFrames)
 
     // A budget too small for even one decoded frame is a hard,
     // structured Budget failure — never an OOM, never skippable.
-    for (bool prefetch : {true, false}) {
-        FtrOptions opt;
-        opt.prefetch = prefetch;
-        FtrTraceSource src(path_, skipPolicy(), opt);
-        MemBudget tiny(1024);
-        src.setMemBudget(&tiny);
-        std::vector<MemRef> got = drain(src);
-        EXPECT_TRUE(src.failed());
-        EXPECT_EQ(src.error().code(), ErrorCode::Budget);
-        EXPECT_TRUE(got.empty());
-    }
+    FtrTraceSource starved(path_, skipPolicy());
+    MemBudget tiny(1024);
+    starved.setMemBudget(&tiny);
+    EXPECT_TRUE(drain(starved).empty());
+    EXPECT_TRUE(starved.failed());
+    EXPECT_EQ(starved.error().code(), ErrorCode::Budget);
     // An adequate budget streams the whole trace within bounds.
     FtrTraceSource src(path_);
     MemBudget roomy(8ull << 20);
@@ -614,18 +598,14 @@ TEST_F(FtrIoTest, CancellationStopsTheStream)
 {
     const std::vector<MemRef> recs = makeRecords(20000, 0xF7A0D);
     ASSERT_EQ(writeFile(recs, path_, 512), recs.size());
-    for (bool prefetch : {true, false}) {
-        FtrOptions opt;
-        opt.prefetch = prefetch;
-        FtrTraceSource src(path_, ErrorPolicy(), opt);
-        CancelToken token;
-        token.cancel();
-        src.setCancelToken(&token);
-        std::vector<MemRef> got = drain(src);
-        EXPECT_TRUE(src.failed());
-        EXPECT_EQ(src.error().code(), ErrorCode::Cancelled);
-        EXPECT_LT(got.size(), recs.size());
-    }
+    FtrTraceSource src(path_);
+    CancelToken token;
+    token.cancel();
+    src.setCancelToken(&token);
+    std::vector<MemRef> got = drain(src);
+    EXPECT_TRUE(src.failed());
+    EXPECT_EQ(src.error().code(), ErrorCode::Cancelled);
+    EXPECT_LT(got.size(), recs.size());
 }
 
 TEST_F(FtrIoTest, HardIoErrorsAreNeverSkippable)
@@ -635,7 +615,7 @@ TEST_F(FtrIoTest, HardIoErrorsAreNeverSkippable)
     IoFaultPlan plan;
     plan.io_error_at = 100; // mid-file EIO, well before the footer
     std::unique_ptr<TraceSource> src =
-        openTraceFileWithFaults(path_, skipPolicy(), plan);
+        openTraceFile(path_, skipPolicy(), plan);
     std::vector<MemRef> got;
     MemRef r;
     while (src->next(r))
@@ -651,7 +631,9 @@ TEST_F(FtrIoTest, OpenTraceFileSniffsFtrWithoutTheExtension)
     const std::vector<MemRef> recs = makeRecords(300, 0xF7A0F);
     const std::string noext = path_ + ".trace";
     ASSERT_EQ(writeFile(recs, noext, 64), recs.size());
-    EXPECT_EQ(detectTraceFormat(noext), TraceFormat::Ftr);
+    Expected<TraceFormat> fmt = detectTraceFormat(noext);
+    ASSERT_TRUE(fmt.ok()) << fmt.error().text();
+    EXPECT_EQ(fmt.value(), TraceFormat::Ftr);
     std::unique_ptr<TraceSource> src = openTraceFile(noext);
     std::vector<MemRef> got;
     MemRef r;

@@ -1,11 +1,14 @@
 /**
  * @file
  * IO-fault injection tests: the FaultyStreamBuf wrapper itself, and
- * the contract every trace reader (din/bin/ftr) owes when the
- * *device* fails rather than the data — a short read or an EIO must
- * surface as a structured error under every ErrorPolicy, because a
- * hard fault mistaken for end-of-file silently computes statistics
- * over a prefix. Skip mode is for damaged bytes, not dying disks.
+ * the contract every trace reader (din/ftr) owes when the *device*
+ * fails rather than the data. An EIO must surface as a structured
+ * error under every ErrorPolicy, because a hard fault mistaken for
+ * end-of-file silently computes statistics over a prefix; skip mode
+ * is for damaged bytes, not dying disks. A short read looks exactly
+ * like a shorter file, so the ftr reader owes it the torn-tail
+ * contract: rejected unless skipping, and every lost record counted
+ * when it is.
  */
 
 #include <gtest/gtest.h>
@@ -17,9 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "trace/bin_io.h"
-#include "trace/din_io.h"
-#include "trace/ftr_writer.h"
+#include "trace/ftr_reader.h"
 #include "trace/trace_file.h"
 #include "util/io_fault.h"
 #include "util/rng.h"
@@ -165,62 +166,65 @@ TEST_F(IoFaultTest, UnopenableFileSetsFailbit)
     EXPECT_TRUE(in->fail());
 }
 
-TEST_F(IoFaultTest, BinShortReadIsAStructuredErrorEvenInSkipMode)
+TEST_F(IoFaultTest, FtrShortReadIsATornTailUnderEveryPolicy)
 {
-    std::string path = scratch(".bin");
-    std::vector<MemRef> recs = someRecords(2000);
-    VectorTraceSource src(recs);
-    writeBin(src, path);
+    std::string path = scratch(".ftr");
+    VectorTraceSource src(someRecords(20000));
+    writeTraceFile(src, path, 1024);
+    std::vector<ftr::IndexEntry> index = FtrTraceSource(path).frameIndex();
+    ASSERT_GT(index.size(), 4u);
 
     IoFaultPlan plan;
-    plan.short_read_at = 916; // mid-record, well past the header
-    std::unique_ptr<TraceSource> in =
-        openTraceFileWithFaults(path, skipPolicy(), plan);
-    std::uint64_t streamed = 0;
-    MemRef r;
-    while (in->next(r))
-        ++streamed;
-    EXPECT_TRUE(in->failed());
-    EXPECT_EQ(in->error().code(), ErrorCode::Io);
-    EXPECT_EQ(in->skippedRecords(), 0u);
-    // Records delivered before the tear: (916 - 16B header) / 6B.
-    EXPECT_EQ(streamed, (916u - 16u) / 6u);
+    plan.short_read_at = index.back().offset / 4;
+    // The frames wholly before the cut are what survives it.
+    std::uint64_t whole = 0;
+    for (std::size_t i = 1; i < index.size(); ++i)
+        if (index[i].offset <= plan.short_read_at)
+            whole = index[i].start_index;
+    ASSERT_GT(whole, 0u);
+
+    for (ErrorMode mode :
+         {ErrorMode::FailFast, ErrorMode::Skip, ErrorMode::Strict}) {
+        ErrorPolicy policy;
+        policy.mode = mode;
+        std::unique_ptr<TraceSource> in =
+            openTraceFile(path, policy, plan);
+        std::uint64_t streamed = 0;
+        MemRef r;
+        while (in->next(r))
+            ++streamed;
+        if (mode != ErrorMode::Skip) {
+            // The footer and trailer are cut off too, so the reader
+            // refuses the file before its first record.
+            EXPECT_TRUE(in->failed());
+            EXPECT_EQ(in->error().code(), ErrorCode::Data);
+            EXPECT_EQ(streamed, 0u);
+            EXPECT_EQ(in->skippedRecords(), 0u);
+        } else {
+            EXPECT_FALSE(in->failed()) << in->error().text();
+            EXPECT_EQ(streamed, whole);
+            EXPECT_EQ(streamed + in->skippedRecords(), 20000u);
+        }
+    }
 }
 
 TEST_F(IoFaultTest, EveryFormatSurfacesEioAsAHardError)
 {
-    struct Case
-    {
-        const char *ext;
-        std::uint64_t fault_at;
-    };
-    for (const Case &c : {Case{".din", 500}, Case{".bin", 500},
-                          Case{".ftr", 500}}) {
-        std::string path = scratch(c.ext);
-        std::vector<MemRef> recs = someRecords(2000);
-        VectorTraceSource src(recs);
-        switch (detectTraceFormat(path)) {
-          case TraceFormat::Din:
-            writeDin(src, path);
-            break;
-          case TraceFormat::Bin:
-            writeBin(src, path);
-            break;
-          case TraceFormat::Ftr:
-            ASSERT_TRUE(writeFtr(src, path).ok());
-            break;
-        }
+    for (const char *ext : {".din", ".ftr"}) {
+        std::string path = scratch(ext);
+        VectorTraceSource src(someRecords(2000));
+        writeTraceFile(src, path);
         IoFaultPlan plan;
-        plan.io_error_at = c.fault_at;
+        plan.io_error_at = 500;
         std::unique_ptr<TraceSource> in =
-            openTraceFileWithFaults(path, skipPolicy(), plan);
+            openTraceFile(path, skipPolicy(), plan);
         MemRef r;
         while (in->next(r)) {
         }
         EXPECT_TRUE(in->failed())
-            << c.ext << ": EIO masqueraded as end-of-file";
-        EXPECT_EQ(in->error().code(), ErrorCode::Io) << c.ext;
-        EXPECT_FALSE(in->error().text().empty()) << c.ext;
+            << ext << ": EIO masqueraded as end-of-file";
+        EXPECT_EQ(in->error().code(), ErrorCode::Io) << ext;
+        EXPECT_FALSE(in->error().text().empty()) << ext;
     }
 }
 

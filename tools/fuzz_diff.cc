@@ -156,10 +156,9 @@ main(int argc, char **argv)
                  "(e.g. 50ms; default 50ms); failing runaway cases "
                  "echo it in their repro line");
     args.addSwitch("quiet", "suppress the summary line");
-    if (!args.parse(argc, argv))
-        return 0;
-
     return guardedMain("fuzz_diff", [&]() -> int {
+        if (!args.parse(argc, argv))
+            return 0;
         if (args.getBool("svc-chaos")) {
             check::SvcChaosOptions opt;
             opt.seed = args.getUint("seed");

@@ -261,10 +261,9 @@ main(int argc, char **argv)
                    "/ squeeze / storm; cases run twice and diffed) "
                    "instead of the bench");
     args.addFlag("chaos-cases", "200", "chaos campaign case count");
-    if (!args.parse(argc, argv))
-        return 0;
-
     return guardedMain("svc_bench", [&]() -> int {
+        if (!args.parse(argc, argv))
+            return 0;
         if (args.getBool("chaos"))
             return runChaos(args);
 

@@ -7,7 +7,7 @@
  *                    (--refs=180M writes ~180 million references in
  *                    bounded memory; format from the extension)
  *   pack <in> <out>  re-encode any trace file as framed ftr
- *   unpack <in> <out>  decode an ftr file back to .din / .bin
+ *   unpack <in> <out>  decode an ftr file back to .din
  *   info <in>        print header / frame-index facts
  *   verify <in>      stream every frame, print record count + digest
  *                    (exit 3 on damage under the chosen --errors)
@@ -32,10 +32,7 @@
 #include "exec/journal.h"
 #include "exec/sweep.h"
 #include "trace/atum_like.h"
-#include "trace/bin_io.h"
-#include "trace/din_io.h"
 #include "trace/ftr_reader.h"
-#include "trace/ftr_writer.h"
 #include "trace/trace_file.h"
 #include "util/argparse.h"
 #include "util/error.h"
@@ -93,28 +90,6 @@ countArg(const ArgParser &args, const std::string &name)
     if (!n.ok())
         throwError(Error(n.error()).withContext("--" + name));
     return n.value();
-}
-
-void
-writeAnyFormat(TraceSource &src, const std::string &path,
-               std::uint32_t frame_records)
-{
-    switch (detectTraceFormat(path)) {
-      case TraceFormat::Din:
-        writeDin(src, path);
-        break;
-      case TraceFormat::Bin:
-        writeBin(src, path);
-        break;
-      case TraceFormat::Ftr: {
-        FtrWriter::Options wopt;
-        wopt.frame_records = frame_records;
-        Expected<std::uint64_t> n = writeFtr(src, path, wopt);
-        if (!n.ok())
-            throwError(Error(n.error()));
-        break;
-      }
-    }
 }
 
 /** The small fixed sweep the `sweep` subcommand replays: three
@@ -252,9 +227,6 @@ main(int argc, char **argv)
     args.addSwitch("crash",
                    "corrupt: tear the index AND zero the header "
                    "total — a writer killed before finish()");
-    args.addSwitch("no-prefetch",
-                   "verify/unpack: disable the double-buffered "
-                   "prefetch thread");
     args.addFlag("jobs", "0", "sweep: worker threads (0 = all)");
     args.addFlag("json", "", "sweep: write results here ('-' stdout)");
     args.addFlag("journal", "", "sweep: checkpoint journal path");
@@ -266,10 +238,9 @@ main(int argc, char **argv)
     args.addFlag("cancel-after", "",
                  "sweep: trip the cancel token after N completed "
                  "jobs (deterministic kill for recovery tests)");
-    if (!args.parse(argc, argv))
-        return 0;
-
     return guardedMain("trace_pack", [&]() -> int {
+        if (!args.parse(argc, argv))
+            return 0;
         const auto &pos = args.positional();
         fatalIf(pos.empty(),
                 "usage: trace_pack "
@@ -290,7 +261,7 @@ main(int argc, char **argv)
                 std::max<std::uint64_t>(1, countArg(args, "refs") /
                                                cfg.segments);
             AtumLikeGenerator gen(cfg);
-            writeAnyFormat(gen, pos[1], frame_records);
+            writeTraceFile(gen, pos[1], frame_records);
             std::printf("wrote %llu references to %s\n",
                         static_cast<unsigned long long>(
                             gen.totalRefs()),
@@ -301,7 +272,7 @@ main(int argc, char **argv)
             ErrorPolicy policy = policyFromArgs(args);
             std::unique_ptr<TraceSource> in =
                 openTraceFile(pos[1], policy);
-            writeAnyFormat(*in, pos[2], frame_records);
+            writeTraceFile(*in, pos[2], frame_records);
             throwIfFailed(*in);
             if (in->skippedRecords() > 0)
                 std::fprintf(stderr,
@@ -313,9 +284,11 @@ main(int argc, char **argv)
             std::printf("%s -> %s\n", pos[1].c_str(), pos[2].c_str());
         } else if (cmd == "info") {
             fatalIf(pos.size() != 2, "usage: trace_pack info <in>");
-            TraceFormat fmt = detectTraceFormat(pos[1]);
-            std::printf("format: %s\n", traceFormatName(fmt));
-            if (fmt == TraceFormat::Ftr) {
+            Expected<TraceFormat> fmt = detectTraceFormat(pos[1]);
+            if (!fmt.ok())
+                throwError(Error(fmt.error()));
+            std::printf("format: %s\n", traceFormatName(fmt.value()));
+            if (fmt.value() == TraceFormat::Ftr) {
                 ErrorPolicy policy = policyFromArgs(args);
                 FtrTraceSource src(pos[1], policy);
                 throwIfFailed(src);
@@ -332,15 +305,8 @@ main(int argc, char **argv)
         } else if (cmd == "verify") {
             fatalIf(pos.size() != 2, "usage: trace_pack verify <in>");
             ErrorPolicy policy = policyFromArgs(args);
-            std::unique_ptr<TraceSource> in;
-            if (detectTraceFormat(pos[1]) == TraceFormat::Ftr) {
-                FtrOptions fopt;
-                fopt.prefetch = !args.getBool("no-prefetch");
-                in = std::make_unique<FtrTraceSource>(pos[1], policy,
-                                                      fopt);
-            } else {
-                in = openTraceFile(pos[1], policy);
-            }
+            std::unique_ptr<TraceSource> in =
+                openTraceFile(pos[1], policy);
             TraceDigest digest;
             MemRef r;
             while (in->next(r))
