@@ -461,10 +461,18 @@ main(int argc, char **argv)
         if (!parser.parse(argc, argv))
             return 0;
         CommonArgs args = readSweepFlags(parser);
-        // A journal checkpoints one sweep; each ablation restarts it.
+        // A journal checkpoints one sweep and a JSON file holds one;
+        // each ablation runs its own. bench::runSweep needs every
+        // point, so a failed job cannot become a gap.
         if (!args.journal_path.empty() || !args.resume_path.empty())
             throwError(Error::usage("bench_ablation runs several sweeps: "
                                     "--journal and --resume are refused"));
+        if (!args.json_path.empty())
+            throwError(Error::usage("bench_ablation runs several sweeps: "
+                                    "--json is refused"));
+        if (args.keep_going)
+            throwError(Error::usage("bench_ablation needs every sweep "
+                                    "point: --keep-going is refused"));
         subsetSweep(args);
         hintAccuracy(args);
         tagWidthSweep(args);

@@ -34,6 +34,11 @@ main(int argc, char **argv)
         if (!parser.parse(argc, argv))
             return 0;
         CommonArgs args = readSweepFlags(parser);
+        // bench::runSweep needs every point: the crossover compares
+        // all four designs, so a failed job cannot become a gap.
+        if (args.keep_going)
+            throwError(Error::usage("bench_crossover needs every sweep "
+                                    "point: --keep-going is refused"));
         std::uint32_t l1_bytes = parser.getUint32("l1");
         std::uint32_t l2_bytes = parser.getUint32("l2");
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <ostream>
 #include <unistd.h>
 
@@ -179,7 +181,21 @@ checkReaderContract(const trace::TraceSource &src, ErrorMode mode,
                     "fail-fast reader skipped records");
 }
 
-/** Flip bytes of a din file and stream it back under @p mode. */
+/** True when the text file at @p path ends inside a record line:
+ *  its last byte is no newline, and its last line no comment. */
+bool
+endsMidRecordLine(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    std::size_t start = text.rfind('\n') + 1; // npos + 1 wraps to 0
+    return start < text.size() && text[start] != '#';
+}
+
+/** Flip bytes of a din file, cut its tail off in half the cases
+ *  (a truncated copy or a short read), and stream it back under
+ *  @p mode. */
 void
 caseDinCorrupt(Scratch &scratch, std::uint64_t case_seed,
                ErrorMode mode, CaseCheck &chk)
@@ -196,6 +212,10 @@ caseDinCorrupt(Scratch &scratch, std::uint64_t case_seed,
     unsigned flips = 1 + rng.below(8);
     exec::FaultInjector::corruptBytes(path, case_seed ^ 0xd1d1ULL,
                                       flips);
+    if (rng.below(2) == 0)
+        exec::FaultInjector::truncateFile(
+            path, rng.below(static_cast<std::uint32_t>(
+                      fs::file_size(path))));
 
     ErrorPolicy policy;
     policy.mode = mode;
@@ -208,6 +228,12 @@ caseDinCorrupt(Scratch &scratch, std::uint64_t case_seed,
     if (src.failed())
         chk.require(streamed <= written + flips,
                     "failed reader over-delivered records");
+    // writeDin ends every line with a newline, so Strict must
+    // refuse a record line that end-of-file cut short.
+    if (mode == ErrorMode::Strict && endsMidRecordLine(path))
+        chk.require(src.failed(),
+                    "strict reader accepted a record line with no "
+                    "newline at end of file");
 
     // reset() must replay the identical outcome.
     src.reset();

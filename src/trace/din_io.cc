@@ -46,7 +46,8 @@ void
 writeDin(TraceSource &src, const std::string &path)
 {
     std::ofstream out(path);
-    fatalIf(!out, "cannot open '" + path + "' for writing");
+    if (!out)
+        throwError(Error::io("cannot open '" + path + "' for writing"));
     out << "# din trace (label addr-hex pid)\n";
     MemRef r;
     src.reset();
@@ -56,23 +57,24 @@ writeDin(TraceSource &src, const std::string &path)
                       r.addr, static_cast<unsigned>(r.pid));
         out << buf;
     }
-    fatalIf(!out.good(), "error writing '" + path + "'");
+    if (!out.good())
+        throwError(Error::io("error writing '" + path + "'"));
 }
 
 DinTraceSource::DinTraceSource(const std::string &path, ErrorPolicy policy)
-    : path_(path), policy_(policy),
-      in_(std::make_unique<std::ifstream>(path))
-{
-    if (!*in_)
-        error_ = Error::io("cannot open din trace '" + path_ + "'");
-}
+    : DinTraceSource(std::make_unique<std::ifstream>(path), path, policy)
+{}
 
 DinTraceSource::DinTraceSource(std::unique_ptr<std::istream> in,
                                std::string name, ErrorPolicy policy)
     : path_(std::move(name)), policy_(policy), in_(std::move(in))
 {
-    if (!in_ || in_->fail())
+    if (!in_ || in_->fail()) {
+        // Dropping the stream is what tells reset() the file never
+        // opened, so rewinding keeps this error.
+        in_.reset();
         error_ = Error::io("cannot open din trace '" + path_ + "'");
+    }
 }
 
 bool
@@ -134,6 +136,13 @@ DinTraceSource::next(MemRef &ref)
         }
         if (line.empty() || line[0] == '#')
             continue;
+        // writeDin ends every line with a newline, so under Strict a
+        // record line that runs into end-of-file was cut short.
+        if (policy_.mode == ErrorMode::Strict && in_->eof()) {
+            tolerate("record line has no newline (file cut short?)",
+                     line);
+            return false;
+        }
         std::istringstream iss(line);
         std::string label_tok, addr_tok, pid_tok, extra_tok;
         iss >> label_tok >> addr_tok;
@@ -228,10 +237,8 @@ DinTraceSource::next(MemRef &ref)
 void
 DinTraceSource::reset()
 {
-    if (!in_) {
-        error_ = Error::io("cannot rewind din trace '" + path_ + "'");
-        return;
-    }
+    if (!in_)
+        return; // never opened: keep the open error
     in_->clear();
     in_->seekg(0);
     line_ = 0;

@@ -14,6 +14,13 @@
  * at the first bad line, Skip tolerates up to max_skips of them,
  * Strict additionally rejects trailing columns, non-numeric pids,
  * and out-of-range addresses/pids that FailFast silently truncates.
+ *
+ * A file cut mid-line (a truncated file, or a short read from the
+ * device) ends in a record line without its newline. Strict rejects
+ * that line as a Data error, because writeDin() ends every line with
+ * one. FailFast and Skip cannot tell truncation from a hand-written
+ * file that simply lacks the final newline, so they read the line as
+ * whatever it parses to.
  */
 
 #ifndef ASSOC_TRACE_DIN_IO_H
@@ -29,7 +36,8 @@
 namespace assoc {
 namespace trace {
 
-/** Write all references of @p src to @p path in din format. */
+/** Write all references of @p src to @p path in din format. A file
+ *  that cannot be created or written throws an Io error. */
 void writeDin(TraceSource &src, const std::string &path);
 
 /** Streaming reader for din trace files. */

@@ -220,40 +220,6 @@ class ForwardingTraceSource : public TraceSource
     TraceSource &inner_;
 };
 
-/**
- * Wrap a source, truncating it after @p limit references.
- * Useful for quick runs of the full ATUM-like trace.
- */
-class LimitedTraceSource : public ForwardingTraceSource
-{
-  public:
-    LimitedTraceSource(TraceSource &inner, std::uint64_t limit)
-        : ForwardingTraceSource(inner), limit_(limit)
-    {}
-
-    bool
-    next(MemRef &ref) override
-    {
-        if (count_ >= limit_)
-            return false;
-        if (!inner_.next(ref))
-            return false;
-        ++count_;
-        return true;
-    }
-
-    void
-    reset() override
-    {
-        inner_.reset();
-        count_ = 0;
-    }
-
-  private:
-    std::uint64_t limit_;
-    std::uint64_t count_ = 0;
-};
-
 } // namespace trace
 } // namespace assoc
 

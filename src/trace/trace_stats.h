@@ -1,8 +1,9 @@
 /**
  * @file
  * Trace characterization: reference mix, footprint, per-process
- * breakdown. Used by the trace_tools example and by tests that
- * validate the synthetic workload against its calibration targets.
+ * breakdown. Used by `trace_pack stats`, by bench_table3, and by
+ * tests that validate the synthetic workload against its
+ * calibration targets.
  */
 
 #ifndef ASSOC_TRACE_TRACE_STATS_H

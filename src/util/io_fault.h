@@ -11,11 +11,12 @@
  * stream). A hard error must always become a structured Io error,
  * never a clean end-of-file (that would silently compute statistics
  * over a prefix). A short read looks exactly like a shorter file,
- * and each reader treats it as one. Din text cannot tell it apart:
- * the stream ends without an error, and a line the cut splits is
- * read as whatever its first part parses to. Ftr, whose header and
- * footer record the total, counts it as a torn tail — a Data error
- * under FailFast/Strict, skipped and counted under Skip.
+ * and each reader treats it as one. Din text can tell only when the
+ * cut splits a line: the last line then has no newline, which Strict
+ * rejects as a Data error, while FailFast and Skip read it as
+ * whatever its first part parses to. Ftr, whose header and footer
+ * record the total, counts it as a torn tail — a Data error under
+ * FailFast/Strict, skipped and counted under Skip.
  *
  * Everything is a pure function of the plan, so a failing fuzz case
  * replays byte-identically.

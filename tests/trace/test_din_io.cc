@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "trace/din_io.h"
 #include "util/logging.h"
@@ -205,6 +206,82 @@ TEST_F(DinIoTest, ResetClearsARecoverableError)
     EXPECT_EQ(r.addr, 0x100u);
 }
 
+/** A three-record din file cut after 32 bytes, inside the last
+ *  line: "2 e2351c12 1\n" becomes "2 e2". */
+class DinCutTest : public DinIoTest
+{
+  protected:
+    void
+    writeCut(std::size_t keep)
+    {
+        const std::string text =
+            "# din\n0 e2351c12 1\n1 1000 0\n2 e2351c12 1\n";
+        std::ofstream out(path_, std::ios::binary);
+        out << text.substr(0, keep);
+    }
+
+    /** Drain @p in; returns the records it delivered. */
+    static std::vector<MemRef>
+    drain(DinTraceSource &in)
+    {
+        std::vector<MemRef> got;
+        MemRef r;
+        while (in.next(r))
+            got.push_back(r);
+        return got;
+    }
+};
+
+TEST_F(DinCutTest, StrictRejectsARecordLineWithoutItsNewline)
+{
+    writeCut(32);
+    ErrorPolicy policy;
+    policy.mode = ErrorMode::Strict;
+    DinTraceSource in(path_, policy);
+    EXPECT_EQ(drain(in).size(), 2u);
+    ASSERT_TRUE(in.failed());
+    EXPECT_EQ(in.error().code(), ErrorCode::Data);
+    EXPECT_NE(in.error().text().find(":4:"), std::string::npos)
+        << in.error().text();
+    EXPECT_NE(in.error().text().find("'2 e2'"), std::string::npos)
+        << in.error().text();
+}
+
+TEST_F(DinCutTest, StrictReadsACompleteFileAndAnUnterminatedComment)
+{
+    ErrorPolicy policy;
+    policy.mode = ErrorMode::Strict;
+    writeCut(41); // the whole file, last newline included
+    DinTraceSource whole(path_, policy);
+    EXPECT_EQ(drain(whole).size(), 3u);
+    EXPECT_FALSE(whole.failed()) << whole.error().text();
+
+    {
+        std::ofstream out(path_, std::ios::binary);
+        out << "0 100 1\n# no newline after this comment";
+    }
+    DinTraceSource comment(path_, policy);
+    EXPECT_EQ(drain(comment).size(), 1u);
+    EXPECT_FALSE(comment.failed()) << comment.error().text();
+}
+
+TEST_F(DinCutTest, FailFastAndSkipReadTheCutLineAsItParses)
+{
+    // Neither can tell a cut file from a hand-written one that lacks
+    // its final newline (din_io.h).
+    writeCut(32);
+    for (ErrorMode mode : {ErrorMode::FailFast, ErrorMode::Skip}) {
+        ErrorPolicy policy;
+        policy.mode = mode;
+        DinTraceSource in(path_, policy);
+        std::vector<MemRef> got = drain(in);
+        EXPECT_FALSE(in.failed()) << in.error().text();
+        EXPECT_EQ(in.skippedRecords(), 0u);
+        ASSERT_EQ(got.size(), 3u);
+        EXPECT_EQ(got[2], (MemRef{0xe2, RefType::Ifetch, 0}));
+    }
+}
+
 TEST(DinIo, MissingFileIsAnIoError)
 {
     DinTraceSource in("/nonexistent/trace.din");
@@ -212,6 +289,36 @@ TEST(DinIo, MissingFileIsAnIoError)
     EXPECT_EQ(in.error().code(), ErrorCode::Io);
     MemRef r;
     EXPECT_FALSE(in.next(r));
+}
+
+TEST(DinIo, ResetKeepsTheOpenError)
+{
+    // Rewinding a file that never opened must not replace the cause
+    // ("cannot open") with a symptom ("cannot rewind").
+    DinTraceSource in("/nonexistent/trace.din");
+    in.reset();
+    ASSERT_TRUE(in.failed());
+    EXPECT_EQ(in.error().code(), ErrorCode::Io);
+    EXPECT_NE(in.error().text().find("cannot open din trace"),
+              std::string::npos)
+        << in.error().text();
+
+    DinTraceSource none(nullptr, "no-stream.din");
+    none.reset();
+    EXPECT_NE(none.error().text().find("cannot open din trace"),
+              std::string::npos)
+        << none.error().text();
+}
+
+TEST(DinIo, UnwritablePathIsAnIoError)
+{
+    VectorTraceSource src({{0x10, RefType::Read, 0}});
+    try {
+        writeDin(src, "/nonexistent/dir/trace.din");
+        FAIL() << "writeDin wrote to a missing directory";
+    } catch (const ErrorException &e) {
+        EXPECT_EQ(e.error().code(), ErrorCode::Io);
+    }
 }
 
 } // namespace

@@ -8,7 +8,8 @@
  * is for damaged bytes, not dying disks. A short read looks exactly
  * like a shorter file, so the ftr reader owes it the torn-tail
  * contract: rejected unless skipping, and every lost record counted
- * when it is.
+ * when it is. The din reader sees one only when it splits a line,
+ * and only Strict rejects that line.
  */
 
 #include <gtest/gtest.h>
@@ -204,6 +205,48 @@ TEST_F(IoFaultTest, FtrShortReadIsATornTailUnderEveryPolicy)
             EXPECT_FALSE(in->failed()) << in->error().text();
             EXPECT_EQ(streamed, whole);
             EXPECT_EQ(streamed + in->skippedRecords(), 20000u);
+        }
+    }
+}
+
+TEST_F(IoFaultTest, DinShortReadSplittingALineFailsOnlyUnderStrict)
+{
+    // A short read three bytes into record line 51 leaves that line
+    // without its newline ("<label> <first hex digit>"). Strict
+    // rejects it; FailFast and Skip read it as a record (din_io.h).
+    std::string path = scratch(".din");
+    VectorTraceSource src(someRecords(2000));
+    writeTraceFile(src, path);
+    std::ifstream text(path, std::ios::binary);
+    std::string line;
+    std::uint64_t at = 0;
+    for (int i = 0; i < 51; ++i) { // the header, then 50 records
+        ASSERT_TRUE(std::getline(text, line));
+        at += line.size() + 1;
+    }
+    IoFaultPlan plan;
+    plan.short_read_at = at + 3;
+
+    for (ErrorMode mode :
+         {ErrorMode::FailFast, ErrorMode::Skip, ErrorMode::Strict}) {
+        ErrorPolicy policy;
+        policy.mode = mode;
+        std::unique_ptr<TraceSource> in =
+            openTraceFile(path, policy, plan);
+        std::uint64_t streamed = 0;
+        MemRef r;
+        while (in->next(r))
+            ++streamed;
+        if (mode == ErrorMode::Strict) {
+            EXPECT_EQ(streamed, 50u);
+            ASSERT_TRUE(in->failed());
+            EXPECT_EQ(in->error().code(), ErrorCode::Data);
+            EXPECT_NE(in->error().text().find(":52:"),
+                      std::string::npos)
+                << in->error().text();
+        } else {
+            EXPECT_EQ(streamed, 51u);
+            EXPECT_FALSE(in->failed()) << in->error().text();
         }
     }
 }

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "trace/ftr_reader.h"
+#include "trace/ftr_writer.h"
 #include "trace/trace_source.h"
+#include "util/cancel.h"
 
 namespace assoc {
 namespace trace {
@@ -134,38 +140,143 @@ TEST(Materialize, ThrowsTheSourcesError)
     }
 }
 
-TEST(LimitedTraceSource, TruncatesStream)
+// -----------------------------------------------------------------
+// The wrapper contract over a real file-backed source
+// (docs/TRACES.md, "Wrapper sources forward the whole contract"): a
+// wrapped ftr reader's structured error, its record-exact skip
+// accounting, and a cancel token attached to the wrapper all reach
+// the caller unchanged.
+// -----------------------------------------------------------------
+
+/** The thinnest wrapper: it passes every record and implements only
+ *  next() and reset(), so everything else it reports is
+ *  ForwardingTraceSource's forwarding. */
+class PassThroughSource : public ForwardingTraceSource
 {
-    VectorTraceSource inner({{1, RefType::Read, 0},
-                             {2, RefType::Read, 0},
-                             {3, RefType::Read, 0}});
-    LimitedTraceSource lim(inner, 2);
-    MemRef r;
-    EXPECT_TRUE(lim.next(r));
-    EXPECT_TRUE(lim.next(r));
-    EXPECT_FALSE(lim.next(r));
+  public:
+    explicit PassThroughSource(TraceSource &inner)
+        : ForwardingTraceSource(inner)
+    {}
+
+    bool next(MemRef &ref) override { return inner_.next(ref); }
+    void reset() override { inner_.reset(); }
+};
+
+class ForwardingFtrTest : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        path_ = ::testing::TempDir() + "forwarding_ftr_" +
+                ::testing::UnitTest::GetInstance()
+                    ->current_test_info()
+                    ->name() +
+                ".ftr";
+    }
+
+    void TearDown() override { std::remove(path_.c_str()); }
+
+    /** Write @p n sequential records in frames of @p frame_records. */
+    void
+    writeTrace(std::size_t n, std::uint32_t frame_records)
+    {
+        std::vector<MemRef> refs;
+        for (std::size_t i = 0; i < n; ++i)
+            refs.push_back({static_cast<Addr>(i * 32), RefType::Read, 0});
+        VectorTraceSource src(std::move(refs));
+        FtrWriter::Options opt;
+        opt.frame_records = frame_records;
+        Expected<std::uint64_t> w = writeFtr(src, path_, opt);
+        ASSERT_TRUE(w.ok()) << w.error().text();
+    }
+
+    /** Flip one byte in the middle of the frame data. */
+    void
+    corruptMidFile()
+    {
+        std::fstream f(path_, std::ios::in | std::ios::out |
+                                  std::ios::binary);
+        ASSERT_TRUE(f.is_open());
+        f.seekg(0, std::ios::end);
+        std::streampos at = f.tellg() / 2;
+        f.seekg(at);
+        char b = 0;
+        f.read(&b, 1);
+        b = static_cast<char>(b ^ 0xff);
+        f.seekp(at);
+        f.write(&b, 1);
+    }
+
+    /** Drain @p src; returns the records it delivered. */
+    static std::uint64_t
+    drain(TraceSource &src)
+    {
+        MemRef r;
+        std::uint64_t n = 0;
+        while (src.next(r))
+            ++n;
+        return n;
+    }
+
+    std::string path_;
+};
+
+TEST_F(ForwardingFtrTest, InnerDataErrorSurfacesThroughTheWrapper)
+{
+    // A FailFast reader over a corrupt file stops with a Data error;
+    // the wrapper must report it, so throwIfFailed throws the inner
+    // structured error instead of taking the stop for a clean end of
+    // trace.
+    writeTrace(4096, 256);
+    corruptMidFile();
+    FtrTraceSource inner(path_, ErrorPolicy()); // FailFast
+    PassThroughSource wrapped(inner);
+    drain(wrapped);
+    ASSERT_TRUE(wrapped.failed());
+    EXPECT_EQ(wrapped.error().code(), ErrorCode::Data);
+    EXPECT_EQ(wrapped.error().message(), inner.error().message());
+    try {
+        throwIfFailed(wrapped);
+        FAIL() << "a failed wrapper passed throwIfFailed";
+    } catch (const ErrorException &e) {
+        EXPECT_EQ(e.error().code(), ErrorCode::Data);
+        EXPECT_EQ(e.error().message(), inner.error().message());
+    }
 }
 
-TEST(LimitedTraceSource, ResetResetsBothLayers)
+TEST_F(ForwardingFtrTest, SkipLossPassesThroughRecordExact)
 {
-    VectorTraceSource inner({{1, RefType::Read, 0},
-                             {2, RefType::Read, 0}});
-    LimitedTraceSource lim(inner, 1);
-    MemRef r;
-    EXPECT_TRUE(lim.next(r));
-    EXPECT_FALSE(lim.next(r));
-    lim.reset();
-    ASSERT_TRUE(lim.next(r));
-    EXPECT_EQ(r.addr, 1u);
+    // Skip mode loses exactly the one damaged 256-record frame, and
+    // the wrapper reports the reader's record-exact count.
+    writeTrace(4096, 256);
+    corruptMidFile();
+    ErrorPolicy policy;
+    policy.mode = ErrorMode::Skip;
+    FtrTraceSource inner(path_, policy);
+    PassThroughSource wrapped(inner);
+    std::uint64_t delivered = drain(wrapped);
+    EXPECT_FALSE(wrapped.failed());
+    EXPECT_EQ(wrapped.skippedRecords(), 256u);
+    EXPECT_EQ(wrapped.skippedRecords(), inner.skippedRecords());
+    EXPECT_EQ(delivered, 4096u - 256u);
 }
 
-TEST(LimitedTraceSource, LimitBeyondLengthIsHarmless)
+TEST_F(ForwardingFtrTest, CancelTokenOnTheWrapperStopsTheReader)
 {
-    VectorTraceSource inner({{1, RefType::Read, 0}});
-    LimitedTraceSource lim(inner, 100);
-    MemRef r;
-    EXPECT_TRUE(lim.next(r));
-    EXPECT_FALSE(lim.next(r));
+    // setCancelToken on the wrapper must reach the reader that polls
+    // it: a cancelled run stops mid-stream with the reader's
+    // structured Cancelled error.
+    writeTrace(8192, 64);
+    FtrTraceSource inner(path_);
+    PassThroughSource wrapped(inner);
+    CancelToken token;
+    wrapped.setCancelToken(&token);
+    token.cancel();
+    std::uint64_t delivered = drain(wrapped);
+    ASSERT_TRUE(wrapped.failed());
+    EXPECT_EQ(wrapped.error().code(), ErrorCode::Cancelled);
+    EXPECT_LT(delivered, 8192u);
 }
 
 } // namespace

@@ -1,16 +1,20 @@
 /**
  * @file
- * Framed-trace (ftr) toolbox: pack, verify, damage, and replay.
+ * Trace-file toolbox: generate, convert, inspect, damage, and replay
+ * .din and framed .ftr traces.
  *
  * Subcommands (first positional argument):
  *   gen <out>        generate an ATUM-like corpus straight to disk
  *                    (--refs=180M writes ~180 million references in
  *                    bounded memory; format from the extension)
- *   pack <in> <out>  re-encode any trace file as framed ftr
- *   unpack <in> <out>  decode an ftr file back to .din
+ *   convert <in> <out>  re-encode any trace file; the output format
+ *                    follows the extension (.din or .ftr)
+ *   stats <in>       print the reference mix and footprint (32-byte
+ *                    blocks) of the whole trace, then one row per
+ *                    flush-delimited segment
  *   info <in>        print header / frame-index facts
  *   verify <in>      stream every frame, print record count + digest
- *                    (exit 3 on damage under the chosen --errors)
+ *                    (exit 2 on damage under the chosen --errors)
  *   corrupt <file>   deterministic damage: --flips, --truncate,
  *                    --tear-footer, --crash (for tests and CI
  *                    smoke runs)
@@ -20,12 +24,13 @@
  *                    recovery path CI exercises on damaged corpora
  *
  *   $ trace_pack gen /tmp/big.ftr --refs=8M --frame-records=64K
+ *   $ trace_pack convert /tmp/big.ftr /tmp/big.din
+ *   $ trace_pack stats /tmp/big.din --errors=skip
  *   $ trace_pack corrupt /tmp/big.ftr --flips=16 --seed=9
  *   $ trace_pack sweep /tmp/big.ftr --errors=skip --mem-budget=256M
  */
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 
 #include "exec/fault.h"
@@ -34,10 +39,12 @@
 #include "trace/atum_like.h"
 #include "trace/ftr_reader.h"
 #include "trace/trace_file.h"
+#include "trace/trace_stats.h"
 #include "util/argparse.h"
 #include "util/error.h"
 #include "util/fnv.h"
 #include "util/logging.h"
+#include "util/table.h"
 
 using namespace assoc;
 using namespace assoc::trace;
@@ -80,6 +87,21 @@ policyFromArgs(const ArgParser &args)
     policy.mode = mode.value();
     policy.max_skips = args.getUint("max-skips");
     return policy;
+}
+
+/** After a full read of @p path: throw the reader's error, or
+ *  report the records it skipped as damaged. */
+void
+finishRead(const TraceSource &in, const std::string &path)
+{
+    throwIfFailed(in);
+    if (in.skippedRecords() > 0)
+        std::fprintf(stderr,
+                     "trace_pack: skipped %llu damaged record(s) in "
+                     "%s\n",
+                     static_cast<unsigned long long>(
+                         in.skippedRecords()),
+                     path.c_str());
 }
 
 /** Counts with size suffixes: --refs=8M, --frame-records=64K. */
@@ -209,12 +231,13 @@ int
 main(int argc, char **argv)
 {
     ArgParser args("trace_pack",
-                   "pack, damage, verify, and replay framed traces");
+                   "generate, convert, inspect, damage, and replay "
+                   "trace files");
     args.addFlag("refs", "1M", "gen: total references (k/M suffixes)");
     args.addFlag("segments", "4", "gen: flush-delimited segments");
     args.addFlag("seed", "0", "gen/corrupt: deterministic seed");
     args.addFlag("frame-records", "64K",
-                 "pack/gen: records per ftr frame");
+                 "gen/convert: records per ftr frame");
     args.addFlag("errors", "fail-fast",
                  "damage policy: fail-fast|skip|strict");
     args.addFlag("max-skips", "100",
@@ -244,7 +267,7 @@ main(int argc, char **argv)
         const auto &pos = args.positional();
         fatalIf(pos.empty(),
                 "usage: trace_pack "
-                "gen|pack|unpack|info|verify|corrupt|sweep <files>");
+                "gen|convert|stats|info|verify|corrupt|sweep <files>");
         const std::string &cmd = pos[0];
         std::uint32_t frame_records = ArgParser::checkUint32(
             "frame-records", countArg(args, "frame-records"));
@@ -266,22 +289,38 @@ main(int argc, char **argv)
                         static_cast<unsigned long long>(
                             gen.totalRefs()),
                         pos[1].c_str());
-        } else if (cmd == "pack" || cmd == "unpack") {
+        } else if (cmd == "convert") {
             fatalIf(pos.size() != 3,
-                    "usage: trace_pack " + cmd + " <in> <out>");
-            ErrorPolicy policy = policyFromArgs(args);
+                    "usage: trace_pack convert <in> <out>");
             std::unique_ptr<TraceSource> in =
-                openTraceFile(pos[1], policy);
+                openTraceFile(pos[1], policyFromArgs(args));
             writeTraceFile(*in, pos[2], frame_records);
-            throwIfFailed(*in);
-            if (in->skippedRecords() > 0)
-                std::fprintf(stderr,
-                             "trace_pack: skipped %llu damaged "
-                             "record(s) in %s\n",
-                             static_cast<unsigned long long>(
-                                 in->skippedRecords()),
-                             pos[1].c_str());
+            finishRead(*in, pos[1]);
             std::printf("%s -> %s\n", pos[1].c_str(), pos[2].c_str());
+        } else if (cmd == "stats") {
+            fatalIf(pos.size() != 2, "usage: trace_pack stats <in>");
+            std::unique_ptr<TraceSource> in =
+                openTraceFile(pos[1], policyFromArgs(args));
+            // Two passes: a segment's footprint cannot be summed
+            // into the whole trace's.
+            TraceStats whole = collectStats(*in);
+            throwIfFailed(*in);
+            std::vector<TraceStats> segments = collectSegmentStats(*in);
+            finishRead(*in, pos[1]);
+            whole.print(std::cout);
+            TextTable t;
+            t.setHeader({"Segment", "Refs", "Read%", "Write%",
+                         "Ifetch%", "Footprint(KB)"});
+            for (std::size_t i = 0; i < segments.size(); ++i) {
+                const TraceStats &seg = segments[i];
+                t.addRow({std::to_string(i), TextTable::num(seg.refs),
+                          TextTable::num(100 * seg.readFraction(), 1),
+                          TextTable::num(100 * seg.writeFraction(), 1),
+                          TextTable::num(100 * seg.ifetchFraction(), 1),
+                          TextTable::num(seg.footprintBytes() / 1024)});
+            }
+            std::cout << "\n";
+            t.print(std::cout);
         } else if (cmd == "info") {
             fatalIf(pos.size() != 2, "usage: trace_pack info <in>");
             Expected<TraceFormat> fmt = detectTraceFormat(pos[1]);
