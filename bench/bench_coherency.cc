@@ -35,23 +35,32 @@ main(int argc, char **argv)
         std::printf("Coherency-invalidation study "
                     "(16K-16 L1, 256K-32 L2)\n\n");
 
-        for (double rate : {0.0, 0.001, 0.005, 0.02}) {
-            TextTable table;
-            table.setHeader({"Assoc", "Invalidations", "Occupancy",
-                             "Local miss"});
-            for (unsigned a : {1u, 2u, 4u, 8u}) {
-                trace::AtumLikeGenerator gen(traceConfig(args));
-                sim::RunSpec spec;
+        const double rates[] = {0.0, 0.001, 0.005, 0.02};
+        const unsigned assocs[] = {1u, 2u, 4u, 8u};
+        std::vector<RunSpec> specs;
+        for (double rate : rates)
+            for (unsigned a : assocs) {
+                RunSpec &spec = specs.emplace_back();
                 spec.hier = {mem::CacheGeometry(16384, 16, 1),
                              mem::CacheGeometry(262144, 32, a), true};
                 spec.coherency_rate = rate;
                 spec.occupancy_sample_period = 10000;
-                sim::RunOutput out = sim::runTrace(gen, spec);
+            }
+        std::vector<RunOutput> outs =
+            bench::runSweep(specs, args, "coherency");
+
+        const RunOutput *out = outs.data();
+        for (double rate : rates) {
+            TextTable table;
+            table.setHeader({"Assoc", "Invalidations", "Occupancy",
+                             "Local miss"});
+            for (unsigned a : assocs) {
                 table.addRow(
                     {std::to_string(a),
-                     TextTable::num(out.stats.coherency_invalidations),
-                     TextTable::num(out.mean_occupancy, 4),
-                     TextTable::num(out.stats.localMissRatio(), 4)});
+                     TextTable::num(out->stats.coherency_invalidations),
+                     TextTable::num(out->mean_occupancy, 4),
+                     TextTable::num(out->stats.localMissRatio(), 4)});
+                ++out;
             }
             std::printf("Invalidation rate %.3f per reference:\n\n",
                         rate);

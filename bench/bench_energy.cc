@@ -46,6 +46,9 @@ delayModelFor(const core::SchemeSpec &s)
       case core::SchemeKind::Mru:
       case core::SchemeKind::WayMemo:
       case core::SchemeKind::WayPredict:
+      case core::SchemeKind::SwapMru:
+      case core::SchemeKind::WideNaive:
+      case core::SchemeKind::WideMru:
         // Serial-probe designs all ride the MRU column: its timing
         // is "base + per-extra-probe", exactly the serial discipline.
         return {ImplKind::Mru, 1.0};

@@ -59,7 +59,6 @@ main(int argc, char **argv)
                     "(16K-16 L1, 256K-32 4-way L2, %u segments)...\n",
                     args.segments);
 
-        trace::AtumLikeGenerator gen(traceConfig(args));
         RunSpec spec;
         spec.hier =
             mem::HierarchyConfig{mem::CacheGeometry(16384, 16, 1),
@@ -69,7 +68,7 @@ main(int argc, char **argv)
         mru.kind = core::SchemeKind::Mru;
         spec.schemes = {mru, core::SchemeSpec::paperPartial(4)};
         spec.with_distances = true;
-        RunOutput out = runTrace(gen, spec);
+        RunOutput out = bench::runSweep({spec}, args, "table2")[0];
 
         // x: expected probes after reading the MRU list = MRU meter
         // probes - 1 (the list read itself). Averaged over priced

@@ -43,26 +43,29 @@ main(int argc, char **argv)
             std::printf("\n");
         }
 
-        TextTable table;
-        table.setHeader({"L1 cache", "Miss ratio",
-                         "Paper miss ratio"});
         struct L1
         {
             std::uint32_t bytes, block;
             const char *paper;
         };
-        for (L1 l1 : {L1{4096, 16, "0.1181"}, L1{16384, 16, "0.0657"},
-                      L1{16384, 32, "0.0513"}}) {
-            trace::AtumLikeGenerator gen(tcfg);
-            RunSpec spec;
-            spec.hier = mem::HierarchyConfig{
+        const L1 l1s[] = {{4096, 16, "0.1181"}, {16384, 16, "0.0657"},
+                          {16384, 32, "0.0513"}};
+        std::vector<RunSpec> specs;
+        for (L1 l1 : l1s)
+            specs.emplace_back().hier = mem::HierarchyConfig{
                 mem::CacheGeometry(l1.bytes, l1.block, 1),
                 mem::CacheGeometry(262144, 32, 4), true};
-            RunOutput out = runTrace(gen, spec);
+        std::vector<RunOutput> outs =
+            bench::runSweep(specs, args, "table3");
+
+        TextTable table;
+        table.setHeader({"L1 cache", "Miss ratio",
+                         "Paper miss ratio"});
+        const RunOutput *out = outs.data();
+        for (L1 l1 : l1s)
             table.addRow({cacheName(l1.bytes, l1.block),
-                          TextTable::num(out.stats.l1MissRatio(), 4),
+                          TextTable::num((out++)->stats.l1MissRatio(), 4),
                           l1.paper});
-        }
         std::printf("Level-one cache miss ratios (direct-mapped, "
                     "write-back):\n\n");
         table.print(std::cout, args.format);

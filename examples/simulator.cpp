@@ -95,7 +95,7 @@ main(int argc, char **argv)
         hcfg.l2_replacement =
             sim::parseReplPolicy(parser.getString("policy"));
 
-        std::vector<sim::ParsedScheme> schemes =
+        std::vector<core::SchemeSpec> schemes =
             sim::parseSchemeList(parser.getString("schemes"),
                                  hcfg.l2.assoc(), tag_bits);
         bool wb_opt = !parser.getBool("no-wbopt");
@@ -105,12 +105,8 @@ main(int argc, char **argv)
         std::vector<std::unique_ptr<core::ProbeMeter>> meters;
         std::vector<std::unique_ptr<core::ProbeMeter>> l3_meters;
 
-        core::MeterConfig mcfg;
-        mcfg.tag_bits = tag_bits;
-        mcfg.wb_optimization = wb_opt;
-        for (const sim::ParsedScheme &s : schemes) {
-            meters.push_back(std::make_unique<core::ProbeMeter>(
-                s.makeStrategy(), mcfg));
+        for (const core::SchemeSpec &s : schemes) {
+            meters.push_back(s.makeMeter(wb_opt));
             hier.addObserver(meters.back().get());
         }
         if (!parser.getString("l3").empty()) {
@@ -118,10 +114,8 @@ main(int argc, char **argv)
                 sim::parseCacheSpec(parser.getString("l3")), hcfg.l2,
                 hcfg.l2_replacement);
             hier.setMemorySide(l3.get());
-            for (const sim::ParsedScheme &s : schemes) {
-                l3_meters.push_back(
-                    std::make_unique<core::ProbeMeter>(
-                        s.makeStrategy(), mcfg));
+            for (const core::SchemeSpec &s : schemes) {
+                l3_meters.push_back(s.makeMeter(wb_opt));
                 l3->addObserver(l3_meters.back().get());
             }
         }

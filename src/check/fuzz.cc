@@ -154,6 +154,9 @@ schemeName(const core::SchemeSpec &s)
     os << core::schemeKindName(s.kind);
     if (s.kind == core::SchemeKind::Mru && s.mru_list_len != 0)
         os << "/" << s.mru_list_len;
+    if (s.kind == core::SchemeKind::WideNaive ||
+        s.kind == core::SchemeKind::WideMru)
+        os << "-" << s.width;
     if (s.kind == core::SchemeKind::Partial)
         os << "(k=" << s.partial_k << ",s=" << s.partial_subsets
            << "," << core::transformKindName(s.transform) << ")";
@@ -274,6 +277,22 @@ checkMeterStats(const FuzzCase &c, const mem::HierarchyStats &hs,
             expectSum(log, who, "read-in miss", ps.read_in_misses,
                       a > 1 ? 2 : 1);
         break;
+      case core::SchemeKind::SwapMru:
+        // No list to read: a miss scans all a frames.
+        if (ps.alias_hits == 0)
+            expectSum(log, who, "read-in miss", ps.read_in_misses, a);
+        break;
+      case core::SchemeKind::WideNaive:
+      case core::SchemeKind::WideMru: {
+        // A miss reads every group of b tags, after the list read
+        // for WideMru.
+        const unsigned groups = (a + spec.width - 1) / spec.width;
+        const bool list = spec.kind == core::SchemeKind::WideMru;
+        if (ps.alias_hits == 0)
+            expectSum(log, who, "read-in miss", ps.read_in_misses,
+                      groups + (list ? 1 : 0));
+        break;
+      }
     }
 }
 

@@ -2,7 +2,9 @@
 
 #include "core/mru_lookup.h"
 #include "core/partial_lookup.h"
+#include "core/swap_mru_lookup.h"
 #include "core/way_memo.h"
+#include "core/wide_lookup.h"
 #include "util/logging.h"
 
 namespace assoc {
@@ -44,6 +46,12 @@ schemeKindName(SchemeKind kind)
         return "WayMemo";
       case SchemeKind::WayPredict:
         return "WayPredict";
+      case SchemeKind::SwapMru:
+        return "SwapMRU";
+      case SchemeKind::WideNaive:
+        return "WideNaive";
+      case SchemeKind::WideMru:
+        return "WideMRU";
     }
     return "unknown";
 }
@@ -109,6 +117,12 @@ SchemeSpec::makeStrategy() const
       }
       case SchemeKind::WayPredict:
         return std::make_unique<WayPredictLookup>();
+      case SchemeKind::SwapMru:
+        return std::make_unique<SwapMruLookup>();
+      case SchemeKind::WideNaive:
+        return std::make_unique<WideNaiveLookup>(width);
+      case SchemeKind::WideMru:
+        return std::make_unique<WideMruLookup>(width);
     }
     panic("bad SchemeKind");
 }

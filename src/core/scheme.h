@@ -1,8 +1,9 @@
 /**
  * @file
- * Named scheme descriptors: a convenience layer that turns a scheme
- * name + parameters into a LookupStrategy / ProbeMeter, shared by
- * the examples and benchmark harnesses.
+ * Named scheme descriptors: the one description of a lookup
+ * strategy. A SchemeSpec turns a scheme kind + parameters into a
+ * LookupStrategy / ProbeMeter, shared by the examples, the
+ * benchmark harnesses and the --schemes parser (sim/config_parse.h).
  */
 
 #ifndef ASSOC_CORE_SCHEME_H
@@ -19,8 +20,10 @@ namespace assoc {
 namespace core {
 
 /**
- * The four implementation approaches of the paper, plus the
- * way-memoization family (docs/ENERGY.md) layered on top of them.
+ * The four implementation approaches of the paper, the way-
+ * memoization family (docs/ENERGY.md) layered on top of them, and
+ * the variants the paper sketches but does not evaluate: Section
+ * 2.1's swapping MRU and Section 1's b-wide (b x t) tag memories.
  */
 enum class SchemeKind {
     Traditional,
@@ -29,10 +32,14 @@ enum class SchemeKind {
     Partial,
     WayMemo,
     WayPredict,
+    SwapMru,
+    WideNaive,
+    WideMru,
 };
 
 /** Parse "traditional" / "naive" / "mru" / "partial" / "waymemo" /
- *  "waypredict". */
+ *  "waypredict". The swap and wide kinds have no name here: a
+ *  waymemo's u= option cannot wrap them (sim/config_parse.h). */
 SchemeKind schemeKindFromString(const std::string &s);
 
 /** Printable name. */
@@ -54,6 +61,9 @@ struct SchemeSpec
     /** Stored tag width t. */
     unsigned tag_bits = 16;
 
+    /** WideNaive / WideMru: tags read and compared per probe (b). */
+    unsigned width = 1;
+
     /** WayMemo: memo-table entries (power of two). */
     std::uint32_t memo_entries = 64;
     /** WayMemo: region granularity, region = block >> region_bits. */
@@ -61,8 +71,8 @@ struct SchemeSpec
     /** WayMemo: tagged entries (exact-region match) vs untagged. */
     bool memo_tagged = true;
     /** WayMemo: the scheme a memo miss falls back to. The rest of
-     *  this spec (mru_list_len, partial_*, tag_bits) parameterizes
-     *  it; nesting memo schemes is rejected. */
+     *  this spec (mru_list_len, partial_*, tag_bits, width)
+     *  parameterizes it; nesting memo schemes is rejected. */
     SchemeKind memo_underlying = SchemeKind::Traditional;
 
     /**

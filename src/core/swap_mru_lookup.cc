@@ -19,16 +19,16 @@ SwapMruLookup::lookup(const LookupInput &in) const
         if (in.valid[w] && in.stored_tags[w] == in.incoming_tag) {
             res.hit = true;
             res.way = static_cast<int>(w);
-            // Restoring MRU order moves the i blocks in front of
-            // the hit down one frame each.
-            swaps_ += i;
             return res;
         }
     }
-    // Miss: the incoming block becomes MRU; every surviving block
-    // shifts down one frame.
-    swaps_ += in.assoc - 1;
     return res;
+}
+
+std::uint64_t
+swapMruMoves(const ProbeStats &stats)
+{
+    return stats.events.tag_reads - stats.metered;
 }
 
 } // namespace core

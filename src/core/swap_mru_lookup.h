@@ -14,14 +14,17 @@
  * The catch the paper points out: tags and data must be swapped
  * between consecutive accesses, which is "not a viable
  * implementation option for most set-associative caches" beyond
- * 2-way. This class prices the lookups and *counts the swaps* so
- * the viability argument can be quantified (see bench_ablation).
+ * 2-way. This class prices the lookups; the block moves are derived
+ * from its meter's stats (swapMruMoves), so the viability argument
+ * can be quantified (see bench_ablation) without the strategy
+ * keeping any state.
  */
 
 #ifndef ASSOC_CORE_SWAP_MRU_LOOKUP_H
 #define ASSOC_CORE_SWAP_MRU_LOOKUP_H
 
 #include "core/lookup.h"
+#include "core/probe_meter.h"
 
 namespace assoc {
 namespace core {
@@ -34,19 +37,17 @@ class SwapMruLookup : public LookupStrategy
     LookupResult lookup(const LookupInput &in) const override;
 
     std::string name() const override { return "SwapMRU"; }
-
-    /**
-     * Block moves the swap scheme would have performed to restore
-     * MRU order after the accesses priced so far. A hit at MRU
-     * distance d (or a fill) rotates d blocks down by one frame:
-     * d moves. Mutable running total (the strategy interface is
-     * const).
-     */
-    std::uint64_t swaps() const { return swaps_; }
-
-  private:
-    mutable std::uint64_t swaps_ = 0;
 };
+
+/**
+ * Block moves the swap scheme performs to restore MRU order, from
+ * the stats of a SwapMruLookup's meter. A lookup reads one tag per
+ * probe; a hit at MRU distance d reads d tags and moves the d - 1
+ * blocks in front of it down one frame, and a miss reads all a tags
+ * and moves the a - 1 survivors. So every tag read after a lookup's
+ * first is one move: events.tag_reads - metered.
+ */
+std::uint64_t swapMruMoves(const ProbeStats &stats);
 
 } // namespace core
 } // namespace assoc

@@ -38,8 +38,6 @@ class WideNaiveLookup : public LookupStrategy
 
     std::string name() const override;
 
-    unsigned width() const { return width_; }
-
   private:
     unsigned width_;
 };
@@ -53,8 +51,6 @@ class WideMruLookup : public LookupStrategy
     LookupResult lookup(const LookupInput &in) const override;
 
     std::string name() const override;
-
-    unsigned width() const { return width_; }
 
   private:
     unsigned width_;

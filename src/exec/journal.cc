@@ -130,6 +130,7 @@ fnvMixSpec(std::uint64_t &h, const sim::RunSpec &spec)
         fnvMix(h, s.partial_subsets);
         fnvMix(h, static_cast<std::uint64_t>(s.transform));
         fnvMix(h, s.tag_bits);
+        fnvMix(h, s.width);
         fnvMix(h, s.memo_entries);
         fnvMix(h, s.memo_region_bits);
         fnvMix(h, s.memo_tagged);

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cctype>
 
-#include "core/mru_lookup.h"
-#include "core/swap_mru_lookup.h"
-#include "core/wide_lookup.h"
 #include "util/logging.h"
 
 namespace assoc {
@@ -86,73 +83,53 @@ parseCacheSpec(const std::string &spec)
                               assoc);
 }
 
-std::unique_ptr<core::LookupStrategy>
-ParsedScheme::makeStrategy() const
-{
-    switch (extra) {
-      case Extra::SwapMru:
-        return std::make_unique<core::SwapMruLookup>();
-      case Extra::WideNaive:
-        return std::make_unique<core::WideNaiveLookup>(extra_width);
-      case Extra::WideMru:
-        return std::make_unique<core::WideMruLookup>(extra_width);
-      case Extra::None:
-        break;
-    }
-    return spec.makeStrategy();
-}
-
-std::vector<ParsedScheme>
+std::vector<core::SchemeSpec>
 parseSchemeList(const std::string &list, unsigned assoc,
                 unsigned tag_bits)
 {
-    std::vector<ParsedScheme> out;
+    std::vector<core::SchemeSpec> out;
     for (const std::string &token : split(list, ',')) {
         if (token.empty())
             continue;
         // Options inside a token use ';' (e.g. partial:k=4;s=2) so
         // ',' stays the list separator.
-        ParsedScheme parsed;
-        parsed.text = token;
-        parsed.spec.tag_bits = tag_bits;
+        core::SchemeSpec parsed;
+        parsed.tag_bits = tag_bits;
 
         auto parts = split(token, ':');
         const std::string &name = parts[0];
         if (name == "traditional") {
-            parsed.spec.kind = core::SchemeKind::Traditional;
+            parsed.kind = core::SchemeKind::Traditional;
         } else if (name == "naive") {
-            parsed.spec.kind = core::SchemeKind::Naive;
+            parsed.kind = core::SchemeKind::Naive;
         } else if (name == "mru") {
-            parsed.spec.kind = core::SchemeKind::Mru;
+            parsed.kind = core::SchemeKind::Mru;
             if (parts.size() == 2)
-                parsed.spec.mru_list_len =
+                parsed.mru_list_len =
                     parseUnsigned(parts[1], "MRU list length");
         } else if (name == "swapmru") {
-            parsed.extra = ParsedScheme::Extra::SwapMru;
+            parsed.kind = core::SchemeKind::SwapMru;
         } else if (name == "widenaive" || name == "widemru") {
             fatalIf(parts.size() != 2,
                     name + " needs a width, e.g. " + name + ":2");
-            parsed.extra = name == "widenaive"
-                               ? ParsedScheme::Extra::WideNaive
-                               : ParsedScheme::Extra::WideMru;
-            parsed.extra_width =
-                parseUnsigned(parts[1], "tag-memory width");
+            parsed.kind = name == "widenaive"
+                              ? core::SchemeKind::WideNaive
+                              : core::SchemeKind::WideMru;
+            parsed.width = parseUnsigned(parts[1], "tag-memory width");
         } else if (name == "partial") {
-            parsed.spec =
-                core::SchemeSpec::paperPartial(assoc, tag_bits);
+            parsed = core::SchemeSpec::paperPartial(assoc, tag_bits);
             if (parts.size() == 2) {
                 for (const std::string &opt : split(parts[1], ';')) {
                     auto kv = split(opt, '=');
                     fatalIf(kv.size() != 2,
                             "bad partial option '" + opt + "'");
                     if (kv[0] == "k") {
-                        parsed.spec.partial_k =
-                            parseUnsigned(kv[1], "k");
+                        parsed.partial_k = parseUnsigned(kv[1], "k");
                     } else if (kv[0] == "s") {
-                        parsed.spec.partial_subsets =
+                        parsed.partial_subsets =
                             parseUnsigned(kv[1], "subsets");
                     } else if (kv[0] == "tr") {
-                        parsed.spec.transform =
+                        parsed.transform =
                             core::transformKindFromString(kv[1]);
                     } else {
                         fatal("unknown partial option '" + kv[0] +
@@ -161,24 +138,24 @@ parseSchemeList(const std::string &list, unsigned assoc,
                 }
             }
         } else if (name == "waypredict") {
-            parsed.spec.kind = core::SchemeKind::WayPredict;
+            parsed.kind = core::SchemeKind::WayPredict;
         } else if (name == "waymemo") {
-            parsed.spec.kind = core::SchemeKind::WayMemo;
+            parsed.kind = core::SchemeKind::WayMemo;
             if (parts.size() == 2) {
                 for (const std::string &opt : split(parts[1], ';')) {
                     auto kv = split(opt, '=');
                     fatalIf(kv.size() != 2,
                             "bad waymemo option '" + opt + "'");
                     if (kv[0] == "e") {
-                        parsed.spec.memo_entries =
+                        parsed.memo_entries =
                             parseUnsigned(kv[1], "memo entries");
                     } else if (kv[0] == "r") {
-                        parsed.spec.memo_region_bits =
+                        parsed.memo_region_bits =
                             parseUnsigned(kv[1], "memo region bits");
                     } else if (kv[0] == "tag") {
                         fatalIf(kv[1] != "0" && kv[1] != "1",
                                 "memo tag option must be 0 or 1");
-                        parsed.spec.memo_tagged = kv[1] == "1";
+                        parsed.memo_tagged = kv[1] == "1";
                     } else if (kv[0] == "u") {
                         core::SchemeKind under =
                             core::schemeKindFromString(kv[1]);
@@ -187,20 +164,19 @@ parseSchemeList(const std::string &list, unsigned assoc,
                                         core::SchemeKind::WayPredict,
                                 "waymemo cannot wrap another memo "
                                 "scheme");
-                        parsed.spec.memo_underlying = under;
+                        parsed.memo_underlying = under;
                     } else {
                         fatal("unknown waymemo option '" + kv[0] +
                               "' (e, r, tag or u)");
                     }
                 }
             }
-            if (parsed.spec.memo_underlying ==
-                core::SchemeKind::Partial) {
+            if (parsed.memo_underlying == core::SchemeKind::Partial) {
                 core::SchemeSpec p =
                     core::SchemeSpec::paperPartial(assoc, tag_bits);
-                parsed.spec.partial_k = p.partial_k;
-                parsed.spec.partial_subsets = p.partial_subsets;
-                parsed.spec.transform = p.transform;
+                parsed.partial_k = p.partial_k;
+                parsed.partial_subsets = p.partial_subsets;
+                parsed.transform = p.transform;
             }
         } else {
             fatal("unknown scheme '" + name +

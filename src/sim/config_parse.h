@@ -9,23 +9,23 @@
  * Scheme specs are comma-separated lists of:
  *   traditional | naive | mru | mru:<len> | swapmru |
  *   widenaive:<b> | widemru:<b> |
- *   partial | partial:k=<k>,s=<s>,tr=<none|xor|improved|swap> |
+ *   partial | partial:k=<k>;s=<s>;tr=<none|xor|improved|swap> |
  *   waypredict | waymemo | waymemo:e=<entries>;r=<region_bits>;
- *   tag=<0|1>;u=<underlying scheme>
+ *   tag=<0|1>;u=<traditional|naive|mru|partial>
  * ("partial" alone uses the paper's rule for the current
  * associativity and tag width; "waymemo" alone memoizes per block
  * with 64 tagged entries over a traditional lookup — see
- * docs/ENERGY.md).
+ * docs/ENERGY.md). Every entry becomes one core::SchemeSpec: the
+ * swap and wide variants are SchemeKinds like the rest, with b in
+ * SchemeSpec::width.
  */
 
 #ifndef ASSOC_SIM_CONFIG_PARSE_H
 #define ASSOC_SIM_CONFIG_PARSE_H
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/lookup.h"
 #include "core/scheme.h"
 #include "mem/cache.h"
 #include "mem/geometry.h"
@@ -39,29 +39,15 @@ mem::CacheGeometry parseCacheSpec(const std::string &spec);
 /** Parse a byte size with optional K/M suffix ("256K", "1M"). */
 std::uint32_t parseSize(const std::string &text);
 
-/** One parsed scheme entry. */
-struct ParsedScheme
-{
-    std::string text;       ///< the original token
-    core::SchemeSpec spec;  ///< ready-to-use scheme description
-    /** Set for the strategies SchemeSpec cannot express
-     *  (swapmru / widenaive / widemru): build via makeStrategy. */
-    enum class Extra { None, SwapMru, WideNaive, WideMru } extra =
-        Extra::None;
-    unsigned extra_width = 1; ///< b for the wide variants
-
-    /** Build the lookup strategy this entry describes. */
-    std::unique_ptr<core::LookupStrategy> makeStrategy() const;
-};
-
 /**
- * Parse a comma-separated scheme list.
+ * Parse a comma-separated scheme list into one SchemeSpec per entry
+ * (build each one's meter with SchemeSpec::makeMeter).
  * @param assoc level-two associativity (for "partial").
  * @param tag_bits stored tag width (propagated to every entry).
  */
-std::vector<ParsedScheme> parseSchemeList(const std::string &list,
-                                          unsigned assoc,
-                                          unsigned tag_bits);
+std::vector<core::SchemeSpec> parseSchemeList(const std::string &list,
+                                              unsigned assoc,
+                                              unsigned tag_bits);
 
 /** Parse "lru" / "fifo" / "random". */
 mem::ReplPolicy parseReplPolicy(const std::string &text);

@@ -58,7 +58,10 @@ struct RunSpec
      *  owned; see src/check). */
     core::LookupAuditor *auditor = nullptr;
     /** Additional observers attached to the hierarchy (not owned),
-     *  e.g. the invariant checkers in src/check. */
+     *  such as bench_ablation's hash-rehash shadow. For one runTrace
+     *  call only: a sweep must not carry them, because its jobs
+     *  would share each observer and a retried job would feed it
+     *  the stream twice. */
     std::vector<mem::L2Observer *> extra_observers;
 
     /** References runTrace pulls per TraceSource::nextBatch call at

@@ -82,60 +82,46 @@ accumulate(TraceStats &s, std::unordered_set<std::uint64_t> &blocks,
 } // namespace
 
 TraceStats
-collectStats(TraceSource &src, unsigned block_bytes)
+collectStats(TraceSource &src, unsigned block_bytes,
+             std::vector<TraceStats> *segments)
 {
     fatalIf(!isPow2(block_bytes), "collectStats: block size not pow2");
-    TraceStats s;
-    s.block_bytes = block_bytes;
     const unsigned shift = log2i(block_bytes);
 
-    std::unordered_set<std::uint64_t> blocks;
-    MemRef r;
-    src.reset();
-    while (src.next(r)) {
-        if (r.isFlush()) {
-            ++s.flushes;
-            continue;
-        }
-        accumulate(s, blocks, r, shift);
-    }
-    s.footprint_blocks = blocks.size();
-    return s;
-}
-
-std::vector<TraceStats>
-collectSegmentStats(TraceSource &src, unsigned block_bytes)
-{
-    fatalIf(!isPow2(block_bytes),
-            "collectSegmentStats: block size not pow2");
-    const unsigned shift = log2i(block_bytes);
-
-    std::vector<TraceStats> segments;
-    TraceStats cur;
-    cur.block_bytes = block_bytes;
-    std::unordered_set<std::uint64_t> blocks;
-
-    auto finish = [&]() {
-        cur.footprint_blocks = blocks.size();
-        segments.push_back(cur);
-        cur = TraceStats{};
-        cur.block_bytes = block_bytes;
-        blocks.clear();
+    // A segment's footprint cannot be summed into the whole trace's,
+    // so each keeps its own block set.
+    TraceStats whole, seg;
+    whole.block_bytes = seg.block_bytes = block_bytes;
+    std::unordered_set<std::uint64_t> blocks, seg_blocks;
+    auto finishSegment = [&]() {
+        seg.footprint_blocks = seg_blocks.size();
+        segments->push_back(seg);
+        seg = TraceStats{};
+        seg.block_bytes = block_bytes;
+        seg_blocks.clear();
     };
+    if (segments)
+        segments->clear();
 
     MemRef r;
     src.reset();
     while (src.next(r)) {
         if (r.isFlush()) {
-            ++cur.flushes;
-            finish();
+            ++whole.flushes;
+            if (segments) {
+                ++seg.flushes;
+                finishSegment();
+            }
             continue;
         }
-        accumulate(cur, blocks, r, shift);
+        accumulate(whole, blocks, r, shift);
+        if (segments)
+            accumulate(seg, seg_blocks, r, shift);
     }
-    if (cur.refs != 0 || segments.empty())
-        finish();
-    return segments;
+    whole.footprint_blocks = blocks.size();
+    if (segments && (seg.refs != 0 || segments->empty()))
+        finishSegment();
+    return whole;
 }
 
 } // namespace trace

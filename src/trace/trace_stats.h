@@ -48,20 +48,18 @@ struct TraceStats
 };
 
 /**
- * Collect statistics over all of @p src (consumes it from the start;
- * resets it first).
+ * Collect statistics over all of @p src in one pass (consumes it
+ * from the start; resets it first).
  * @param block_bytes footprint granularity (power of two).
+ * @param segments when set, is filled in the same pass with one
+ *        TraceStats per flush-delimited segment: the sub-traces a
+ *        flush marker separates (the 23 concatenated ATUM pieces of
+ *        the paper's Table 3). A flush marker counts in the
+ *        *preceding* segment's flushes field; a trace without
+ *        references still has one (empty) segment.
  */
-TraceStats collectStats(TraceSource &src, unsigned block_bytes = 32);
-
-/**
- * Collect statistics per flush-delimited segment: one TraceStats
- * for each of the sub-traces a flush marker separates (the 23
- * concatenated ATUM pieces of the paper's Table 3). Flush markers
- * are counted in the *preceding* segment's flushes field.
- */
-std::vector<TraceStats> collectSegmentStats(TraceSource &src,
-                                            unsigned block_bytes = 32);
+TraceStats collectStats(TraceSource &src, unsigned block_bytes = 32,
+                        std::vector<TraceStats> *segments = nullptr);
 
 } // namespace trace
 } // namespace assoc

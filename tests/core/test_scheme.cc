@@ -26,6 +26,9 @@ TEST(SchemeKindParsing, Names)
     EXPECT_STREQ(schemeKindName(SchemeKind::Naive), "Naive");
     EXPECT_STREQ(schemeKindName(SchemeKind::Mru), "MRU");
     EXPECT_STREQ(schemeKindName(SchemeKind::Partial), "Partial");
+    EXPECT_STREQ(schemeKindName(SchemeKind::SwapMru), "SwapMRU");
+    EXPECT_STREQ(schemeKindName(SchemeKind::WideNaive), "WideNaive");
+    EXPECT_STREQ(schemeKindName(SchemeKind::WideMru), "WideMRU");
 }
 
 TEST(SchemeSpec, MakesTheRightStrategyTypes)

@@ -77,17 +77,32 @@ TEST(SwapMruLookup, FindsTheRightWay)
     EXPECT_EQ(r.way, 3);
 }
 
-TEST(SwapMruLookup, CountsSwapsForReordering)
+/** A SwapMruLookup metered the way ProbeMeter meters it, so
+ *  swapMruMoves() derives the block moves from the stats. */
+struct Metered
 {
     SwapMruLookup swap;
+    ProbeStats stats;
+
+    void
+    lookup(const LookupInput &in)
+    {
+        stats.events += swap.lookup(in).events;
+        ++stats.metered;
+    }
+};
+
+TEST(SwapMruLookup, CountsSwapsForReordering)
+{
+    Metered m;
     SetFixture s = fourWay();
-    EXPECT_EQ(swap.swaps(), 0u);
-    swap.lookup(s.input(0xC)); // MRU hit: nothing moves
-    EXPECT_EQ(swap.swaps(), 0u);
-    swap.lookup(s.input(0xB)); // distance 4: 3 blocks shift down
-    EXPECT_EQ(swap.swaps(), 3u);
-    swap.lookup(s.input(0x9)); // miss: a-1 = 3 blocks shift down
-    EXPECT_EQ(swap.swaps(), 6u);
+    EXPECT_EQ(swapMruMoves(m.stats), 0u);
+    m.lookup(s.input(0xC)); // MRU hit: nothing moves
+    EXPECT_EQ(swapMruMoves(m.stats), 0u);
+    m.lookup(s.input(0xB)); // distance 4: 3 blocks shift down
+    EXPECT_EQ(swapMruMoves(m.stats), 3u);
+    m.lookup(s.input(0x9)); // miss: a-1 = 3 blocks shift down
+    EXPECT_EQ(swapMruMoves(m.stats), 6u);
 }
 
 TEST(SwapMruLookup, TwoWayIsTheViableCase)
@@ -95,12 +110,12 @@ TEST(SwapMruLookup, TwoWayIsTheViableCase)
     // The paper: "maintaining MRU order using swapping may be
     // feasible for a 2-way set-associative cache". At 2-way, at
     // most one block moves per access.
-    SwapMruLookup swap;
+    Metered m;
     SetFixture s{{0xA, 0xB}, {1, 1}, {1, 0}};
-    swap.lookup(s.input(0xB)); // MRU: 0 moves
-    swap.lookup(s.input(0xA)); // distance 2: 1 move
-    swap.lookup(s.input(0x9)); // miss: 1 move
-    EXPECT_EQ(swap.swaps(), 2u);
+    m.lookup(s.input(0xB)); // MRU: 0 moves
+    m.lookup(s.input(0xA)); // distance 2: 1 move
+    m.lookup(s.input(0x9)); // miss: 1 move
+    EXPECT_EQ(swapMruMoves(m.stats), 2u);
 }
 
 TEST(SwapMruLookup, Name)

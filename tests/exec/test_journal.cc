@@ -222,6 +222,13 @@ TEST(JournalCodec, HashSpecsSeparatesSweeps)
     EXPECT_NE(hashSpecs(a, 7), hashSpecs(a, 8)); // trace identity
     b[1].wb_optimization = !b[1].wb_optimization;
     EXPECT_NE(hashSpecs(a, 7), hashSpecs(b, 7)); // spec identity
+    // Specs that differ only in a b-wide tag memory's width b.
+    std::vector<sim::RunSpec> c = sweepSpecs(), d = sweepSpecs();
+    c[0].schemes[0].kind = core::SchemeKind::WideNaive;
+    d[0].schemes[0].kind = core::SchemeKind::WideNaive;
+    c[0].schemes[0].width = 2;
+    d[0].schemes[0].width = 4;
+    EXPECT_NE(hashSpecs(c, 7), hashSpecs(d, 7)); // width identity
 }
 
 TEST_F(JournalTest, WriteThenReadRestoresEveryRecord)

@@ -1,8 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "core/partial_lookup.h"
-#include "core/swap_mru_lookup.h"
-#include "core/wide_lookup.h"
 #include "sim/config_parse.h"
 #include "util/logging.h"
 
@@ -85,20 +82,20 @@ TEST(ParseSchemeList, BasicNames)
     auto schemes =
         parseSchemeList("traditional,naive,mru,partial", 4, 16);
     ASSERT_EQ(schemes.size(), 4u);
-    EXPECT_EQ(schemes[0].spec.kind, core::SchemeKind::Traditional);
-    EXPECT_EQ(schemes[1].spec.kind, core::SchemeKind::Naive);
-    EXPECT_EQ(schemes[2].spec.kind, core::SchemeKind::Mru);
-    EXPECT_EQ(schemes[3].spec.kind, core::SchemeKind::Partial);
+    EXPECT_EQ(schemes[0].kind, core::SchemeKind::Traditional);
+    EXPECT_EQ(schemes[1].kind, core::SchemeKind::Naive);
+    EXPECT_EQ(schemes[2].kind, core::SchemeKind::Mru);
+    EXPECT_EQ(schemes[3].kind, core::SchemeKind::Partial);
     // "partial" follows the paper rule at a = 4, t = 16.
-    EXPECT_EQ(schemes[3].spec.partial_k, 4u);
-    EXPECT_EQ(schemes[3].spec.partial_subsets, 1u);
+    EXPECT_EQ(schemes[3].partial_k, 4u);
+    EXPECT_EQ(schemes[3].partial_subsets, 1u);
 }
 
 TEST(ParseSchemeList, MruListLength)
 {
     auto schemes = parseSchemeList("mru:2", 8, 16);
     ASSERT_EQ(schemes.size(), 1u);
-    EXPECT_EQ(schemes[0].spec.mru_list_len, 2u);
+    EXPECT_EQ(schemes[0].mru_list_len, 2u);
 }
 
 TEST(ParseSchemeList, PartialOptions)
@@ -106,9 +103,9 @@ TEST(ParseSchemeList, PartialOptions)
     auto schemes =
         parseSchemeList("partial:k=2;s=4;tr=improved", 8, 16);
     ASSERT_EQ(schemes.size(), 1u);
-    EXPECT_EQ(schemes[0].spec.partial_k, 2u);
-    EXPECT_EQ(schemes[0].spec.partial_subsets, 4u);
-    EXPECT_EQ(schemes[0].spec.transform,
+    EXPECT_EQ(schemes[0].partial_k, 2u);
+    EXPECT_EQ(schemes[0].partial_subsets, 4u);
+    EXPECT_EQ(schemes[0].transform,
               core::TransformKind::Improved);
 }
 
@@ -117,17 +114,15 @@ TEST(ParseSchemeList, ExtraStrategies)
     auto schemes =
         parseSchemeList("swapmru,widenaive:2,widemru:4", 8, 16);
     ASSERT_EQ(schemes.size(), 3u);
-    EXPECT_NE(dynamic_cast<core::SwapMruLookup *>(
-                  schemes[0].makeStrategy().get()),
-              nullptr);
-    auto wn = schemes[1].makeStrategy();
-    auto *wide = dynamic_cast<core::WideNaiveLookup *>(wn.get());
-    ASSERT_NE(wide, nullptr);
-    EXPECT_EQ(wide->width(), 2u);
-    auto wm = schemes[2].makeStrategy();
-    auto *widem = dynamic_cast<core::WideMruLookup *>(wm.get());
-    ASSERT_NE(widem, nullptr);
-    EXPECT_EQ(widem->width(), 4u);
+    EXPECT_EQ(schemes[0].kind, core::SchemeKind::SwapMru);
+    EXPECT_EQ(schemes[1].kind, core::SchemeKind::WideNaive);
+    EXPECT_EQ(schemes[1].width, 2u);
+    EXPECT_EQ(schemes[2].kind, core::SchemeKind::WideMru);
+    EXPECT_EQ(schemes[2].width, 4u);
+    // Each builds the strategy it names, at its width.
+    EXPECT_EQ(schemes[0].makeMeter()->name(), "SwapMRU");
+    EXPECT_EQ(schemes[1].makeMeter()->name(), "WideNaive-2");
+    EXPECT_EQ(schemes[2].makeMeter()->name(), "WideMRU-4");
 }
 
 TEST(ParseSchemeList, WayMemoDefaultsAndOptions)
@@ -136,28 +131,28 @@ TEST(ParseSchemeList, WayMemoDefaultsAndOptions)
     // underlying (the header's documented defaults).
     auto schemes = parseSchemeList("waymemo,waypredict", 4, 16);
     ASSERT_EQ(schemes.size(), 2u);
-    EXPECT_EQ(schemes[0].spec.kind, core::SchemeKind::WayMemo);
-    EXPECT_EQ(schemes[0].spec.memo_entries, 64u);
-    EXPECT_EQ(schemes[0].spec.memo_region_bits, 0u);
-    EXPECT_TRUE(schemes[0].spec.memo_tagged);
-    EXPECT_EQ(schemes[0].spec.memo_underlying,
+    EXPECT_EQ(schemes[0].kind, core::SchemeKind::WayMemo);
+    EXPECT_EQ(schemes[0].memo_entries, 64u);
+    EXPECT_EQ(schemes[0].memo_region_bits, 0u);
+    EXPECT_TRUE(schemes[0].memo_tagged);
+    EXPECT_EQ(schemes[0].memo_underlying,
               core::SchemeKind::Traditional);
-    EXPECT_EQ(schemes[1].spec.kind, core::SchemeKind::WayPredict);
+    EXPECT_EQ(schemes[1].kind, core::SchemeKind::WayPredict);
 
     auto full = parseSchemeList("waymemo:e=128;r=2;tag=0;u=mru",
                                 4, 16);
-    EXPECT_EQ(full[0].spec.memo_entries, 128u);
-    EXPECT_EQ(full[0].spec.memo_region_bits, 2u);
-    EXPECT_FALSE(full[0].spec.memo_tagged);
-    EXPECT_EQ(full[0].spec.memo_underlying, core::SchemeKind::Mru);
+    EXPECT_EQ(full[0].memo_entries, 128u);
+    EXPECT_EQ(full[0].memo_region_bits, 2u);
+    EXPECT_FALSE(full[0].memo_tagged);
+    EXPECT_EQ(full[0].memo_underlying, core::SchemeKind::Mru);
 
     // A partial underlying pulls the paper's (k, s) parameters for
     // the given associativity and tag width.
     auto part = parseSchemeList("waymemo:u=partial", 4, 16);
-    EXPECT_EQ(part[0].spec.memo_underlying,
+    EXPECT_EQ(part[0].memo_underlying,
               core::SchemeKind::Partial);
-    EXPECT_EQ(part[0].spec.partial_k, 4u);
-    EXPECT_EQ(part[0].spec.partial_subsets, 1u);
+    EXPECT_EQ(part[0].partial_k, 4u);
+    EXPECT_EQ(part[0].partial_subsets, 1u);
 }
 
 TEST(ParseSchemeList, WayMemoRejections)
@@ -175,9 +170,9 @@ TEST(ParseSchemeList, WayMemoRejections)
 TEST(ParseSchemeList, TagBitsPropagate)
 {
     auto schemes = parseSchemeList("partial", 8, 32);
-    EXPECT_EQ(schemes[0].spec.tag_bits, 32u);
+    EXPECT_EQ(schemes[0].tag_bits, 32u);
     // 32-bit tags need only one subset at 8-way (Figure 6).
-    EXPECT_EQ(schemes[0].spec.partial_subsets, 1u);
+    EXPECT_EQ(schemes[0].partial_subsets, 1u);
 }
 
 TEST(ParseSchemeList, Rejections)

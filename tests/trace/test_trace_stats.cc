@@ -73,7 +73,8 @@ TEST(SegmentStats, SplitsAtFlushMarkers)
                            {0x40, RefType::Ifetch, 1},
                            MemRef::flush(),
                            {0x60, RefType::Read, 1}});
-    auto segs = collectSegmentStats(src, 32);
+    std::vector<TraceStats> segs;
+    collectStats(src, 32, &segs);
     ASSERT_EQ(segs.size(), 3u);
     EXPECT_EQ(segs[0].refs, 2u);
     EXPECT_EQ(segs[0].flushes, 1u);
@@ -89,7 +90,8 @@ TEST(SegmentStats, FootprintIsPerSegment)
                            {0x20, RefType::Read, 0},
                            MemRef::flush(),
                            {0x00, RefType::Read, 0}});
-    auto segs = collectSegmentStats(src, 32);
+    std::vector<TraceStats> segs;
+    collectStats(src, 32, &segs);
     ASSERT_EQ(segs.size(), 2u);
     EXPECT_EQ(segs[0].footprint_blocks, 2u);
     EXPECT_EQ(segs[1].footprint_blocks, 1u);
@@ -98,7 +100,8 @@ TEST(SegmentStats, FootprintIsPerSegment)
 TEST(SegmentStats, NoFlushGivesOneSegment)
 {
     VectorTraceSource src({{0x00, RefType::Read, 0}});
-    auto segs = collectSegmentStats(src);
+    std::vector<TraceStats> segs;
+    collectStats(src, 32, &segs);
     ASSERT_EQ(segs.size(), 1u);
     EXPECT_EQ(segs[0].refs, 1u);
 }
@@ -106,7 +109,8 @@ TEST(SegmentStats, NoFlushGivesOneSegment)
 TEST(SegmentStats, EmptyTraceGivesOneEmptySegment)
 {
     VectorTraceSource src;
-    auto segs = collectSegmentStats(src);
+    std::vector<TraceStats> segs;
+    collectStats(src, 32, &segs);
     ASSERT_EQ(segs.size(), 1u);
     EXPECT_EQ(segs[0].refs, 0u);
 }
@@ -115,7 +119,8 @@ TEST(SegmentStats, TrailingFlushDoesNotCreateEmptySegment)
 {
     VectorTraceSource src({{0x00, RefType::Read, 0},
                            MemRef::flush()});
-    auto segs = collectSegmentStats(src);
+    std::vector<TraceStats> segs;
+    collectStats(src, 32, &segs);
     ASSERT_EQ(segs.size(), 1u);
     EXPECT_EQ(segs[0].refs, 1u);
     EXPECT_EQ(segs[0].flushes, 1u);
@@ -128,8 +133,8 @@ TEST(SegmentStats, SegmentTotalsMatchWholeTraceStats)
                            MemRef::flush(),
                            {0x80, RefType::Ifetch, 1},
                            {0xC0, RefType::Read, 3}});
-    TraceStats whole = collectStats(src, 32);
-    auto segs = collectSegmentStats(src, 32);
+    std::vector<TraceStats> segs;
+    TraceStats whole = collectStats(src, 32, &segs);
     std::uint64_t refs = 0, reads = 0, writes = 0, ifetches = 0;
     for (const auto &s : segs) {
         refs += s.refs;

@@ -301,11 +301,8 @@ main(int argc, char **argv)
             fatalIf(pos.size() != 2, "usage: trace_pack stats <in>");
             std::unique_ptr<TraceSource> in =
                 openTraceFile(pos[1], policyFromArgs(args));
-            // Two passes: a segment's footprint cannot be summed
-            // into the whole trace's.
-            TraceStats whole = collectStats(*in);
-            throwIfFailed(*in);
-            std::vector<TraceStats> segments = collectSegmentStats(*in);
+            std::vector<TraceStats> segments;
+            TraceStats whole = collectStats(*in, 32, &segments);
             finishRead(*in, pos[1]);
             whole.print(std::cout);
             TextTable t;
