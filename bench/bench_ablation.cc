@@ -31,7 +31,7 @@
 
 #include "core/analytic.h"
 #include "core/hash_rehash.h"
-#include "core/swap_mru_lookup.h"
+#include "core/mru_lookup.h"
 #include "support.h"
 
 using namespace assoc;

@@ -30,16 +30,22 @@ ViolationLog::clear()
 ProbeBounds
 probeBoundsFor(const core::LookupStrategy &strategy, unsigned a)
 {
+    // Probes a scan of b tags per probe spends on all a ways.
+    auto groups = [a](unsigned b) { return b >= a ? 1 : (a + b - 1) / b; };
     ProbeBounds b;
-    if (dynamic_cast<const core::TraditionalLookup *>(&strategy)) {
-        b = {1, 1, 1, 1};
-    } else if (dynamic_cast<const core::NaiveLookup *>(&strategy)) {
-        // Hit after 1..a scanned tags; a miss always scans all a.
-        b = {1, a, a, a};
-    } else if (dynamic_cast<const core::MruLookup *>(&strategy)) {
-        // One probe reads the recency list, then 1..a tag probes;
-        // a miss costs the list read plus all a tags.
-        b = {2, a + 1, a + 1, a + 1};
+    if (auto *n = dynamic_cast<const core::NaiveLookup *>(&strategy)) {
+        // Hit after 1..ceil(a/b) groups in way order; a miss reads
+        // them all (one probe for the traditional b = a).
+        unsigned g = groups(n->width() == 0 ? a : n->width());
+        b = {1, g, g, g};
+    } else if (auto *m =
+                   dynamic_cast<const core::MruLookup *>(&strategy)) {
+        // One probe reads the recency list (none when the blocks
+        // are swapped into recency order), then 1..ceil(a/b) groups
+        // of tags; a miss costs the list read plus all of them.
+        unsigned list = m->readsList() ? 1 : 0;
+        unsigned g = groups(m->width());
+        b = {list + 1, list + g, list + g, list + g};
     } else if (auto *p = dynamic_cast<const core::PartialLookup *>(
                    &strategy)) {
         // s step-1 probes at most, plus one full compare per
@@ -69,65 +75,53 @@ probeBoundsFor(const core::LookupStrategy &strategy, unsigned a)
 
 namespace {
 
+/** Scan @p order (@p n ways) @p b tags per probe, after
+ *  @p first_probes probes that read no tag. */
 core::LookupResult
-refTraditional(const core::LookupInput &in)
+refScan(const core::LookupInput &in, const unsigned *order, unsigned n,
+        unsigned b, unsigned first_probes)
 {
     core::LookupResult res;
-    res.probes = 1;
-    for (unsigned w = 0; w < in.assoc; ++w) {
-        if (in.valid[w] && in.stored_tags[w] == in.incoming_tag) {
-            res.hit = true;
-            res.way = static_cast<int>(w);
-            break;
+    res.probes = first_probes;
+    for (unsigned base = 0; base < n; base += b) {
+        ++res.probes; // one probe reads this group of b tags
+        for (unsigned i = base; i < n && i < base + b; ++i) {
+            unsigned w = order[i];
+            if (in.valid[w] && in.stored_tags[w] == in.incoming_tag) {
+                res.hit = true;
+                res.way = static_cast<int>(w);
+                return res;
+            }
         }
     }
     return res;
 }
 
 core::LookupResult
-refNaive(const core::LookupInput &in)
+refWayOrder(const core::LookupInput &in, unsigned width)
 {
-    core::LookupResult res;
-    for (unsigned w = 0; w < in.assoc; ++w) {
-        ++res.probes;
-        if (in.valid[w] && in.stored_tags[w] == in.incoming_tag) {
-            res.hit = true;
-            res.way = static_cast<int>(w);
-            return res;
-        }
-    }
-    return res;
+    std::vector<unsigned> order(in.assoc);
+    for (unsigned w = 0; w < in.assoc; ++w)
+        order[w] = w;
+    return refScan(in, order.data(), in.assoc,
+                   width == 0 ? in.assoc : width, 0);
 }
 
 core::LookupResult
-refMru(const core::LookupInput &in, unsigned list_len)
+refRecency(const core::LookupInput &in, const core::MruLookup &m)
 {
-    core::LookupResult res;
-    res.probes = 1; // the recency-list read
-    unsigned ll = list_len == 0 ? in.assoc
-                                : std::min(list_len, in.assoc);
-    std::uint64_t searched = 0;
-    for (unsigned i = 0; i < ll; ++i) {
-        unsigned w = in.mru_order[i];
-        ++res.probes;
-        searched |= std::uint64_t{1} << w;
-        if (in.valid[w] && in.stored_tags[w] == in.incoming_tag) {
-            res.hit = true;
-            res.way = static_cast<int>(w);
-            return res;
-        }
-    }
-    for (unsigned w = 0; w < in.assoc; ++w) {
-        if (searched & (std::uint64_t{1} << w))
-            continue;
-        ++res.probes;
-        if (in.valid[w] && in.stored_tags[w] == in.incoming_tag) {
-            res.hit = true;
-            res.way = static_cast<int>(w);
-            return res;
-        }
-    }
-    return res;
+    // The list's ways, most recent first, then every way it does not
+    // name in ascending way order.
+    unsigned ll = m.listLen() == 0 ? in.assoc
+                                   : std::min(m.listLen(), in.assoc);
+    std::vector<unsigned> order(in.mru_order, in.mru_order + ll);
+    for (unsigned w = 0; w < in.assoc; ++w)
+        if (std::find(order.begin(), order.begin() + ll, w) ==
+            order.begin() + ll)
+            order.push_back(w);
+    return refScan(in, order.data(),
+                   static_cast<unsigned>(order.size()), m.width(),
+                   m.readsList() ? 1 : 0);
 }
 
 core::LookupResult
@@ -194,16 +188,12 @@ bool
 referenceLookup(const core::LookupStrategy &strategy,
                 const core::LookupInput &in, core::LookupResult &out)
 {
-    if (dynamic_cast<const core::TraditionalLookup *>(&strategy)) {
-        out = refTraditional(in);
-        return true;
-    }
-    if (dynamic_cast<const core::NaiveLookup *>(&strategy)) {
-        out = refNaive(in);
+    if (auto *n = dynamic_cast<const core::NaiveLookup *>(&strategy)) {
+        out = refWayOrder(in, n->width());
         return true;
     }
     if (auto *m = dynamic_cast<const core::MruLookup *>(&strategy)) {
-        out = refMru(in, m->listLen());
+        out = refRecency(in, *m);
         return true;
     }
     if (auto *p =

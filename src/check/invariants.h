@@ -7,8 +7,9 @@
  * structural invariants) into assertions callable from any
  * simulation:
  *
- *  - per-lookup probe bounds (1 <= probes <= a for Naive, a + 1 for
- *    MRU, s..s+a for Partial) from the Section 2 cost model;
+ *  - per-lookup probe bounds (1 <= probes <= ceil(a/b) for the
+ *    way-order scans, one more for the MRU list read, s..s+a for
+ *    Partial) from the Section 2 cost model;
  *  - exact reference re-execution: an independent re-implementation
  *    of each scheme's scan is compared probe-for-probe against the
  *    production strategy (differential redundancy);
@@ -88,8 +89,9 @@ struct ProbeBounds
 
 /**
  * Bounds for @p strategy at associativity @p a, derived from the
- * scheme's Section 2 cost model (recognized by type: Traditional,
- * Naive, MRU, Partial). Unrecognized strategies get the loose
+ * scheme's Section 2 cost model (recognized by type: the way-order
+ * and recency-order scans at their width b and list read, Partial,
+ * WayMemo, WayPredict). Unrecognized strategies get the loose
  * universal envelope [1, 1 + 2a] (list read + step-1 probes + full
  * compares can never exceed it).
  */

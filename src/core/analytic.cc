@@ -1,5 +1,6 @@
 #include "core/analytic.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/bitops.h"
@@ -33,6 +34,29 @@ naiveMiss(unsigned a)
 {
     fatalIf(a == 0, "associativity must be positive");
     return static_cast<double>(a);
+}
+
+double
+wideNaiveHit(unsigned a, unsigned b)
+{
+    fatalIf(a == 0 || b == 0, "bad wide-naive geometry");
+    // Hit way uniform over a positions; group g covers positions
+    // [g*b, (g+1)*b). E[probes] = E[g] + 1.
+    unsigned groups = (a + b - 1) / b;
+    double sum = 0.0;
+    for (unsigned g = 0; g < groups; ++g) {
+        unsigned in_group =
+            std::min(b, a - g * b); // positions in this group
+        sum += static_cast<double>(in_group) * (g + 1);
+    }
+    return sum / a;
+}
+
+double
+wideNaiveMiss(unsigned a, unsigned b)
+{
+    fatalIf(a == 0 || b == 0, "bad wide-naive geometry");
+    return static_cast<double>((a + b - 1) / b);
 }
 
 double

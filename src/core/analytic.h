@@ -27,6 +27,14 @@ double naiveHit(unsigned a);
 double naiveMiss(unsigned a);
 
 /**
+ * The b-wide naive scan (b tags per probe): a hit in group g costs
+ * g + 1 probes, a miss ceil(a/b). b = 1 is the naive scan, b = a the
+ * traditional lookup.
+ */
+double wideNaiveHit(unsigned a, unsigned b);
+double wideNaiveMiss(unsigned a, unsigned b);
+
+/**
  * MRU scan: 1 + sum i*f_i on a hit (f_i = probability the i-th
  * most-recently-used tag matches, given a hit), a + 1 on a miss.
  * @param f distribution, f[0] unused, f[1..a] the probabilities.

@@ -35,8 +35,8 @@
  * randomized fuzzing, and the goldens / fuzz digests downstream
  * must not move when the dispatch choice changes.
  *
- * Masks are std::uint64_t, so kernels cover associativity <= 64;
- * callers keep their scalar paths for anything wider.
+ * Masks are std::uint64_t, so kernels cover at most 64 ways: the
+ * widest cache (mem::kMaxAssoc), so no caller keeps a scalar path.
  */
 
 #ifndef ASSOC_CORE_KERNELS_H
@@ -74,8 +74,10 @@ struct LookupKernels
 
     /**
      * Bit w set iff valid[w] != 0 and tags[w] == needle, for
-     * w < a <= 64. The one kernel behind Traditional / Naive / MRU
-     * scans: every serial order is a walk of this mask.
+     * w < a (a at most 64). The one kernel behind every scan: the
+     * way-order scan (Traditional, Naive, WideNaive), the recency-
+     * order scan (MRU, WideMRU, SwapMRU) and WayPredict's second
+     * probe each walk this mask in their own order.
      */
     std::uint64_t (*eq_mask)(const std::uint32_t *tags,
                              const std::uint8_t *valid, unsigned a,
@@ -84,8 +86,8 @@ struct LookupKernels
     /**
      * eq_mask against a packed validity word instead of a byte
      * plane: bit w set iff bit w of valid_bits and vals[w] ==
-     * needle (w < a <= 64). Feeds WriteBackCache::findWay straight
-     * from the SoA valid bitmask.
+     * needle (w < a, a at most 64). Feeds WriteBackCache::findWay
+     * straight from the SoA valid bitmask.
      */
     std::uint64_t (*eq_mask_bits)(const std::uint32_t *vals,
                                   std::uint64_t valid_bits, unsigned a,
@@ -110,7 +112,7 @@ struct LookupKernels
      * Partial-compare step 1 over one subset of g ways (Section
      * 2.2): bit l set iff valid[l] != 0 and field l of the
      * transformed stored tag tags[l] equals inc_fields[l], for
-     * l < g <= 64. The caller precomputes inc_fields[l] =
+     * l < g (g at most 64). The caller precomputes inc_fields[l] =
      * xf.field(xf.apply(incoming, l), l) once per lookup; the
      * stored side is evaluated per way inside the kernel (the
      * vector bodies use closed forms of the four transforms, the
@@ -126,8 +128,8 @@ struct LookupKernels
                                   unsigned k, TransformKind kind,
                                   const TagTransform &xf);
 
-    /** out[i] = bit i of bits (0/1 bytes), i < n <= 64. The valid
-     *  plane decode of snapshotSet(). */
+    /** out[i] = bit i of bits (0/1 bytes), i < n (n at most 64).
+     *  The valid plane decode of snapshotSet(). */
     void (*expand_bits)(std::uint64_t bits, unsigned n,
                         std::uint8_t *out);
 

@@ -236,7 +236,7 @@ avx2PartialMask(const std::uint32_t *tags, const std::uint8_t *valid,
 void
 avx2ExpandBits(std::uint64_t bits, unsigned n, std::uint8_t *out)
 {
-    // n <= 64 bytes: the SWAR multiply spread is already one store
+    // At most 64 bytes: the SWAR multiply spread is already one store
     // per 8 ways; a vector version would not pay for its setup.
     kdetail::swarExpandBits(bits, n, out);
 }

@@ -1,77 +1,44 @@
 #include "core/lookup.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "core/kernels.h"
-#include "util/bitops.h"
 #include "util/logging.h"
 
 namespace assoc {
 namespace core {
 
-LookupResult
-TraditionalLookup::lookup(const LookupInput &in) const
+NaiveLookup
+NaiveLookup::wide(unsigned width)
 {
-    LookupResult res;
-    res.probes = 1;
-    // One wide probe reads and compares all a tags in parallel.
-    res.events.tag_reads = in.assoc;
-    res.events.tag_compares = in.assoc;
-    if (in.assoc <= 64) {
-        // All a ways compare in parallel in hardware — and in the
-        // kernel: one eq mask, hit = lowest matching way.
-        std::uint64_t e = activeKernels().eq_mask(
-            in.stored_tags, in.valid, in.assoc, in.incoming_tag);
-        if (e != 0) {
-            res.hit = true;
-            res.way = static_cast<int>(std::countr_zero(e));
-        }
-        return res;
-    }
-    for (unsigned w = 0; w < in.assoc; ++w) {
-        if (in.valid[w] && in.stored_tags[w] == in.incoming_tag) {
-            res.hit = true;
-            res.way = static_cast<int>(w);
-            break;
-        }
-    }
-    return res;
+    fatalIf(width == 0, "tag-memory width must be positive");
+    return NaiveLookup(width, "WideNaive-" + std::to_string(width));
 }
 
 LookupResult
 NaiveLookup::lookup(const LookupInput &in) const
 {
+    const unsigned a = in.assoc;
+    const unsigned b = width_ == 0 ? a : width_;
+    // Every tag compare at once, as one kernel eq mask: the first
+    // match in way order is its lowest set bit.
+    const std::uint64_t e = activeKernels().eq_mask(
+        in.stored_tags, in.valid, a, in.incoming_tag);
     LookupResult res;
-    if (in.assoc <= 64) {
-        // Serial scan in way order: the first matching way is the
-        // eq mask's lowest set bit, and every way before it (plus
-        // the hit itself) cost one probe; a miss examined all a.
-        std::uint64_t e = activeKernels().eq_mask(
-            in.stored_tags, in.valid, in.assoc, in.incoming_tag);
-        if (e != 0) {
-            unsigned w = static_cast<unsigned>(std::countr_zero(e));
-            res.hit = true;
-            res.way = static_cast<int>(w);
-            res.probes = w + 1;
-        } else {
-            res.probes = in.assoc;
-        }
-        // Each serial probe reads and compares one t-bit tag.
-        res.events.tag_reads = res.probes;
-        res.events.tag_compares = res.probes;
-        return res;
+    unsigned last = a - 1; // a miss reads through the last way
+    if (e != 0) {
+        last = static_cast<unsigned>(std::countr_zero(e));
+        res.hit = true;
+        res.way = static_cast<int>(last);
     }
-    for (unsigned w = 0; w < in.assoc; ++w) {
-        ++res.probes;
-        if (in.valid[w] && in.stored_tags[w] == in.incoming_tag) {
-            res.hit = true;
-            res.way = static_cast<int>(w);
-            break;
-        }
-    }
-    res.events.tag_reads = res.probes;
-    res.events.tag_compares = res.probes;
-    return res; // miss: all a tags were examined
+    res.probes = probesThrough(last, b, a);
+    // Each probe reads and compares its group's tags; the last
+    // group may be short.
+    const unsigned read = std::min(res.probes * b, a);
+    res.events.tag_reads = read;
+    res.events.tag_compares = read;
+    return res;
 }
 
 } // namespace core

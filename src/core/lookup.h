@@ -135,25 +135,59 @@ class LookupStrategy
 };
 
 /**
- * The traditional implementation (Figure 1a): all a tags are read
- * and compared in parallel — always exactly one probe.
+ * Probes a scan spends to reach position @p pos (0-based) of an
+ * order of @p n ways when each probe reads @p b of them: the probes
+ * up to and including pos's group. The plain serial scans (b = 1)
+ * and one-probe lookups (b >= n) take no division.
  */
-class TraditionalLookup : public LookupStrategy
+inline unsigned
+probesThrough(unsigned pos, unsigned b, unsigned n)
 {
-  public:
-    LookupResult lookup(const LookupInput &in) const override;
-    std::string name() const override { return "Traditional"; }
-};
+    return b == 1 ? pos + 1 : b >= n ? 1 : pos / b + 1;
+}
 
 /**
- * The naive serial implementation (Figure 1b): scan stored tags in
- * physical way order until a match or exhaustion.
+ * The serial scan in physical way order, reading b stored tags per
+ * probe (Section 1's b x t tag memories): the naive implementation
+ * (Figure 1b) at b = 1, the traditional one (Figure 1a) at b = a,
+ * and the intermediate widths the paper mentions but does not
+ * evaluate. A hit in scan group g (0-based) costs g + 1 probes; a
+ * miss reads all ceil(a/b) groups.
  */
 class NaiveLookup : public LookupStrategy
 {
   public:
+    /** The naive scan: one tag per probe. */
+    NaiveLookup() : NaiveLookup(1, "Naive") {}
+
+    /** The b-wide scan "WideNaive-b": @p width tags per probe. */
+    static NaiveLookup wide(unsigned width);
+
     LookupResult lookup(const LookupInput &in) const override;
-    std::string name() const override { return "Naive"; }
+    std::string name() const override { return name_; }
+
+    /** Tags read per probe (b); 0 reads the whole set at once. */
+    unsigned width() const { return width_; }
+
+  protected:
+    NaiveLookup(unsigned width, std::string name)
+        : width_(width), name_(std::move(name))
+    {}
+
+  private:
+    unsigned width_;
+    std::string name_;
+};
+
+/**
+ * The traditional implementation (Figure 1a): all a tags are read
+ * and compared in parallel — the way-order scan with b = a, always
+ * exactly one probe.
+ */
+class TraditionalLookup : public NaiveLookup
+{
+  public:
+    TraditionalLookup() : NaiveLookup(0, "Traditional") {}
 };
 
 } // namespace core

@@ -4,79 +4,89 @@
 #include <bit>
 
 #include "core/kernels.h"
+#include "core/probe_meter.h"
 #include "util/bitops.h"
 #include "util/logging.h"
 
 namespace assoc {
 namespace core {
 
-std::string
-MruLookup::name() const
+MruLookup
+MruLookup::wide(unsigned width)
 {
-    if (list_len_ == 0)
-        return "MRU";
-    return "MRU-" + std::to_string(list_len_);
+    fatalIf(width == 0, "tag-memory width must be positive");
+    return MruLookup(0, width, true,
+                     "WideMRU-" + std::to_string(width));
+}
+
+MruLookup
+MruLookup::swapping()
+{
+    return MruLookup(0, 1, false, "SwapMRU");
 }
 
 LookupResult
 MruLookup::lookup(const LookupInput &in) const
 {
-    panicIf(in.assoc > 64, "MruLookup supports associativity <= 64");
+    const unsigned a = in.assoc;
+    const unsigned list_len = list_len_ == 0
+                                  ? a
+                                  : std::min(list_len_, a);
+
+    // All tag compares up front, as one kernel eq mask; the scan
+    // below only walks bit positions.
+    const std::uint64_t e = activeKernels().eq_mask(
+        in.stored_tags, in.valid, a, in.incoming_tag);
+
+    // The scan order is the list's ways, most recent first, then the
+    // ways the list does not name in ascending way order. pos is the
+    // hit's position in it, or its last position on a miss; n its
+    // length.
     LookupResult res;
-    // One probe-equivalent to read the MRU ordering information
-    // before any tag can be examined (Section 2.1).
-    res.probes = 1;
-    res.events.list_reads = 1;
-
-    unsigned list_len = list_len_ == 0 ? in.assoc
-                                       : std::min(list_len_, in.assoc);
-
-    // All tag compares up front, as one kernel eq mask; the serial
-    // scans below only walk bit positions. Probe accounting is
-    // unchanged: one probe per list entry examined, then one per
-    // not-yet-searched way in ascending order.
-    std::uint64_t e = activeKernels().eq_mask(
-        in.stored_tags, in.valid, in.assoc, in.incoming_tag);
-
-    // Track which ways the list portion already examined. assoc is
-    // <= 64 so a bitmap suffices.
-    std::uint64_t searched = 0;
-
-    for (unsigned i = 0; i < list_len; ++i) {
-        unsigned w = in.mru_order[i];
-        ++res.probes;
-        ++res.events.tag_reads;
-        ++res.events.tag_compares;
+    unsigned pos = 0;
+    unsigned n = a;
+    std::uint64_t searched = 0; // ways the list names
+    for (; pos < list_len; ++pos) {
+        const unsigned w = in.mru_order[pos];
         searched |= std::uint64_t{1} << w;
         if ((e >> w) & 1) {
             res.hit = true;
             res.way = static_cast<int>(w);
-            return res;
+            break;
+        }
+    }
+    if (!res.hit) {
+        // The hit is the lowest eq bit outside the searched set, at
+        // the position after every unsearched way below it.
+        const std::uint64_t rest = maskBits(a) & ~searched;
+        const std::uint64_t rest_hits = e & rest;
+        n = list_len + popcount(rest);
+        pos = n - 1;
+        if (rest_hits != 0) {
+            const unsigned w =
+                static_cast<unsigned>(std::countr_zero(rest_hits));
+            res.hit = true;
+            res.way = static_cast<int>(w);
+            pos = list_len + popcount(rest & maskBits(w));
         }
     }
 
-    // Remaining ways in arbitrary order (ascending way index): the
-    // hit is the lowest eq bit outside the searched set, and the
-    // probe count is the number of remaining ways up to and
-    // including it (all of them on a miss).
-    std::uint64_t rem = maskBits(in.assoc) & ~searched;
-    std::uint64_t rem_hits = e & rem;
-    if (rem_hits != 0) {
-        unsigned w =
-            static_cast<unsigned>(std::countr_zero(rem_hits));
-        res.hit = true;
-        res.way = static_cast<int>(w);
-        unsigned n = popcount(rem & maskBits(w + 1));
-        res.probes += n;
-        res.events.tag_reads += n;
-        res.events.tag_compares += n;
-        return res;
-    }
-    unsigned n = popcount(rem);
-    res.probes += n;
-    res.events.tag_reads += n;
-    res.events.tag_compares += n;
-    return res; // miss: 1 + a probes in total
+    // One probe-equivalent to read the MRU list before any tag can
+    // be examined (Section 2.1; none when the blocks are swapped into
+    // recency order), then one per group of b tags.
+    const unsigned groups = probesThrough(pos, width_, n);
+    const unsigned read = std::min(groups * width_, n);
+    res.probes = (reads_list_ ? 1 : 0) + groups;
+    res.events.list_reads = reads_list_ ? 1 : 0;
+    res.events.tag_reads = read;
+    res.events.tag_compares = read;
+    return res;
+}
+
+std::uint64_t
+swapMruMoves(const ProbeStats &stats)
+{
+    return stats.events.tag_reads - stats.metered;
 }
 
 } // namespace core

@@ -2,9 +2,7 @@
 
 #include "core/mru_lookup.h"
 #include "core/partial_lookup.h"
-#include "core/swap_mru_lookup.h"
 #include "core/way_memo.h"
-#include "core/wide_lookup.h"
 #include "util/logging.h"
 
 namespace assoc {
@@ -118,11 +116,11 @@ SchemeSpec::makeStrategy() const
       case SchemeKind::WayPredict:
         return std::make_unique<WayPredictLookup>();
       case SchemeKind::SwapMru:
-        return std::make_unique<SwapMruLookup>();
+        return std::make_unique<MruLookup>(MruLookup::swapping());
       case SchemeKind::WideNaive:
-        return std::make_unique<WideNaiveLookup>(width);
+        return std::make_unique<NaiveLookup>(NaiveLookup::wide(width));
       case SchemeKind::WideMru:
-        return std::make_unique<WideMruLookup>(width);
+        return std::make_unique<MruLookup>(MruLookup::wide(width));
     }
     panic("bad SchemeKind");
 }

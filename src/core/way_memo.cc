@@ -2,6 +2,7 @@
 
 #include <bit>
 
+#include "core/kernels.h"
 #include "util/logging.h"
 
 namespace assoc {
@@ -39,7 +40,6 @@ WayMemoLookup::onFlush()
 LookupResult
 WayMemoLookup::lookup(const LookupInput &in) const
 {
-    ++lookups_;
     const std::uint32_t region = in.block_addr >> cfg_.region_bits;
     const std::uint32_t idx = region & (cfg_.entries - 1);
     Entry &e = table_[idx];
@@ -55,7 +55,6 @@ WayMemoLookup::lookup(const LookupInput &in) const
         e.way == static_cast<std::int16_t>(under.way)) {
         // Memo hit: the table already names the right way; every
         // tag probe is skipped.
-        ++memo_hits_;
         LookupResult res;
         res.hit = true;
         res.way = under.way;
@@ -91,7 +90,6 @@ WayPredictLookup::lookup(const LookupInput &in) const
     res.events.memo_reads = 1;
 
     const unsigned pred = in.mru_order[0];
-    ++predictions_;
 
     // First probe: the predicted way alone.
     res.probes = 1;
@@ -103,25 +101,22 @@ WayPredictLookup::lookup(const LookupInput &in) const
         return res;
     }
 
-    ++mispredictions_;
     if (in.assoc == 1)
         return res; // nothing left to probe
 
     // Second probe: all remaining a-1 ways in parallel, hit = the
     // lowest matching way index (the parallel comparator's priority
-    // encoder).
+    // encoder) — the lowest bit of the kernel eq mask, which the
+    // mispredicted way cannot be.
     ++res.probes;
     res.events.tag_reads += in.assoc - 1;
     res.events.tag_compares += in.assoc - 1;
     res.events.memo_writes = 1; // repair the prediction register
-    for (unsigned w = 0; w < in.assoc; ++w) {
-        if (w == pred)
-            continue;
-        if (in.valid[w] && in.stored_tags[w] == in.incoming_tag) {
-            res.hit = true;
-            res.way = static_cast<int>(w);
-            return res;
-        }
+    const std::uint64_t e = activeKernels().eq_mask(
+        in.stored_tags, in.valid, in.assoc, in.incoming_tag);
+    if (e != 0) {
+        res.hit = true;
+        res.way = static_cast<int>(std::countr_zero(e));
     }
     return res;
 }

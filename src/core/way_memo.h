@@ -76,10 +76,6 @@ class WayMemoLookup : public LookupStrategy
     const LookupStrategy &underlying() const { return *underlying_; }
     const WayMemoConfig &config() const { return cfg_; }
 
-    /** Memo hits / total lookups since construction or flush. */
-    std::uint64_t memoHits() const { return memo_hits_; }
-    std::uint64_t memoLookups() const { return lookups_; }
-
   private:
     struct Entry
     {
@@ -92,8 +88,6 @@ class WayMemoLookup : public LookupStrategy
     /** Lookup state mutates on a const lookup: the memo table is a
      *  cost-model side structure, not part of the set snapshot. */
     mutable std::vector<Entry> table_;
-    mutable std::uint64_t memo_hits_ = 0;
-    mutable std::uint64_t lookups_ = 0;
 };
 
 /**
@@ -107,14 +101,6 @@ class WayPredictLookup : public LookupStrategy
   public:
     LookupResult lookup(const LookupInput &in) const override;
     std::string name() const override { return "WayPredict"; }
-
-    /** Predictions made / predictions that missed their way. */
-    std::uint64_t predictions() const { return predictions_; }
-    std::uint64_t mispredictions() const { return mispredictions_; }
-
-  private:
-    mutable std::uint64_t predictions_ = 0;
-    mutable std::uint64_t mispredictions_ = 0;
 };
 
 } // namespace core

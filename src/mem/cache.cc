@@ -108,16 +108,15 @@ slotDemote(std::uint64_t w, unsigned pos, unsigned a)
 WriteBackCache::WriteBackCache(const CacheGeometry &geom,
                                ReplPolicy policy, std::uint64_t seed)
     : geom_(geom), policy_(policy), rng_(seed, 0xbadc0de),
-      assoc_(geom.assoc()), vwords_((geom.assoc() + 63) / 64),
-      packed_(geom.assoc() <= 16),
+      assoc_(geom.assoc()), packed_(geom.assoc() <= 16),
       blocks_(static_cast<std::size_t>(geom.sets()) * geom.assoc(), 0),
-      valid_(static_cast<std::size_t>(geom.sets()) * vwords_, 0),
-      dirty_(static_cast<std::size_t>(geom.sets()) * vwords_, 0),
+      valid_(geom.sets(), 0), dirty_(geom.sets(), 0),
       plru_(geom.sets(), 0)
 {
-    fatalIf(geom_.assoc() > 255, "associativity above 255 unsupported");
-    fatalIf(policy_ == ReplPolicy::TreePlru && geom_.assoc() > 64,
-            "tree PLRU supports associativity up to 64");
+    fatalIf(assoc_ > kMaxAssoc,
+            "associativity " + std::to_string(assoc_) +
+                " unsupported: a cache has at most " +
+                std::to_string(kMaxAssoc) + " ways");
     if (packed_) {
         mru_packed_.assign(geom_.sets(), 0);
         fifo_packed_.assign(geom_.sets(), 0);
@@ -161,31 +160,12 @@ WriteBackCache::findWay(BlockAddr b) const
     if (assoc_ == 1)
         return ((valid_[set] & 1) != 0 && blocks_[set] == b) ? 0
                                                              : -1;
-    const BlockAddr *blk = &blocks_[index(set, 0)];
-    const std::uint64_t *vw =
-        &valid_[static_cast<std::size_t>(set) * vwords_];
-    if (assoc_ <= 64) {
-        // One kernel eq mask over the set's block plane; the lowest
-        // set bit is the first valid way holding b (ways are
-        // unique, but the lowest-bit pick also matches the old
-        // valid-order scan exactly).
-        std::uint64_t e = core::activeKernels().eq_mask_bits(
-            blk, vw[0], assoc_, b);
-        return e != 0
-                   ? static_cast<int>(std::countr_zero(e))
-                   : -1;
-    }
-    for (unsigned i = 0; i < vwords_; ++i) {
-        std::uint64_t m = vw[i];
-        while (m != 0) {
-            unsigned w =
-                i * 64 + static_cast<unsigned>(std::countr_zero(m));
-            if (blk[w] == b)
-                return static_cast<int>(w);
-            m &= m - 1;
-        }
-    }
-    return -1;
+    // One kernel eq mask over the set's block plane; the lowest set
+    // bit is the first valid way holding b (ways are unique, but the
+    // lowest-bit pick also matches a valid-order scan exactly).
+    std::uint64_t e = core::activeKernels().eq_mask_bits(
+        &blocks_[index(set, 0)], valid_[set], assoc_, b);
+    return e != 0 ? static_cast<int>(std::countr_zero(e)) : -1;
 }
 
 int
@@ -199,48 +179,29 @@ WriteBackCache::probeRelaxed(BlockAddr b, unsigned *probes) const
         return hit ? 0 : -1;
     }
     const std::size_t base = index(set, 0);
-    const std::size_t vbase = static_cast<std::size_t>(set) * vwords_;
     // Walk the recency order from MRU to LRU so the probe count
     // prices the paper's serial MRU scan. A concurrently mutating
     // writer can tear the view (duplicate or out-of-range ways);
     // bounds are guarded so a torn decode cannot fault, and the
     // caller's seqlock validation discards the result.
-    if (assoc_ <= 64) {
-        // Tag compares as one torn-read-tolerant kernel eq mask
-        // (the AVX2 body trades per-element relaxed loads for plain
-        // vector loads outside TSan — see core/kernels.h); the
-        // order walk then only tests bit membership.
-        std::uint64_t vbits = planeLoad(valid_[vbase]);
-        std::uint64_t e =
-            core::activeKernels().eq_mask_bits_relaxed(
-                &blocks_[base], vbits, assoc_, b);
-        std::uint64_t packed_order = 0;
-        if (packed_)
-            packed_order = planeLoad(mru_packed_[set]);
-        for (unsigned pos = 0; pos < assoc_; ++pos) {
-            unsigned way =
-                packed_
-                    ? static_cast<unsigned>(
+    //
+    // Tag compares run as one torn-read-tolerant kernel eq mask (the
+    // AVX2 body trades per-element relaxed loads for plain vector
+    // loads outside TSan — see core/kernels.h); the order walk then
+    // only tests bit membership.
+    std::uint64_t e = core::activeKernels().eq_mask_bits_relaxed(
+        &blocks_[base], planeLoad(valid_[set]), assoc_, b);
+    std::uint64_t packed_order = 0;
+    if (packed_)
+        packed_order = planeLoad(mru_packed_[set]);
+    for (unsigned pos = 0; pos < assoc_; ++pos) {
+        unsigned way =
+            packed_ ? static_cast<unsigned>(
                           (packed_order >> (4 * pos)) & 0xf)
                     : planeLoad(mru_wide_[base + pos]);
-            if (way >= assoc_)
-                break; // torn order word; validation will reject
-            if ((e >> way) & 1) {
-                *probes = pos + 1;
-                return static_cast<int>(way);
-            }
-        }
-        *probes = assoc_;
-        return -1;
-    }
-    for (unsigned pos = 0; pos < assoc_; ++pos) {
-        unsigned way = planeLoad(mru_wide_[base + pos]);
         if (way >= assoc_)
             break; // torn order word; validation will reject
-        bool valid =
-            ((planeLoad(valid_[vbase + (way >> 6)]) >> (way & 63)) &
-             1) != 0;
-        if (valid && planeLoad(blocks_[base + way]) == b) {
+        if ((e >> way) & 1) {
             *probes = pos + 1;
             return static_cast<int>(way);
         }
@@ -372,9 +333,7 @@ WriteBackCache::setDirty(std::uint32_t set, int way)
 {
     unsigned w = static_cast<unsigned>(way);
     panicIf(!validBit(set, w), "setDirty on an invalid line");
-    std::size_t mi = maskIndex(set, w);
-    planeStore(dirty_[mi],
-               dirty_[mi] | (std::uint64_t{1} << (w & 63)));
+    planeStore(dirty_[set], dirty_[set] | (std::uint64_t{1} << w));
 }
 
 int
@@ -411,20 +370,19 @@ WriteBackCache::fill(BlockAddr b, bool dirty)
     res.way = victimWay(set);
 
     unsigned w = static_cast<unsigned>(res.way);
-    std::size_t mi = maskIndex(set, w);
-    std::uint64_t bit = std::uint64_t{1} << (w & 63);
+    std::uint64_t bit = std::uint64_t{1} << w;
     std::size_t idx = index(set, res.way);
-    if (valid_[mi] & bit) {
+    if (valid_[set] & bit) {
         res.evicted = true;
         res.victim_block = blocks_[idx];
-        res.victim_dirty = (dirty_[mi] & bit) != 0;
+        res.victim_dirty = (dirty_[set] & bit) != 0;
     }
     planeStore(blocks_[idx], b);
-    planeStore(valid_[mi], valid_[mi] | bit);
+    planeStore(valid_[set], valid_[set] | bit);
     if (dirty)
-        planeStore(dirty_[mi], dirty_[mi] | bit);
+        planeStore(dirty_[set], dirty_[set] | bit);
     else
-        planeStore(dirty_[mi], dirty_[mi] & ~bit);
+        planeStore(dirty_[set], dirty_[set] & ~bit);
     makeMru(set, res.way);
 
     // Fill-age bookkeeping (drives the Fifo policy; cheap enough to
@@ -443,11 +401,10 @@ WriteBackCache::invalidate(BlockAddr b)
         return false;
     std::uint32_t set = geom_.setOf(b);
     unsigned w = static_cast<unsigned>(way);
-    std::size_t mi = maskIndex(set, w);
-    std::uint64_t bit = std::uint64_t{1} << (w & 63);
-    bool was_dirty = (dirty_[mi] & bit) != 0;
-    planeStore(valid_[mi], valid_[mi] & ~bit);
-    planeStore(dirty_[mi], dirty_[mi] & ~bit);
+    std::uint64_t bit = std::uint64_t{1} << w;
+    bool was_dirty = (dirty_[set] & bit) != 0;
+    planeStore(valid_[set], valid_[set] & ~bit);
+    planeStore(dirty_[set], dirty_[set] & ~bit);
     // Demote the invalidated way to the LRU/oldest end of *both*
     // orders so empty frames are reused first and invalid frames
     // stay a suffix of the fill-age order too (victimWay() under
@@ -495,15 +452,8 @@ WriteBackCache::snapshotSet(std::uint32_t set,
         kern.shift_tags(&blocks_[index(set, 0)], assoc_,
                         geom_.indexBits(), full_tags);
     }
-    if (valid != nullptr) {
-        const std::uint64_t *vw =
-            &valid_[static_cast<std::size_t>(set) * vwords_];
-        unsigned w = 0;
-        for (unsigned i = 0; i < vwords_; ++i, w += 64)
-            kern.expand_bits(vw[i],
-                             assoc_ - w < 64 ? assoc_ - w : 64,
-                             valid + w);
-    }
+    if (valid != nullptr)
+        kern.expand_bits(valid_[set], assoc_, valid);
     if (mru != nullptr)
         orderDecode(mru_packed_, mru_wide_, set, mru);
 }
@@ -511,12 +461,7 @@ WriteBackCache::snapshotSet(std::uint32_t set,
 unsigned
 WriteBackCache::validCount(std::uint32_t set) const
 {
-    unsigned n = 0;
-    const std::uint64_t *vw =
-        &valid_[static_cast<std::size_t>(set) * vwords_];
-    for (unsigned i = 0; i < vwords_; ++i)
-        n += popcount(vw[i]);
-    return n;
+    return popcount(valid_[set]);
 }
 
 } // namespace mem

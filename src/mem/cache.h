@@ -11,12 +11,14 @@
  *
  * Storage layout (the simulation hot path — see docs/PERFORMANCE.md):
  *  - Line state is structure-of-arrays: one contiguous block-address
- *    plane plus per-set valid/dirty bitmasks, so findWay() is a
- *    bit-scan over the valid mask instead of a stride over structs.
+ *    plane plus one valid and one dirty bitmask word per set, so
+ *    findWay() is one kernel eq mask over the set instead of a
+ *    stride over structs. A cache has at most kMaxAssoc = 64 ways:
+ *    the lookup kernels' masks (core/kernels.h) are one 64-bit word.
  *  - The per-set MRU and fill-age (FIFO) orders are packed into one
- *    std::uint64_t of 4-bit way slots each when assoc <= 16 (slot 0
- *    = most recent); promotion and demotion are shift/mask updates.
- *    Larger associativities fall back to flat byte arrays.
+ *    std::uint64_t of 4-bit way slots each up to 16 ways (slot 0 =
+ *    most recent); promotion and demotion are shift/mask updates.
+ *    17 to 64 ways keep flat byte arrays.
  * Both layouts are observationally identical to the original
  * vector-of-Line / vector-of-vector representation (enforced by the
  * randomized equivalence tests in tests/mem/test_recency_packed.cc).
@@ -45,6 +47,9 @@
 
 namespace assoc {
 namespace mem {
+
+/** The widest cache: one 64-bit mask word covers a set. */
+constexpr unsigned kMaxAssoc = 64;
 
 /**
  * One cache line (tag state only; data is not modeled). Lines are
@@ -101,7 +106,7 @@ class WriteBackCache
 {
   public:
     /**
-     * @param geom shape of the cache.
+     * @param geom shape of the cache; fatal() above kMaxAssoc ways.
      * @param policy victim selection (default: the paper's LRU).
      * @param seed RNG seed for the Random policy.
      */
@@ -218,8 +223,7 @@ class WriteBackCache
 #if defined(__GNUC__) || defined(__clang__)
         std::uint32_t set = geom_.setOf(b);
         __builtin_prefetch(&blocks_[index(set, 0)]);
-        __builtin_prefetch(
-            &valid_[static_cast<std::size_t>(set) * vwords_]);
+        __builtin_prefetch(&valid_[set]);
         if (packed_)
             __builtin_prefetch(&mru_packed_[set]);
         else
@@ -255,19 +259,13 @@ class WriteBackCache
     bool
     validBit(std::uint32_t set, unsigned way) const
     {
-        return (valid_[maskIndex(set, way)] >> (way & 63)) & 1;
+        return (valid_[set] >> way) & 1;
     }
 
     bool
     dirtyBit(std::uint32_t set, unsigned way) const
     {
-        return (dirty_[maskIndex(set, way)] >> (way & 63)) & 1;
-    }
-
-    std::size_t
-    maskIndex(std::uint32_t set, unsigned way) const
-    {
-        return static_cast<std::size_t>(set) * vwords_ + (way >> 6);
+        return (dirty_[set] >> way) & 1;
     }
 
     void makeMru(std::uint32_t set, int way);
@@ -297,25 +295,24 @@ class WriteBackCache
     ReplPolicy policy_;
     mutable Pcg32 rng_; ///< Random-policy victim draws
 
-    unsigned assoc_;  ///< cached geom_.assoc()
-    unsigned vwords_; ///< 64-bit mask words per set
-    bool packed_;     ///< 4-bit packed orders (assoc <= 16)
+    unsigned assoc_; ///< cached geom_.assoc()
+    bool packed_;    ///< 4-bit packed orders (up to 16 ways)
 
     /** Block-address plane, sets * assoc contiguous entries.
      *  Invalid frames keep their last block (or 0 when never
      *  filled), matching the historical Line semantics. */
     std::vector<BlockAddr> blocks_;
-    /** Valid bitmasks, vwords_ words per set. */
+    /** Valid bitmasks, one word per set. */
     std::vector<std::uint64_t> valid_;
-    /** Dirty bitmasks, vwords_ words per set. */
+    /** Dirty bitmasks, one word per set. */
     std::vector<std::uint64_t> dirty_;
 
-    /** Packed MRU order (assoc <= 16): 4-bit way slots, slot 0 =
+    /** Packed MRU order (up to 16 ways): 4-bit way slots, slot 0 =
      *  most recently used. One word per set. */
     std::vector<std::uint64_t> mru_packed_;
     /** Packed fill-age order (front = youngest), Fifo policy. */
     std::vector<std::uint64_t> fifo_packed_;
-    /** Fallback orders for assoc > 16: flat sets * assoc bytes. */
+    /** Orders for 17 to 64 ways: flat sets * assoc bytes. */
     std::vector<std::uint8_t> mru_wide_;
     std::vector<std::uint8_t> fifo_wide_;
 

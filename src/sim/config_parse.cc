@@ -98,18 +98,31 @@ parseSchemeList(const std::string &list, unsigned assoc,
 
         auto parts = split(token, ':');
         const std::string &name = parts[0];
+        // traditional, naive, swapmru and waypredict take no field
+        // after the name; the rest take one.
+        auto maxFields = [&](std::size_t n) {
+            fatalIf(parts.size() > n + 1,
+                    "scheme '" + token + "' has too many fields (" +
+                        name + " takes " +
+                        (n == 0 ? "none" : "at most one") + ")");
+        };
         if (name == "traditional") {
+            maxFields(0);
             parsed.kind = core::SchemeKind::Traditional;
         } else if (name == "naive") {
+            maxFields(0);
             parsed.kind = core::SchemeKind::Naive;
         } else if (name == "mru") {
+            maxFields(1);
             parsed.kind = core::SchemeKind::Mru;
             if (parts.size() == 2)
                 parsed.mru_list_len =
                     parseUnsigned(parts[1], "MRU list length");
         } else if (name == "swapmru") {
+            maxFields(0);
             parsed.kind = core::SchemeKind::SwapMru;
         } else if (name == "widenaive" || name == "widemru") {
+            maxFields(1);
             fatalIf(parts.size() != 2,
                     name + " needs a width, e.g. " + name + ":2");
             parsed.kind = name == "widenaive"
@@ -117,6 +130,7 @@ parseSchemeList(const std::string &list, unsigned assoc,
                               : core::SchemeKind::WideMru;
             parsed.width = parseUnsigned(parts[1], "tag-memory width");
         } else if (name == "partial") {
+            maxFields(1);
             parsed = core::SchemeSpec::paperPartial(assoc, tag_bits);
             if (parts.size() == 2) {
                 for (const std::string &opt : split(parts[1], ';')) {
@@ -138,8 +152,10 @@ parseSchemeList(const std::string &list, unsigned assoc,
                 }
             }
         } else if (name == "waypredict") {
+            maxFields(0);
             parsed.kind = core::SchemeKind::WayPredict;
         } else if (name == "waymemo") {
+            maxFields(1);
             parsed.kind = core::SchemeKind::WayMemo;
             if (parts.size() == 2) {
                 for (const std::string &opt : split(parts[1], ';')) {

@@ -168,18 +168,6 @@ Session::quotaTokens() const
     return bucket_.tokens(svc_->admission().config());
 }
 
-OpResult
-Session::probeAddr(trace::Addr a)
-{
-    return probe(svc_->geom().blockAddrOf(a));
-}
-
-OpResult
-Session::accessAddr(trace::Addr a, bool is_write)
-{
-    return access(svc_->geom().blockAddrOf(a), is_write);
-}
-
 // --- CacheService ------------------------------------------------
 
 CacheService::CacheService(std::unique_ptr<ConcurrentCache> engine,
@@ -227,13 +215,6 @@ CacheService::openSession(std::string name)
                     charge.take())));
     sessions_.back()->bucket_ = admission_.makeBucket(tenant);
     return sessions_.back().get();
-}
-
-std::size_t
-CacheService::sessionCount() const
-{
-    std::lock_guard<std::mutex> g(open_mutex_);
-    return sessions_.size();
 }
 
 const Session &

@@ -100,10 +100,6 @@ class alignas(64) Session
     /** Dispatch @p kind (@p is_write doubles as Fill's dirty bit). */
     OpResult apply(OpKind kind, mem::BlockAddr b, bool is_write);
 
-    // --- byte-address convenience (the client-facing interface) --
-    OpResult probeAddr(trace::Addr a);
-    OpResult accessAddr(trace::Addr a, bool is_write);
-
     // --- the overload-safe request path ---------------------------
     /**
      * Chain this session's requests to @p token: a tripped token
@@ -113,8 +109,6 @@ class alignas(64) Session
      * thread.
      */
     void bindCancel(const CancelToken *token) { cancel_ = token; }
-
-    const CancelToken *boundCancel() const { return cancel_; }
 
     /**
      * Issue one operation through the full service layer:
@@ -191,9 +185,6 @@ class CacheService
      * stays valid for the service's lifetime.
      */
     Expected<Session *> openSession(std::string name = "");
-
-    /** Sessions opened so far. */
-    std::size_t sessionCount() const;
 
     /** Session @p tenant (in open order). */
     const Session &session(std::uint32_t tenant) const;

@@ -599,13 +599,8 @@ FtrTraceSource::pullBuffer()
         cur_charge_ = std::move(s.charge);
         cur_first_ = s.first_index;
         cur_pos_ = 0;
-        if (discard_to_ > cur_first_)
-            cur_pos_ = static_cast<std::size_t>(std::min<
-                std::uint64_t>(discard_to_ - cur_first_,
-                               cur_.size()));
-        if (cur_pos_ < cur_.size())
+        if (!cur_.empty())
             return true;
-        // Frame entirely before a seek target; pull the next one.
     }
 }
 
@@ -683,53 +678,12 @@ FtrTraceSource::reset()
     cur_.clear();
     cur_pos_ = 0;
     cur_first_ = 0;
-    discard_to_ = 0;
     polled_ = 0;
     skipped_ = 0;
     damage_ = 0;
     error_ = header_error_;
     done_ = header_error_.failed();
     resetCore();
-}
-
-Expected<void>
-FtrTraceSource::seekToRecord(std::uint64_t index)
-{
-    if (header_error_.failed())
-        return Error(header_error_);
-    stopProducer();
-    cur_charge_.release();
-    cur_.clear();
-    cur_pos_ = 0;
-    if (core_err_.failed())
-        return Error(core_err_)
-            .withContext("cannot seek a failed stream (reset() "
-                         "rewinds it)");
-    core_end_ = false;
-    done_ = false;
-    error_ = Error();
-    if (index >= total_) {
-        read_offset_ = data_end_;
-        expected_ = total_;
-        discard_to_ = 0;
-        return {};
-    }
-    if (index_.empty()) {
-        read_offset_ = ftr::kHeaderBytes;
-        expected_ = 0;
-    } else {
-        auto it = std::upper_bound(
-            index_.begin(), index_.end(), index,
-            [](std::uint64_t v, const ftr::IndexEntry &e) {
-                return v < e.start_index;
-            });
-        if (it != index_.begin())
-            --it;
-        read_offset_ = it->offset;
-        expected_ = it->start_index;
-    }
-    discard_to_ = index;
-    return {};
 }
 
 } // namespace trace

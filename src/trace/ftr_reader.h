@@ -101,16 +101,6 @@ class FtrTraceSource : public TraceSource
         return index_;
     }
 
-    /**
-     * Position the stream so the next record delivered is record
-     * @p index (indices are absolute, 0-based; damaged records are
-     * unreachable and silently stepped over, as in streaming). Seeks
-     * land on the containing frame via the index and discard within
-     * it. Skip/damage counters keep accumulating across seeks;
-     * reset() is the full rewind.
-     */
-    Expected<void> seekToRecord(std::uint64_t index);
-
     /** Attach before streaming begins (or after reset()). */
     void setCancelToken(const CancelToken *t) override { cancel_ = t; }
     void setMemBudget(MemBudget *b) override { budget_ = b; }
@@ -195,7 +185,6 @@ class FtrTraceSource : public TraceSource
     MemCharge cur_charge_;
     std::size_t cur_pos_ = 0;
     std::uint64_t cur_first_ = 0;
-    std::uint64_t discard_to_ = 0; ///< seek target (absolute index)
     std::uint64_t polled_ = 0;
     std::uint64_t skipped_ = 0;
     std::uint64_t damage_ = 0;

@@ -137,8 +137,8 @@ shortTrace()
     return trace::materialize(gen);
 }
 
-/** A meter of every SchemeKind, plus MRU-2 and WayMemo over MRU, all
- *  at the default t = 16. */
+/** A meter of every SchemeKind (the b-wide ones at b = 2), plus
+ *  MRU-2 and WayMemo over MRU, all at the default t = 16. */
 std::vector<core::SchemeSpec>
 everyScheme(unsigned a)
 {
@@ -146,9 +146,11 @@ everyScheme(unsigned a)
     for (core::SchemeKind kind :
          {core::SchemeKind::Traditional, core::SchemeKind::Naive,
           core::SchemeKind::Mru, core::SchemeKind::WayMemo,
-          core::SchemeKind::WayPredict}) {
+          core::SchemeKind::WayPredict, core::SchemeKind::SwapMru,
+          core::SchemeKind::WideNaive, core::SchemeKind::WideMru}) {
         core::SchemeSpec s;
         s.kind = kind;
+        s.width = 2;
         specs.push_back(s);
     }
     // The default partial spec (k = 4, one subset) does not fit a

@@ -129,22 +129,6 @@ TEST(MruLookup, Names)
     EXPECT_EQ(MruLookup(2).name(), "MRU-2");
 }
 
-TEST(MruLookup, HugeAssociativityPanics)
-{
-    std::vector<std::uint32_t> tags(128, 0);
-    std::vector<std::uint8_t> valid(128, 1);
-    std::vector<std::uint8_t> order(128);
-    for (unsigned i = 0; i < 128; ++i)
-        order[i] = static_cast<std::uint8_t>(i);
-    LookupInput in;
-    in.assoc = 128;
-    in.stored_tags = tags.data();
-    in.valid = valid.data();
-    in.mru_order = order.data();
-    in.incoming_tag = 1;
-    EXPECT_THROW(MruLookup().lookup(in), PanicError);
-}
-
 /** Parameterized checks over all reduced-list lengths. */
 class MruListLength : public ::testing::TestWithParam<unsigned>
 {

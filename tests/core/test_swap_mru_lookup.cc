@@ -3,7 +3,7 @@
 #include <vector>
 
 #include "core/mru_lookup.h"
-#include "core/swap_mru_lookup.h"
+#include "core/probe_meter.h"
 
 namespace assoc {
 namespace core {
@@ -39,7 +39,7 @@ fourWay()
 
 TEST(SwapMruLookup, ProbesEqualMruDistance)
 {
-    SwapMruLookup swap;
+    MruLookup swap = MruLookup::swapping();
     SetFixture s = fourWay();
     // No list-read probe: a hit at distance d costs exactly d.
     EXPECT_EQ(swap.lookup(s.input(0xC)).probes, 1u);
@@ -50,7 +50,7 @@ TEST(SwapMruLookup, ProbesEqualMruDistance)
 
 TEST(SwapMruLookup, MissCostsAssociativityProbes)
 {
-    SwapMruLookup swap;
+    MruLookup swap = MruLookup::swapping();
     SetFixture s = fourWay();
     LookupResult r = swap.lookup(s.input(0x9));
     EXPECT_FALSE(r.hit);
@@ -59,7 +59,7 @@ TEST(SwapMruLookup, MissCostsAssociativityProbes)
 
 TEST(SwapMruLookup, AlwaysOneProbeCheaperThanListMru)
 {
-    SwapMruLookup swap;
+    MruLookup swap = MruLookup::swapping();
     MruLookup mru;
     SetFixture s = fourWay();
     for (std::uint32_t tag : {0xAu, 0xBu, 0xCu, 0xDu, 0x9u}) {
@@ -70,18 +70,18 @@ TEST(SwapMruLookup, AlwaysOneProbeCheaperThanListMru)
 
 TEST(SwapMruLookup, FindsTheRightWay)
 {
-    SwapMruLookup swap;
+    MruLookup swap = MruLookup::swapping();
     SetFixture s = fourWay();
     LookupResult r = swap.lookup(s.input(0xD));
     EXPECT_TRUE(r.hit);
     EXPECT_EQ(r.way, 3);
 }
 
-/** A SwapMruLookup metered the way ProbeMeter meters it, so
+/** The swapping MRU scan metered the way ProbeMeter meters it, so
  *  swapMruMoves() derives the block moves from the stats. */
 struct Metered
 {
-    SwapMruLookup swap;
+    MruLookup swap = MruLookup::swapping();
     ProbeStats stats;
 
     void
@@ -120,7 +120,7 @@ TEST(SwapMruLookup, TwoWayIsTheViableCase)
 
 TEST(SwapMruLookup, Name)
 {
-    EXPECT_EQ(SwapMruLookup().name(), "SwapMRU");
+    EXPECT_EQ(MruLookup::swapping().name(), "SwapMRU");
 }
 
 } // namespace

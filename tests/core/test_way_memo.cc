@@ -19,6 +19,7 @@
 
 #include "core/lookup.h"
 #include "core/mru_lookup.h"
+#include "core/probe_meter.h"
 #include "core/way_memo.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -56,6 +57,23 @@ struct TestSet
     }
 };
 
+/** Lookups tallied into a ProbeStats the way ProbeMeter meters
+ *  them: the memo hits and mispredictions these tests count. */
+struct Metered
+{
+    ProbeStats stats;
+
+    LookupResult
+    operator()(const LookupResult &res)
+    {
+        stats.events += res.events;
+        ++stats.metered;
+        if (res.memo_hit)
+            ++stats.memo_hits;
+        return res;
+    }
+};
+
 WayMemoLookup
 makeMemo(WayMemoConfig cfg = WayMemoConfig())
 {
@@ -65,11 +83,12 @@ makeMemo(WayMemoConfig cfg = WayMemoConfig())
 TEST(WayMemo, ColdLookupMissesThenMemoizes)
 {
     WayMemoLookup wm = makeMemo();
+    Metered meter;
     TestSet s{1, 2, 3, 4};
 
     // Cold table: the underlying Traditional lookup runs (1 probe,
     // a tag reads) plus the failed memo read and the repair write.
-    LookupResult first = wm.lookup(s.input(3, 0x30));
+    LookupResult first = meter(wm.lookup(s.input(3, 0x30)));
     EXPECT_TRUE(first.hit);
     EXPECT_EQ(first.way, 2);
     EXPECT_FALSE(first.memo_hit);
@@ -80,7 +99,7 @@ TEST(WayMemo, ColdLookupMissesThenMemoizes)
 
     // Warm entry: same block hits its memoized way with zero probes
     // and nothing but the memo read.
-    LookupResult second = wm.lookup(s.input(3, 0x30));
+    LookupResult second = meter(wm.lookup(s.input(3, 0x30)));
     EXPECT_TRUE(second.hit);
     EXPECT_EQ(second.way, 2);
     EXPECT_TRUE(second.memo_hit);
@@ -90,8 +109,8 @@ TEST(WayMemo, ColdLookupMissesThenMemoizes)
     EXPECT_EQ(second.events.memo_reads, 1u);
     EXPECT_EQ(second.events.memo_writes, 0u);
 
-    EXPECT_EQ(wm.memoLookups(), 2u);
-    EXPECT_EQ(wm.memoHits(), 1u);
+    EXPECT_EQ(meter.stats.metered, 2u);
+    EXPECT_EQ(meter.stats.memo_hits, 1u);
 }
 
 TEST(WayMemo, StaleEntryIsDetectedAndRepaired)
@@ -119,24 +138,25 @@ TEST(WayMemo, StaleEntryIsDetectedAndRepaired)
 TEST(WayMemo, UnderlyingMissInvalidatesTheEntry)
 {
     WayMemoLookup wm = makeMemo();
+    Metered meter;
     TestSet s{1, 2, 3, 4};
-    wm.lookup(s.input(3, 0x30)); // memoize way 2
+    meter(wm.lookup(s.input(3, 0x30))); // memoize way 2
 
     // The block leaves the cache: a provable miss drops the entry,
     // exactly as hardware invalidation-on-eviction would.
     s.valid[2] = 0;
-    LookupResult miss = wm.lookup(s.input(3, 0x30));
+    LookupResult miss = meter(wm.lookup(s.input(3, 0x30)));
     EXPECT_FALSE(miss.hit);
     EXPECT_FALSE(miss.memo_hit);
 
     // Even though the block returns to the very way the old entry
     // named, the invalidated entry must not memo-hit.
     s.valid[2] = 1;
-    LookupResult refill = wm.lookup(s.input(3, 0x30));
+    LookupResult refill = meter(wm.lookup(s.input(3, 0x30)));
     EXPECT_TRUE(refill.hit);
     EXPECT_EQ(refill.way, 2);
     EXPECT_FALSE(refill.memo_hit);
-    EXPECT_EQ(wm.memoHits(), 0u);
+    EXPECT_EQ(meter.stats.memo_hits, 0u);
 }
 
 TEST(WayMemo, TaggedEntriesMatchOnlyTheirRegion)
@@ -194,6 +214,7 @@ TEST(WayMemo, OutcomeIdenticalToUnderlyingUnderFuzz)
     cfg.entries = 8; // tiny table: aliasing and staleness galore
     WayMemoLookup wm(std::make_unique<MruLookup>(0), cfg);
     MruLookup bare(0);
+    Metered meter;
 
     Pcg32 rng(0x3eed);
     for (int i = 0; i < 5000; ++i) {
@@ -208,7 +229,7 @@ TEST(WayMemo, OutcomeIdenticalToUnderlyingUnderFuzz)
                               });
         LookupInput in = s.input(rng.below(8), rng.below(64));
         LookupResult want = bare.lookup(in);
-        LookupResult got = wm.lookup(in);
+        LookupResult got = meter(wm.lookup(in));
         ASSERT_EQ(got.hit, want.hit) << "case " << i;
         ASSERT_EQ(got.way, want.way) << "case " << i;
         if (got.memo_hit)
@@ -216,7 +237,7 @@ TEST(WayMemo, OutcomeIdenticalToUnderlyingUnderFuzz)
         else
             ASSERT_EQ(got.probes, want.probes) << "case " << i;
     }
-    EXPECT_GT(wm.memoHits(), 0u);
+    EXPECT_GT(meter.stats.memo_hits, 0u);
 }
 
 TEST(WayMemo, NameDescribesGeometryAndUnderlying)
@@ -244,10 +265,11 @@ TEST(WayMemo, RejectsBadGeometry)
 TEST(WayPredict, CorrectPredictionCostsOneProbe)
 {
     WayPredictLookup wp;
+    Metered meter;
     TestSet s{1, 2, 3, 4};
     s.order = {2, 0, 1, 3}; // way 2 is MRU: the prediction
 
-    LookupResult res = wp.lookup(s.input(3, 0));
+    LookupResult res = meter(wp.lookup(s.input(3, 0)));
     EXPECT_TRUE(res.hit);
     EXPECT_EQ(res.way, 2);
     EXPECT_EQ(res.probes, 1u);
@@ -256,34 +278,38 @@ TEST(WayPredict, CorrectPredictionCostsOneProbe)
     // The prediction-register read is an energy event, not a probe.
     EXPECT_EQ(res.events.memo_reads, 1u);
     EXPECT_EQ(res.events.memo_writes, 0u);
-    EXPECT_EQ(wp.predictions(), 1u);
-    EXPECT_EQ(wp.mispredictions(), 0u);
+    // One prediction, none repaired: no misprediction.
+    EXPECT_EQ(meter.stats.metered, 1u);
+    EXPECT_EQ(meter.stats.events.memo_writes, 0u);
 }
 
 TEST(WayPredict, MispredictionAddsOneWideProbe)
 {
     WayPredictLookup wp;
+    Metered meter;
     TestSet s{1, 2, 3, 4}; // MRU order 0,1,2,3: prediction = way 0
 
-    LookupResult res = wp.lookup(s.input(4, 0));
+    LookupResult res = meter(wp.lookup(s.input(4, 0)));
     EXPECT_TRUE(res.hit);
     EXPECT_EQ(res.way, 3);
     EXPECT_EQ(res.probes, 2u);
     // One predicted-way read plus the a-1 remaining ways at once.
     EXPECT_EQ(res.events.tag_reads, 4u);
     EXPECT_EQ(res.events.memo_writes, 1u);
-    EXPECT_EQ(wp.mispredictions(), 1u);
+    EXPECT_EQ(meter.stats.events.memo_writes, 1u);
 }
 
 TEST(WayPredict, MissCostsTwoProbesAndCountsAsMisprediction)
 {
     WayPredictLookup wp;
+    Metered meter;
     TestSet s{1, 2, 3, 4};
-    LookupResult res = wp.lookup(s.input(9, 0));
+    LookupResult res = meter(wp.lookup(s.input(9, 0)));
     EXPECT_FALSE(res.hit);
     EXPECT_EQ(res.probes, 2u);
-    EXPECT_EQ(wp.predictions(), 1u);
-    EXPECT_EQ(wp.mispredictions(), 1u);
+    // One prediction, repaired after it missed.
+    EXPECT_EQ(meter.stats.metered, 1u);
+    EXPECT_EQ(meter.stats.events.memo_writes, 1u);
 }
 
 TEST(WayPredict, DirectMappedNeverExceedsOneProbe)

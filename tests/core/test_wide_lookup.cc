@@ -3,8 +3,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/analytic.h"
 #include "core/mru_lookup.h"
-#include "core/wide_lookup.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -41,7 +41,7 @@ eightWay()
 
 TEST(WideNaiveLookup, GroupsOfTwo)
 {
-    WideNaiveLookup wide(2);
+    NaiveLookup wide = NaiveLookup::wide(2);
     SetFixture s = eightWay();
     EXPECT_EQ(wide.lookup(s.input(0xA0)).probes, 1u);
     EXPECT_EQ(wide.lookup(s.input(0xA1)).probes, 1u);
@@ -52,7 +52,7 @@ TEST(WideNaiveLookup, GroupsOfTwo)
 
 TEST(WideNaiveLookup, WidthOneIsTheNaiveScan)
 {
-    WideNaiveLookup wide(1);
+    NaiveLookup wide = NaiveLookup::wide(1);
     SetFixture s = eightWay();
     for (unsigned w = 0; w < 8; ++w)
         EXPECT_EQ(wide.lookup(s.input(0xA0 + w)).probes, w + 1);
@@ -61,7 +61,7 @@ TEST(WideNaiveLookup, WidthOneIsTheNaiveScan)
 
 TEST(WideNaiveLookup, FullWidthIsTheTraditionalLookup)
 {
-    WideNaiveLookup wide(8);
+    NaiveLookup wide = NaiveLookup::wide(8);
     SetFixture s = eightWay();
     for (unsigned w = 0; w < 8; ++w)
         EXPECT_EQ(wide.lookup(s.input(0xA0 + w)).probes, 1u);
@@ -70,7 +70,7 @@ TEST(WideNaiveLookup, FullWidthIsTheTraditionalLookup)
 
 TEST(WideNaiveLookup, WidthNeedNotDivideAssociativity)
 {
-    WideNaiveLookup wide(3);
+    NaiveLookup wide = NaiveLookup::wide(3);
     SetFixture s = eightWay();
     EXPECT_EQ(wide.lookup(s.input(0xA6)).probes, 3u);
     EXPECT_EQ(wide.lookup(s.input(0xA7)).probes, 3u);
@@ -79,7 +79,7 @@ TEST(WideNaiveLookup, WidthNeedNotDivideAssociativity)
 
 TEST(WideMruLookup, ScansRecencyOrderInGroups)
 {
-    WideMruLookup wide(2);
+    MruLookup wide = MruLookup::wide(2);
     SetFixture s = eightWay(); // recency: A7, A6, ..., A0
     // 1 list probe + group of the hit.
     EXPECT_EQ(wide.lookup(s.input(0xA7)).probes, 2u);
@@ -91,8 +91,8 @@ TEST(WideMruLookup, ScansRecencyOrderInGroups)
 
 TEST(WideLookup, HitWayIsCorrect)
 {
-    WideNaiveLookup wn(4);
-    WideMruLookup wm(4);
+    NaiveLookup wn = NaiveLookup::wide(4);
+    MruLookup wm = MruLookup::wide(4);
     SetFixture s = eightWay();
     EXPECT_EQ(wn.lookup(s.input(0xA5)).way, 5);
     EXPECT_EQ(wm.lookup(s.input(0xA5)).way, 5);
@@ -102,14 +102,14 @@ TEST(WideLookup, HitWayIsCorrect)
 
 TEST(WideLookup, ZeroWidthIsFatal)
 {
-    EXPECT_THROW(WideNaiveLookup(0), FatalError);
-    EXPECT_THROW(WideMruLookup(0), FatalError);
+    EXPECT_THROW(NaiveLookup::wide(0), FatalError);
+    EXPECT_THROW(MruLookup::wide(0), FatalError);
 }
 
 TEST(WideLookup, Names)
 {
-    EXPECT_EQ(WideNaiveLookup(2).name(), "WideNaive-2");
-    EXPECT_EQ(WideMruLookup(4).name(), "WideMRU-4");
+    EXPECT_EQ(NaiveLookup::wide(2).name(), "WideNaive-2");
+    EXPECT_EQ(MruLookup::wide(4).name(), "WideMRU-4");
 }
 
 TEST(WideNaiveAnalytic, MatchesNarrowAndWideEndpoints)
@@ -136,9 +136,9 @@ TEST(WideLookup, WidthOneEquivalences)
 {
     // WideNaive-1 == Naive and WideMRU-1 == MRU, probe for probe,
     // over random set states.
-    WideNaiveLookup wn(1);
+    NaiveLookup wn = NaiveLookup::wide(1);
     NaiveLookup n;
-    WideMruLookup wm(1);
+    MruLookup wm = MruLookup::wide(1);
     MruLookup m;
     Pcg32 rng(0x71de);
     for (int trial = 0; trial < 2000; ++trial) {
@@ -176,7 +176,8 @@ TEST(WideLookup, WiderIsNeverMoreProbes)
         LookupInput in = s.input(incoming);
         unsigned prev = ~0u;
         for (unsigned b : {1u, 2u, 4u, 8u}) {
-            unsigned probes = WideNaiveLookup(b).lookup(in).probes;
+            unsigned probes =
+                NaiveLookup::wide(b).lookup(in).probes;
             ASSERT_LE(probes, prev) << "b=" << b;
             prev = probes;
         }
@@ -185,7 +186,7 @@ TEST(WideLookup, WiderIsNeverMoreProbes)
 
 TEST(WideNaiveAnalytic, MeasuredMatchesFormulaOnUniformHits)
 {
-    WideNaiveLookup wide(2);
+    NaiveLookup wide = NaiveLookup::wide(2);
     SetFixture s = eightWay();
     double total = 0;
     for (unsigned w = 0; w < 8; ++w)

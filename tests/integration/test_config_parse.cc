@@ -160,6 +160,7 @@ TEST(ParseSchemeList, WayMemoRejections)
     EXPECT_THROW(parseSchemeList("waymemo:q=1", 4, 16), FatalError);
     EXPECT_THROW(parseSchemeList("waymemo:tag=2", 4, 16), FatalError);
     EXPECT_THROW(parseSchemeList("waymemo:e", 4, 16), FatalError);
+    EXPECT_THROW(parseSchemeList("waymemo:e=64:x", 4, 16), FatalError);
     // Memo-over-memo nesting is rejected at parse time.
     EXPECT_THROW(parseSchemeList("waymemo:u=waymemo", 4, 16),
                  FatalError);
@@ -183,6 +184,12 @@ TEST(ParseSchemeList, Rejections)
     EXPECT_THROW(parseSchemeList("partial:q=1", 4, 16), FatalError);
     EXPECT_THROW(parseSchemeList("partial:k", 4, 16), FatalError);
     EXPECT_THROW(parseSchemeList("mru:x", 4, 16), FatalError);
+    // A token holds only the fields its scheme takes.
+    EXPECT_THROW(parseSchemeList("naive:junk", 4, 16), FatalError);
+    EXPECT_THROW(parseSchemeList("mru:2:3", 4, 16), FatalError);
+    EXPECT_THROW(parseSchemeList("partial:k=2:x", 4, 16), FatalError);
+    EXPECT_THROW(parseSchemeList("swapmru:junk", 4, 16), FatalError);
+    EXPECT_THROW(parseSchemeList("widenaive:2:3", 4, 16), FatalError);
 }
 
 TEST(ParseReplPolicy, Names)

@@ -17,8 +17,6 @@
 #include "core/mru_lookup.h"
 #include "core/partial_lookup.h"
 #include "core/scheme.h"
-#include "core/swap_mru_lookup.h"
-#include "core/wide_lookup.h"
 #include "util/bitops.h"
 #include "util/rng.h"
 
@@ -95,9 +93,11 @@ class StrategyAgreement : public ::testing::TestWithParam<unsigned>
         out.push_back(std::make_unique<NaiveLookup>());
         out.push_back(std::make_unique<MruLookup>());
         out.push_back(std::make_unique<MruLookup>(2));
-        out.push_back(std::make_unique<SwapMruLookup>());
-        out.push_back(std::make_unique<WideNaiveLookup>(2));
-        out.push_back(std::make_unique<WideMruLookup>(2));
+        out.push_back(
+            std::make_unique<MruLookup>(MruLookup::swapping()));
+        out.push_back(
+            std::make_unique<NaiveLookup>(NaiveLookup::wide(2)));
+        out.push_back(std::make_unique<MruLookup>(MruLookup::wide(2)));
         for (TransformKind tr :
              {TransformKind::None, TransformKind::XorLow,
               TransformKind::Improved, TransformKind::Swap}) {

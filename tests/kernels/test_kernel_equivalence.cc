@@ -21,6 +21,7 @@
 #include "core/mru_lookup.h"
 #include "core/partial_lookup.h"
 #include "core/transform.h"
+#include "core/way_memo.h"
 #include "util/bitops.h"
 #include "util/rng.h"
 
@@ -238,6 +239,15 @@ TEST(KernelEquivalence, StrategiesBitIdenticalUnderEveryTable)
         strategies.push_back(std::make_unique<MruLookup>());
         if (a > 2)
             strategies.push_back(std::make_unique<MruLookup>(2));
+        strategies.push_back(
+            std::make_unique<MruLookup>(MruLookup::swapping()));
+        for (unsigned b : {2u, 3u, a}) {
+            strategies.push_back(
+                std::make_unique<NaiveLookup>(NaiveLookup::wide(b)));
+            strategies.push_back(
+                std::make_unique<MruLookup>(MruLookup::wide(b)));
+        }
+        strategies.push_back(std::make_unique<WayPredictLookup>());
         for (TransformKind kind :
              {TransformKind::None, TransformKind::XorLow,
               TransformKind::Improved, TransformKind::Swap}) {

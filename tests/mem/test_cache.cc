@@ -194,6 +194,17 @@ TEST(WriteBackCache, FillResultsCountFillsEvictionsAndDirtyVictims)
     EXPECT_EQ(dirty_evictions, 1u);
 }
 
+TEST(WriteBackCache, RejectsMoreWaysThanTheKernelsCover)
+{
+    // A set's valid mask and the lookup kernels' eq masks are one
+    // 64-bit word, so a cache stops at 64 ways, LRU included.
+    EXPECT_EQ(WriteBackCache(CacheGeometry(16384, 16, 64)).geom().assoc(),
+              64u);
+    EXPECT_THROW(WriteBackCache(CacheGeometry(16384, 16, 128),
+                                ReplPolicy::Lru),
+                 FatalError);
+}
+
 TEST(WriteBackCache, DirectMappedBehaviour)
 {
     WriteBackCache c = makeCache(256, 16, 1);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Randomized equivalence tests for the packed recency orders: the
- * 4-bit-slot uint64 representation (and the wide byte fallback)
+ * 4-bit-slot uint64 representation (and the byte arrays of wider sets)
  * must evolve exactly like a straightforward reference vector under
  * every operation the cache performs — promote on touch/fill,
  * demote on invalidate, rotation reset on flush.
@@ -135,10 +135,11 @@ TEST_P(RecencyEquivalence, MatchesReferenceVectors)
 }
 
 // 2..16 exercises the packed 4-bit representation (including the
-// full 16-slot word); 32 exercises the wide byte fallback.
+// full 16-slot word); 32 and 64 exercise the byte arrays, 64 with
+// every bit of the set's mask word in use.
 // (CacheGeometry only admits power-of-two associativities.)
 INSTANTIATE_TEST_SUITE_P(Assoc, RecencyEquivalence,
-                         ::testing::Values(2u, 4u, 8u, 16u, 32u));
+                         ::testing::Values(2u, 4u, 8u, 16u, 32u, 64u));
 
 TEST(RecencyPacked, ColdStartRotationVariesBySet)
 {

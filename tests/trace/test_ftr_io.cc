@@ -10,8 +10,8 @@
  * skip accounting, torn-off footers rebuild the index by scan with
  * zero record loss, torn mid-frame tails deliver the exact prefix,
  * and hard IO errors are never mistaken for end-of-file no matter
- * the ErrorPolicy. Seeks, budgets, and cancellation ride the same
- * machinery and are pinned here too.
+ * the ErrorPolicy. Budgets and cancellation ride the same machinery
+ * and are pinned here too.
  */
 
 #include <gtest/gtest.h>
@@ -377,7 +377,7 @@ TEST_F(FtrIoTest, TornFooterRebuildsTheIndexWithNoRecordLoss)
         EXPECT_EQ(src.error().code(), ErrorCode::Data);
     }
     // ...Skip rebuilds it by scanning frame headers; every record
-    // is still there, bit-identical, and seekable.
+    // is still there, bit-identical, and indexed.
     FtrTraceSource src(path_, skipPolicy());
     ASSERT_FALSE(src.failed()) << src.error().text();
     EXPECT_TRUE(src.indexRebuilt());
@@ -417,12 +417,6 @@ TEST_F(FtrIoTest, CrashBeforeFinishRecoversEveryFlushedFrame)
     EXPECT_FALSE(src.failed()) << src.error().text();
     EXPECT_EQ(src.skippedRecords(), 0u);
     EXPECT_EQ(src.damageEvents(), 0u);
-    // Seeks work against the derived total too.
-    ASSERT_TRUE(src.seekToRecord(600).ok());
-    std::vector<MemRef> tail = drain(src);
-    EXPECT_FALSE(src.failed()) << src.error().text();
-    EXPECT_EQ(tail, std::vector<MemRef>(recs.begin() + 600,
-                                        recs.end()));
 }
 
 TEST_F(FtrIoTest, CrashLosesOnlyTheUnflushedTail)
@@ -525,52 +519,6 @@ TEST_F(FtrIoTest, TornTailDeliversTheExactPrefix)
     // the CRC-verified header still says 1000 records existed.
     EXPECT_EQ(src.skippedRecords(), recs.size() - 640u);
     EXPECT_EQ(src.damageEvents(), 1u);
-}
-
-TEST_F(FtrIoTest, SeekToRecordLandsExactly)
-{
-    const std::vector<MemRef> recs = makeRecords(1000, 0xF7A0A);
-    ASSERT_EQ(writeFile(recs, path_, 64), recs.size());
-    FtrTraceSource src(path_);
-    ASSERT_FALSE(src.failed());
-
-    for (std::uint64_t target : {0ull, 1ull, 63ull, 64ull, 500ull,
-                                 999ull}) {
-        Expected<void> ok = src.seekToRecord(target);
-        ASSERT_TRUE(ok.ok()) << ok.error().text();
-        std::vector<MemRef> got = drain(src);
-        ASSERT_FALSE(src.failed()) << src.error().text();
-        std::vector<MemRef> want(recs.begin() +
-                                     static_cast<long>(target),
-                                 recs.end());
-        EXPECT_EQ(got, want) << "seek to " << target;
-    }
-    // Seeking to the end is a valid empty stream, not an error.
-    ASSERT_TRUE(src.seekToRecord(recs.size()).ok());
-    MemRef r;
-    EXPECT_FALSE(src.next(r));
-    EXPECT_FALSE(src.failed());
-}
-
-TEST_F(FtrIoTest, SeekStepsOverDamagedRecords)
-{
-    const std::vector<MemRef> recs = makeRecords(1000, 0xF7A0B);
-    ASSERT_EQ(writeFile(recs, path_, 64), recs.size());
-    std::vector<ftr::IndexEntry> index = indexOf(path_);
-    const std::size_t victim = 5;
-    flipByte(path_, index[victim].offset + ftr::kFrameHeaderBytes + 4);
-
-    FtrTraceSource src(path_, skipPolicy());
-    ASSERT_FALSE(src.failed());
-    // A target inside the damaged frame is unreachable; streaming
-    // resumes at the first intact record after it.
-    ASSERT_TRUE(src.seekToRecord(victim * 64 + 10).ok());
-    std::vector<MemRef> got = drain(src);
-    EXPECT_FALSE(src.failed()) << src.error().text();
-    std::vector<MemRef> want(recs.begin() +
-                                 static_cast<long>((victim + 1) * 64),
-                             recs.end());
-    EXPECT_EQ(got, want);
 }
 
 TEST_F(FtrIoTest, MemBudgetBoundsDecodedFrames)
