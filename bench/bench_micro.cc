@@ -24,6 +24,7 @@
 #include "svc/service.h"
 #include "trace/atum_like.h"
 #include "trace/trace_source.h"
+#include "util/bitops.h"
 #include "util/rng.h"
 
 using namespace assoc;
@@ -34,13 +35,13 @@ namespace {
 struct BenchSet
 {
     std::vector<std::uint32_t> tags;
-    std::vector<std::uint8_t> valid;
+    std::uint64_t valid; ///< every way valid
     std::vector<std::uint8_t> order;
     std::uint32_t incoming;
     std::uint32_t block_addr;
 
     explicit BenchSet(unsigned a, Pcg32 &rng)
-        : tags(a), valid(a, 1), order(a)
+        : tags(a), valid(maskBits(a)), order(a)
     {
         for (unsigned w = 0; w < a; ++w) {
             tags[w] = rng.next() & 0xffff;
@@ -61,7 +62,7 @@ struct BenchSet
         core::LookupInput in;
         in.assoc = static_cast<unsigned>(tags.size());
         in.stored_tags = tags.data();
-        in.valid = valid.data();
+        in.valid = valid;
         in.mru_order = order.data();
         in.incoming_tag = incoming;
         in.block_addr = block_addr;
@@ -162,8 +163,8 @@ runEqMask(benchmark::State &state, const core::LookupKernels &kern)
     std::size_t i = 0;
     for (auto _ : state) {
         const BenchSet &s = sets[i & 255];
-        benchmark::DoNotOptimize(kern.eq_mask(
-            s.tags.data(), s.valid.data(), a, s.incoming));
+        benchmark::DoNotOptimize(
+            kern.eq_mask(s.tags.data(), s.valid, a, s.incoming));
         ++i;
     }
     state.SetItemsProcessed(state.iterations());
@@ -193,7 +194,7 @@ runPartialMask(benchmark::State &state,
     for (auto _ : state) {
         const BenchSet &s = sets[i & 255];
         benchmark::DoNotOptimize(kern.partial_mask(
-            s.tags.data(), s.valid.data(), g,
+            s.tags.data(), s.valid, g,
             inc_fields[i & 255].data(), k,
             core::TransformKind::XorLow, *xf));
         ++i;
@@ -205,22 +206,19 @@ void
 runPlaneDecode(benchmark::State &state,
                const core::LookupKernels &kern)
 {
-    // The snapshotSet() decode: shift a tag plane, expand a valid
-    // bitmask and a packed recency word into per-way bytes.
+    // The snapshotSet() decode: shift a tag plane and expand a
+    // packed recency word into per-way bytes.
     const unsigned a = static_cast<unsigned>(state.range(0));
     Pcg32 rng(43);
     std::vector<std::uint32_t> raw(a), tags(a);
-    std::vector<std::uint8_t> valid(a), order(a);
+    std::vector<std::uint8_t> order(a);
     for (unsigned w = 0; w < a; ++w)
         raw[w] = rng.next();
-    std::uint64_t vbits = rng.next64();
     std::uint64_t packed = rng.next64();
     for (auto _ : state) {
         kern.shift_tags(raw.data(), a, 13, tags.data());
-        kern.expand_bits(vbits, a, valid.data());
         kern.expand_nibbles(packed, a, order.data());
         benchmark::DoNotOptimize(tags.data());
-        benchmark::DoNotOptimize(valid.data());
         benchmark::DoNotOptimize(order.data());
     }
     state.SetItemsProcessed(state.iterations());
@@ -366,12 +364,11 @@ BM_CacheSnapshotSet(benchmark::State &state)
                        (w + 1) * cache.geom().sets()),
                    false);
     std::vector<std::uint32_t> tags(a);
-    std::vector<std::uint8_t> valid(a);
     std::vector<std::uint8_t> order(a);
     for (auto _ : state) {
-        cache.snapshotSet(0, tags.data(), valid.data(), order.data());
+        cache.snapshotSet(0, tags.data(), order.data());
+        benchmark::DoNotOptimize(cache.validMask(0));
         benchmark::DoNotOptimize(tags.data());
-        benchmark::DoNotOptimize(valid.data());
         benchmark::DoNotOptimize(order.data());
     }
     state.SetItemsProcessed(state.iterations());

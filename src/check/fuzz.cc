@@ -43,7 +43,8 @@ class BrokenNaive final : public core::NaiveLookup
         core::LookupResult res;
         for (unsigned w = 1; w < in.assoc; ++w) {
             ++res.probes;
-            if (in.valid[w] && in.stored_tags[w] == in.incoming_tag) {
+            if (((in.valid >> w) & 1) != 0 &&
+                in.stored_tags[w] == in.incoming_tag) {
                 res.hit = true;
                 res.way = static_cast<int>(w);
                 return res;

@@ -75,6 +75,13 @@ probeBoundsFor(const core::LookupStrategy &strategy, unsigned a)
 
 namespace {
 
+/** Bit @p w of the set's validity word. */
+bool
+validWay(const core::LookupInput &in, unsigned w)
+{
+    return ((in.valid >> w) & 1) != 0;
+}
+
 /** Scan @p order (@p n ways) @p b tags per probe, after
  *  @p first_probes probes that read no tag. */
 core::LookupResult
@@ -87,7 +94,7 @@ refScan(const core::LookupInput &in, const unsigned *order, unsigned n,
         ++res.probes; // one probe reads this group of b tags
         for (unsigned i = base; i < n && i < base + b; ++i) {
             unsigned w = order[i];
-            if (in.valid[w] && in.stored_tags[w] == in.incoming_tag) {
+            if (validWay(in, w) && in.stored_tags[w] == in.incoming_tag) {
                 res.hit = true;
                 res.way = static_cast<int>(w);
                 return res;
@@ -139,7 +146,7 @@ refPartial(const core::PartialConfig &cfg,
         ++res.probes; // step 1
         for (unsigned l = 0; l < g; ++l) {
             unsigned w = sub * g + l;
-            if (!in.valid[w])
+            if (!validWay(in, w))
                 continue;
             std::uint32_t stored = xf->apply(in.stored_tags[w], l);
             std::uint32_t incoming = xf->apply(in.incoming_tag, l);
@@ -162,7 +169,8 @@ refWayPredict(const core::LookupInput &in)
     core::LookupResult res;
     res.probes = 1; // the predicted way
     const unsigned pred = in.mru_order[0];
-    if (in.valid[pred] && in.stored_tags[pred] == in.incoming_tag) {
+    if (validWay(in, pred) &&
+        in.stored_tags[pred] == in.incoming_tag) {
         res.hit = true;
         res.way = static_cast<int>(pred);
         return res;
@@ -173,7 +181,7 @@ refWayPredict(const core::LookupInput &in)
     for (unsigned w = 0; w < in.assoc; ++w) {
         if (w == pred)
             continue;
-        if (in.valid[w] && in.stored_tags[w] == in.incoming_tag) {
+        if (validWay(in, w) && in.stored_tags[w] == in.incoming_tag) {
             res.hit = true;
             res.way = static_cast<int>(w);
             return res;
@@ -223,7 +231,7 @@ partialCandidateMask(const core::PartialConfig &cfg,
     for (unsigned sub = 0; sub < s; ++sub) {
         for (unsigned l = 0; l < g; ++l) {
             unsigned w = sub * g + l;
-            if (!in.valid[w])
+            if (!validWay(in, w))
                 continue;
             std::uint32_t stored = xf->apply(in.stored_tags[w], l);
             std::uint32_t incoming = xf->apply(in.incoming_tag, l);
@@ -441,7 +449,7 @@ InvariantAuditor::audit(const core::ProbeMeter &meter,
                       std::to_string(view.hit_way));
     } else if (res.hit) {
         if (res.way < 0 || static_cast<unsigned>(res.way) >= a ||
-            !in.valid[res.way] ||
+            !validWay(in, res.way) ||
             in.stored_tags[res.way] != in.incoming_tag)
             log_->add(who + ": truncated-tag hit at way " +
                       std::to_string(res.way) +
@@ -464,7 +472,7 @@ InvariantAuditor::audit(const core::ProbeMeter &meter,
     if (auto *p = dynamic_cast<const core::PartialLookup *>(&strat)) {
         std::uint64_t cand = partialCandidateMask(p->config(), in);
         for (unsigned w = 0; w < a; ++w) {
-            if (in.valid[w] && in.stored_tags[w] == in.incoming_tag &&
+            if (validWay(in, w) && in.stored_tags[w] == in.incoming_tag &&
                 !(cand & (std::uint64_t{1} << w)))
                 log_->add(who + ": step-1 candidates {" +
                           std::to_string(cand) +

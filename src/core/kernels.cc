@@ -34,37 +34,18 @@ namespace {
 // ---------------------------------------------------------------
 
 std::uint64_t
-scalarEqMask(const std::uint32_t *tags, const std::uint8_t *valid,
+scalarEqMask(const std::uint32_t *tags, std::uint64_t valid,
              unsigned a, std::uint32_t needle)
 {
     std::uint64_t m = 0;
     for (unsigned w = 0; w < a; ++w)
-        if (valid[w] && tags[w] == needle)
+        if (((valid >> w) & 1) != 0 && tags[w] == needle)
             m |= std::uint64_t{1} << w;
     return m;
 }
 
 std::uint64_t
-scalarEqMaskBits(const std::uint32_t *vals, std::uint64_t valid_bits,
-                 unsigned a, std::uint32_t needle)
-{
-    std::uint64_t m = 0;
-    for (unsigned w = 0; w < a; ++w)
-        if (((valid_bits >> w) & 1) != 0 && vals[w] == needle)
-            m |= std::uint64_t{1} << w;
-    return m;
-}
-
-std::uint64_t
-scalarEqMaskBitsRelaxed(const std::uint32_t *vals,
-                        std::uint64_t valid_bits, unsigned a,
-                        std::uint32_t needle)
-{
-    return kdetail::swarEqMaskBitsRelaxed(vals, valid_bits, a, needle);
-}
-
-std::uint64_t
-scalarPartialMask(const std::uint32_t *tags, const std::uint8_t *valid,
+scalarPartialMask(const std::uint32_t *tags, std::uint64_t valid,
                   unsigned g, const std::uint32_t *inc_fields,
                   unsigned k, TransformKind kind, const TagTransform &xf)
 {
@@ -75,20 +56,13 @@ scalarPartialMask(const std::uint32_t *tags, const std::uint8_t *valid,
     (void)kind;
     std::uint64_t m = 0;
     for (unsigned l = 0; l < g; ++l) {
-        if (!valid[l])
+        if (((valid >> l) & 1) == 0)
             continue;
         std::uint32_t stored = xf.apply(tags[l], l);
         if (xf.field(stored, l) == inc_fields[l])
             m |= std::uint64_t{1} << l;
     }
     return m;
-}
-
-void
-scalarExpandBits(std::uint64_t bits, unsigned n, std::uint8_t *out)
-{
-    for (unsigned i = 0; i < n; ++i)
-        out[i] = static_cast<std::uint8_t>((bits >> i) & 1);
 }
 
 void
@@ -109,40 +83,13 @@ scalarShiftTags(const std::uint32_t *in, unsigned n, unsigned shift,
 // --------------------- SWAR table bodies -----------------------
 
 std::uint64_t
-swarEqMaskBitsRelaxedFn(const std::uint32_t *vals,
-                        std::uint64_t valid_bits, unsigned a,
-                        std::uint32_t needle)
-{
-    return kdetail::swarEqMaskBitsRelaxed(vals, valid_bits, a, needle);
-}
-
-std::uint64_t
-swarPartialMaskFn(const std::uint32_t *tags, const std::uint8_t *valid,
+swarPartialMaskFn(const std::uint32_t *tags, std::uint64_t valid,
                   unsigned g, const std::uint32_t *inc_fields,
                   unsigned k, TransformKind kind, const TagTransform &xf)
 {
     (void)xf;
     return kdetail::swarPartialMask(tags, valid, g, inc_fields, k,
                                     kind);
-}
-
-void
-swarExpandBitsFn(std::uint64_t bits, unsigned n, std::uint8_t *out)
-{
-    kdetail::swarExpandBits(bits, n, out);
-}
-
-void
-swarExpandNibblesFn(std::uint64_t word, unsigned n, std::uint8_t *out)
-{
-    kdetail::swarExpandNibbles(word, n, out);
-}
-
-void
-swarShiftTagsFn(const std::uint32_t *in, unsigned n, unsigned shift,
-                std::uint32_t *out)
-{
-    kdetail::swarShiftTags(in, n, shift, out);
 }
 
 } // namespace
@@ -154,10 +101,9 @@ scalarKernels()
         KernelIsa::Scalar,
         "scalar",
         scalarEqMask,
-        scalarEqMaskBits,
-        scalarEqMaskBitsRelaxed,
+        // One relaxed body for both portable tables (kernels_inl.h).
+        kdetail::swarEqMaskRelaxed,
         scalarPartialMask,
-        scalarExpandBits,
         scalarExpandNibbles,
         scalarShiftTags,
     };
@@ -170,15 +116,13 @@ swarKernels()
     static const LookupKernels k = {
         KernelIsa::Swar,
         "swar",
-        // Branch-free SWAR equality scans measured slower than these
-        // scalar loops at every width (docs/KERNELS.md).
+        // A branch-free SWAR equality scan measured slower than this
+        // scalar loop at every width (docs/KERNELS.md).
         scalarEqMask,
-        scalarEqMaskBits,
-        swarEqMaskBitsRelaxedFn,
+        kdetail::swarEqMaskRelaxed,
         swarPartialMaskFn,
-        swarExpandBitsFn,
-        swarExpandNibblesFn,
-        swarShiftTagsFn,
+        kdetail::swarExpandNibbles,
+        kdetail::swarShiftTags,
     };
     return k;
 }
@@ -229,7 +173,6 @@ kernelSelfCheck(const LookupKernels &k, std::string *why)
     // lanes in every vector.
     constexpr unsigned kMaxA = 64, kMaxOff = 3;
     std::uint32_t tags[kMaxA + kMaxOff];
-    std::uint8_t valid[kMaxA + kMaxOff];
     std::uint8_t bytes_ref[kMaxA], bytes_got[kMaxA];
     std::uint32_t shifted_ref[kMaxA + kMaxOff],
         shifted_got[kMaxA + kMaxOff];
@@ -243,44 +186,26 @@ kernelSelfCheck(const LookupKernels &k, std::string *why)
             for (std::uint32_t &p : pool)
                 p = static_cast<std::uint32_t>(rng.next());
             std::uint32_t *t = tags + off;
-            std::uint8_t *v = valid + off;
-            std::uint64_t vbits = 0;
-            for (unsigned w = 0; w < a; ++w) {
+            for (unsigned w = 0; w < a; ++w)
                 t[w] = pool[rng.next() & 3];
-                v[w] = static_cast<std::uint8_t>(rng.next() & 1);
-                vbits |= static_cast<std::uint64_t>(v[w] != 0) << w;
-            }
-            // Second pass: an all-invalid set must yield mask 0.
-            for (int pass = 0; pass < 2; ++pass) {
-                if (pass == 1) {
-                    std::memset(v, 0, a);
-                    vbits = 0;
-                }
+            // Random validity with stray bits above way a (the
+            // kernels must ignore them), then an all-invalid set,
+            // which must yield mask 0.
+            for (std::uint64_t valid : {rng.next(), std::uint64_t{0}}) {
                 std::uint32_t needle = pool[rng.next() & 3];
-                if (k.eq_mask(t, v, a, needle) !=
-                    ref.eq_mask(t, v, a, needle)) {
+                if (k.eq_mask(t, valid, a, needle) !=
+                    ref.eq_mask(t, valid, a, needle)) {
                     setWhy(why, "eq_mask", a, off);
                     return false;
                 }
-                if (k.eq_mask_bits(t, vbits, a, needle) !=
-                    ref.eq_mask_bits(t, vbits, a, needle)) {
-                    setWhy(why, "eq_mask_bits", a, off);
-                    return false;
-                }
-                if (k.eq_mask_bits_relaxed(t, vbits, a, needle) !=
-                    ref.eq_mask_bits_relaxed(t, vbits, a, needle)) {
-                    setWhy(why, "eq_mask_bits_relaxed", a, off);
+                if (k.eq_mask_relaxed(t, valid, a, needle) !=
+                    ref.eq_mask_relaxed(t, valid, a, needle)) {
+                    setWhy(why, "eq_mask_relaxed", a, off);
                     return false;
                 }
             }
 
             std::uint64_t word = rng.next();
-            ref.expand_bits(word, a, bytes_ref);
-            k.expand_bits(word, a, bytes_got);
-            if (std::memcmp(bytes_ref, bytes_got, a) != 0) {
-                setWhy(why, "expand_bits", a, off);
-                return false;
-            }
             unsigned n = a <= 16 ? a : 16;
             ref.expand_nibbles(word, n, bytes_ref);
             k.expand_nibbles(word, n, bytes_got);
@@ -323,19 +248,17 @@ kernelSelfCheck(const LookupKernels &k, std::string *why)
                     p = static_cast<std::uint32_t>(rng.next()) &
                         static_cast<std::uint32_t>(maskBits(geo.t));
                 std::uint32_t *t = tags + off;
-                std::uint8_t *v = valid + off;
-                for (unsigned l = 0; l < geo.g; ++l) {
+                for (unsigned l = 0; l < geo.g; ++l)
                     t[l] = pool[rng.next() & 3];
-                    v[l] = static_cast<std::uint8_t>(rng.next() & 1);
-                }
+                const std::uint64_t valid = rng.next();
                 std::uint32_t incoming = pool[rng.next() & 3];
                 for (unsigned l = 0; l < geo.g; ++l)
                     inc_fields[l] =
                         xf->field(xf->apply(incoming, l), l);
-                if (k.partial_mask(t, v, geo.g, inc_fields, geo.k,
+                if (k.partial_mask(t, valid, geo.g, inc_fields, geo.k,
                                    kind, *xf) !=
-                    ref.partial_mask(t, v, geo.g, inc_fields, geo.k,
-                                     kind, *xf)) {
+                    ref.partial_mask(t, valid, geo.g, inc_fields,
+                                     geo.k, kind, *xf)) {
                     if (why != nullptr)
                         *why = std::string("partial_mask mismatch (") +
                                transformKindName(kind) +

@@ -4,12 +4,14 @@
  *
  * The paper's partial-compare step 1 — compare a k-bit field of all
  * a stored tags against the incoming tag — is naturally
- * data-parallel, and the SoA planes (contiguous tag / valid / order
- * arrays, see mem/cache.h) were laid out to feed exactly that. This
- * module packages the data-parallel inner loops of every lookup
- * scheme as *kernels*: small non-virtual functions over contiguous
- * planes that return per-way bitmasks (bit w = way w), plus the
- * plane decode helpers snapshotSet() is built from.
+ * data-parallel, and the SoA planes (a contiguous tag plane and one
+ * validity word per set, see mem/cache.h) were laid out to feed
+ * exactly that. This module packages the data-parallel inner loops
+ * of every lookup scheme as *kernels*: small non-virtual functions
+ * over a tag plane and its set's validity word that return per-way
+ * bitmasks (bit w = way w), plus the plane decode helpers
+ * snapshotSet() is built from. Validity is one word from the cache
+ * to every kernel; no kernel reads a per-way valid byte.
  *
  * Several implementations of the same kernel table are registered:
  *
@@ -73,28 +75,20 @@ struct LookupKernels
     const char *name = "scalar";
 
     /**
-     * Bit w set iff valid[w] != 0 and tags[w] == needle, for
-     * w < a (a at most 64). The one kernel behind every scan: the
-     * way-order scan (Traditional, Naive, WideNaive), the recency-
-     * order scan (MRU, WideMRU, SwapMRU) and WayPredict's second
-     * probe each walk this mask in their own order.
+     * Bit w set iff bit w of @p valid is set and tags[w] == needle,
+     * for w < a (a at most 64). The one tag-equality kernel:
+     * WriteBackCache::findWay, the way-order scan (Traditional,
+     * Naive, WideNaive), the recency-order scan (MRU, WideMRU,
+     * SwapMRU) and WayPredict's second probe each walk this mask in
+     * their own order. @p valid is the set's validity word as the
+     * cache keeps it (bit w = way w).
      */
     std::uint64_t (*eq_mask)(const std::uint32_t *tags,
-                             const std::uint8_t *valid, unsigned a,
+                             std::uint64_t valid, unsigned a,
                              std::uint32_t needle);
 
     /**
-     * eq_mask against a packed validity word instead of a byte
-     * plane: bit w set iff bit w of valid_bits and vals[w] ==
-     * needle (w < a, a at most 64). Feeds WriteBackCache::findWay
-     * straight from the SoA valid bitmask.
-     */
-    std::uint64_t (*eq_mask_bits)(const std::uint32_t *vals,
-                                  std::uint64_t valid_bits, unsigned a,
-                                  std::uint32_t needle);
-
-    /**
-     * eq_mask_bits for the seqlock's optimistic read path: element
+     * eq_mask for the seqlock's optimistic read path: element
      * loads may race per-set-serialized writers, so they must be
      * torn-read tolerant. Scalar/SWAR bodies load each element
      * through a relaxed std::atomic_ref; the AVX2 body uses plain
@@ -103,35 +97,32 @@ struct LookupKernels
      * routes to the SWAR body so the formal data-race checker sees
      * only relaxed atomics (see docs/KERNELS.md).
      */
-    std::uint64_t (*eq_mask_bits_relaxed)(const std::uint32_t *vals,
-                                          std::uint64_t valid_bits,
-                                          unsigned a,
-                                          std::uint32_t needle);
+    std::uint64_t (*eq_mask_relaxed)(const std::uint32_t *tags,
+                                     std::uint64_t valid, unsigned a,
+                                     std::uint32_t needle);
 
     /**
      * Partial-compare step 1 over one subset of g ways (Section
-     * 2.2): bit l set iff valid[l] != 0 and field l of the
-     * transformed stored tag tags[l] equals inc_fields[l], for
-     * l < g (g at most 64). The caller precomputes inc_fields[l] =
-     * xf.field(xf.apply(incoming, l), l) once per lookup; the
-     * stored side is evaluated per way inside the kernel (the
-     * vector bodies use closed forms of the four transforms, the
-     * scalar body calls @p xf exactly like the original strategy).
+     * 2.2): bit l set iff bit l of @p valid is set and field l of
+     * the transformed stored tag tags[l] equals inc_fields[l], for
+     * l < g (g at most 64). @p valid is the subset's validity word
+     * (the set's word shifted down to the subset's first way; bits
+     * at and above g are ignored). The caller precomputes
+     * inc_fields[l] = xf.field(xf.apply(incoming, l), l) once per
+     * lookup; the stored side is evaluated per way inside the
+     * kernel (the vector bodies use closed forms of the four
+     * transforms, the scalar body calls @p xf exactly like the
+     * original strategy).
      *
      * @param k    field width in bits (xf.fieldBits()).
      * @param kind transform kind (selects the closed form).
      * @param xf   the strategy's transform (reference body only).
      */
     std::uint64_t (*partial_mask)(const std::uint32_t *tags,
-                                  const std::uint8_t *valid, unsigned g,
+                                  std::uint64_t valid, unsigned g,
                                   const std::uint32_t *inc_fields,
                                   unsigned k, TransformKind kind,
                                   const TagTransform &xf);
-
-    /** out[i] = bit i of bits (0/1 bytes), i < n (n at most 64).
-     *  The valid plane decode of snapshotSet(). */
-    void (*expand_bits)(std::uint64_t bits, unsigned n,
-                        std::uint8_t *out);
 
     /** out[i] = 4-bit slot i of word, i < n <= 16. The packed
      *  recency-order decode of snapshotSet(). */
@@ -160,8 +151,9 @@ std::vector<const LookupKernels *> registeredKernels();
 /**
  * Run the smoke-vector equivalence sweep on @p k against the scalar
  * reference: eq masks, partial masks under all four transforms,
- * plane decodes — each at several associativities and at misaligned
- * plane offsets. @return true when every vector matches; on
+ * plane decodes — each at several associativities, at misaligned
+ * plane offsets and with validity bits set above the last way.
+ * @return true when every vector matches; on
  * mismatch, false with a one-line reason in @p why (when non-null).
  */
 bool kernelSelfCheck(const LookupKernels &k, std::string *why);

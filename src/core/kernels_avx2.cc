@@ -13,8 +13,8 @@
  * then the shared scalar-tail bodies from kernels_inl.h — tails and
  * chunks must agree bit-for-bit, so the tail is never reimplemented
  * here. Tag-equality lanes become bitmasks via movemask on the
- * 32-bit compare results; validity bytes become bitmasks via a
- * zero-compare + movemask on the byte lanes.
+ * 32-bit compare results; validity arrives as the set's word and is
+ * ANDed onto the finished mask.
  */
 
 #include "core/kernels.h"
@@ -22,8 +22,6 @@
 #if defined(__x86_64__) && !defined(ASSOC_NO_AVX2_KERNELS)
 
 #include <immintrin.h>
-
-#include <cstring>
 
 #include "core/kernels_inl.h"
 
@@ -39,91 +37,29 @@ namespace assoc {
 namespace core {
 namespace {
 
-/** Bits w..w+7 of the eq/valid mask for 8 tag lanes at @p tags and
- *  8 validity bytes at @p valid. */
+/** Tag-equality bits for 8 lanes. */
 __attribute__((target("avx2"))) inline unsigned
-eq8(const std::uint32_t *tags, const std::uint8_t *valid,
-    __m256i vneedle)
+eqTags8(const std::uint32_t *tags, __m256i vneedle)
 {
     __m256i t = _mm256_loadu_si256(
         reinterpret_cast<const __m256i *>(tags));
-    unsigned eq = static_cast<unsigned>(_mm256_movemask_ps(
-        _mm256_castsi256_ps(_mm256_cmpeq_epi32(t, vneedle))));
-    __m128i v = _mm_loadl_epi64(
-        reinterpret_cast<const __m128i *>(valid));
-    unsigned inv = static_cast<unsigned>(
-        _mm_movemask_epi8(_mm_cmpeq_epi8(v, _mm_setzero_si128())));
-    return eq & ~inv & 0xffu;
-}
-
-/** 4-lane SSE variant (associativity 4..7 tails, assoc-4 sets). */
-inline unsigned
-eq4(const std::uint32_t *tags, const std::uint8_t *valid,
-    __m128i vneedle4)
-{
-    __m128i t = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(tags));
-    unsigned eq = static_cast<unsigned>(_mm_movemask_ps(
-        _mm_castsi128_ps(_mm_cmpeq_epi32(t, vneedle4))));
-    std::uint32_t vword;
-    std::memcpy(&vword, valid, 4);
-    __m128i v = _mm_cvtsi32_si128(static_cast<int>(vword));
-    unsigned inv = static_cast<unsigned>(
-        _mm_movemask_epi8(_mm_cmpeq_epi8(v, _mm_setzero_si128())));
-    return eq & ~inv & 0xfu;
-}
-
-__attribute__((target("avx2"))) std::uint64_t
-avx2EqMask(const std::uint32_t *tags, const std::uint8_t *valid,
-           unsigned a, std::uint32_t needle)
-{
-    std::uint64_t m = 0;
-    unsigned w = 0;
-    if (a >= 8) {
-        const __m256i vneedle =
-            _mm256_set1_epi32(static_cast<int>(needle));
-        for (; w + 8 <= a; w += 8)
-            m |= static_cast<std::uint64_t>(
-                     eq8(tags + w, valid + w, vneedle))
-                 << w;
-    }
-    if (w + 4 <= a) {
-        m |= static_cast<std::uint64_t>(
-                 eq4(tags + w, valid + w,
-                     _mm_set1_epi32(static_cast<int>(needle))))
-             << w;
-        w += 4;
-    }
-    for (; w < a; ++w)
-        m |= static_cast<std::uint64_t>(
-                 static_cast<unsigned>(valid[w] != 0) &
-                 static_cast<unsigned>(tags[w] == needle))
-             << w;
-    return m;
-}
-
-/** Tag-equality bits for 8 lanes (no validity plane). */
-__attribute__((target("avx2"))) inline unsigned
-eqTags8(const std::uint32_t *vals, __m256i vneedle)
-{
-    __m256i t = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i *>(vals));
     return static_cast<unsigned>(_mm256_movemask_ps(
         _mm256_castsi256_ps(_mm256_cmpeq_epi32(t, vneedle))));
 }
 
+/** 4-lane SSE variant (the 4..7-way tail, and 4-way sets). */
 inline unsigned
-eqTags4(const std::uint32_t *vals, __m128i vneedle4)
+eqTags4(const std::uint32_t *tags, __m128i vneedle4)
 {
     __m128i t = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(vals));
+        reinterpret_cast<const __m128i *>(tags));
     return static_cast<unsigned>(_mm_movemask_ps(
         _mm_castsi128_ps(_mm_cmpeq_epi32(t, vneedle4))));
 }
 
 __attribute__((target("avx2"))) std::uint64_t
-avx2EqMaskBits(const std::uint32_t *vals, std::uint64_t valid_bits,
-               unsigned a, std::uint32_t needle)
+avx2EqMask(const std::uint32_t *tags, std::uint64_t valid, unsigned a,
+           std::uint32_t needle)
 {
     std::uint64_t m = 0;
     unsigned w = 0;
@@ -131,42 +67,41 @@ avx2EqMaskBits(const std::uint32_t *vals, std::uint64_t valid_bits,
         const __m256i vneedle =
             _mm256_set1_epi32(static_cast<int>(needle));
         for (; w + 8 <= a; w += 8)
-            m |= static_cast<std::uint64_t>(eqTags8(vals + w, vneedle))
+            m |= static_cast<std::uint64_t>(eqTags8(tags + w, vneedle))
                  << w;
     }
     if (w + 4 <= a) {
         m |= static_cast<std::uint64_t>(
-                 eqTags4(vals + w,
+                 eqTags4(tags + w,
                          _mm_set1_epi32(static_cast<int>(needle))))
              << w;
         w += 4;
     }
     for (; w < a; ++w)
-        m |= static_cast<std::uint64_t>(vals[w] == needle) << w;
-    return m & valid_bits & maskBits(a);
+        m |= static_cast<std::uint64_t>(tags[w] == needle) << w;
+    return m & valid & maskBits(a);
 }
 
 __attribute__((target("avx2"))) std::uint64_t
-avx2EqMaskBitsRelaxed(const std::uint32_t *vals,
-                      std::uint64_t valid_bits, unsigned a,
-                      std::uint32_t needle)
+avx2EqMaskRelaxed(const std::uint32_t *tags, std::uint64_t valid,
+                  unsigned a, std::uint32_t needle)
 {
 #if defined(ASSOC_TSAN)
     // Under ThreadSanitizer the racing element loads must be
     // visible to the checker as relaxed atomics; take the SWAR body
     // (bit-identical, just not vectorized).
-    return kdetail::swarEqMaskBitsRelaxed(vals, valid_bits, a, needle);
+    return kdetail::swarEqMaskRelaxed(tags, valid, a, needle);
 #else
     // Plain vector loads: individual elements may tear against a
     // per-set-serialized writer, but any torn view is discarded by
     // the caller's seqlock validation (mem/cache.h concurrency
     // contract), and a 32-bit plane element never tears on x86.
-    return avx2EqMaskBits(vals, valid_bits, a, needle);
+    return avx2EqMask(tags, valid, a, needle);
 #endif
 }
 
 __attribute__((target("avx2"))) std::uint64_t
-avx2PartialMask(const std::uint32_t *tags, const std::uint8_t *valid,
+avx2PartialMask(const std::uint32_t *tags, std::uint64_t valid,
                 unsigned g, const std::uint32_t *inc_fields,
                 unsigned k, TransformKind kind, const TagTransform &xf)
 {
@@ -216,35 +151,15 @@ avx2PartialMask(const std::uint32_t *tags, const std::uint8_t *valid,
                 reinterpret_cast<const __m256i *>(inc_fields + l));
             unsigned eq = static_cast<unsigned>(_mm256_movemask_ps(
                 _mm256_castsi256_ps(_mm256_cmpeq_epi32(fieldv, inc))));
-            __m128i v = _mm_loadl_epi64(
-                reinterpret_cast<const __m128i *>(valid + l));
-            unsigned inv = static_cast<unsigned>(_mm_movemask_epi8(
-                _mm_cmpeq_epi8(v, _mm_setzero_si128())));
-            m |= static_cast<std::uint64_t>(eq & ~inv & 0xffu) << l;
+            m |= static_cast<std::uint64_t>(eq) << l;
         }
     }
     for (; l < g; ++l)
         m |= static_cast<std::uint64_t>(
-                 static_cast<unsigned>(valid[l] != 0) &
-                 static_cast<unsigned>(
-                     kdetail::partialStoredField(tags[l], l, k, kind) ==
-                     inc_fields[l]))
+                 kdetail::partialStoredField(tags[l], l, k, kind) ==
+                 inc_fields[l])
              << l;
-    return m;
-}
-
-void
-avx2ExpandBits(std::uint64_t bits, unsigned n, std::uint8_t *out)
-{
-    // At most 64 bytes: the SWAR multiply spread is already one store
-    // per 8 ways; a vector version would not pay for its setup.
-    kdetail::swarExpandBits(bits, n, out);
-}
-
-void
-avx2ExpandNibbles(std::uint64_t word, unsigned n, std::uint8_t *out)
-{
-    kdetail::swarExpandNibbles(word, n, out);
+    return m & valid & maskBits(g);
 }
 
 __attribute__((target("avx2"))) void
@@ -275,11 +190,9 @@ avx2KernelsOrNull()
         KernelIsa::Avx2,
         "avx2",
         avx2EqMask,
-        avx2EqMaskBits,
-        avx2EqMaskBitsRelaxed,
+        avx2EqMaskRelaxed,
         avx2PartialMask,
-        avx2ExpandBits,
-        avx2ExpandNibbles,
+        kdetail::swarExpandNibbles,
         avx2ShiftTags,
     };
     return &k;

@@ -63,12 +63,11 @@ partialStoredField(std::uint32_t tag, unsigned l, unsigned k,
     return 0; // unreachable
 }
 
-/** eq_mask_bits through relaxed atomic element loads (seqlock
+/** eq_mask through relaxed atomic element loads (seqlock
  *  optimistic readers race per-set-serialized writers). */
 inline std::uint64_t
-swarEqMaskBitsRelaxed(const std::uint32_t *vals,
-                      std::uint64_t valid_bits, unsigned a,
-                      std::uint32_t needle)
+swarEqMaskRelaxed(const std::uint32_t *tags, std::uint64_t valid,
+                  unsigned a, std::uint32_t needle)
 {
     std::uint64_t m = 0;
     for (unsigned w = 0; w < a; ++w) {
@@ -76,45 +75,26 @@ swarEqMaskBitsRelaxed(const std::uint32_t *vals,
         // planeLoad const_cast (the referent is never written here).
         std::uint32_t v =
             std::atomic_ref<std::uint32_t>(
-                const_cast<std::uint32_t &>(vals[w]))
+                const_cast<std::uint32_t &>(tags[w]))
                 .load(std::memory_order_relaxed);
         m |= static_cast<std::uint64_t>(v == needle) << w;
     }
-    return m & valid_bits & maskBits(a);
+    return m & valid & maskBits(a);
 }
 
-/** Closed-form partial_mask body (SWAR table + vector tails). */
+/** Closed-form partial_mask body (SWAR table). */
 inline std::uint64_t
-swarPartialMask(const std::uint32_t *tags, const std::uint8_t *valid,
+swarPartialMask(const std::uint32_t *tags, std::uint64_t valid,
                 unsigned g, const std::uint32_t *inc_fields,
                 unsigned k, TransformKind kind)
 {
     std::uint64_t m = 0;
     for (unsigned l = 0; l < g; ++l)
         m |= static_cast<std::uint64_t>(
-                 static_cast<unsigned>(valid[l] != 0) &
-                 static_cast<unsigned>(
-                     partialStoredField(tags[l], l, k, kind) ==
-                     inc_fields[l]))
+                 partialStoredField(tags[l], l, k, kind) ==
+                 inc_fields[l])
              << l;
-    return m;
-}
-
-/** Bit -> byte spread, eight bits per step: replicate the byte,
- *  keep bit j in byte j, then normalize nonzero bytes to 1. */
-inline void
-swarExpandBits(std::uint64_t bits, unsigned n, std::uint8_t *out)
-{
-    unsigned i = 0;
-    for (; i + 8 <= n; i += 8) {
-        std::uint64_t x = ((bits >> i) & 0xff) * 0x0101010101010101ULL;
-        x &= 0x8040201008040201ULL;
-        x = ((x + 0x7f7f7f7f7f7f7f7fULL) >> 7) & 0x0101010101010101ULL;
-        for (unsigned j = 0; j < 8; ++j)
-            out[i + j] = static_cast<std::uint8_t>((x >> (8 * j)) & 1);
-    }
-    for (; i < n; ++i)
-        out[i] = static_cast<std::uint8_t>((bits >> i) & 1);
+    return m & valid & maskBits(g);
 }
 
 /** Nibble -> byte spread of one packed order word (n <= 16). */

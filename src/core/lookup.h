@@ -8,6 +8,10 @@
  * A strategy is a pure function of the set's pre-access state: it
  * declares hit/miss itself from t-bit tag compares (as the hardware
  * would), so tag-width truncation effects are faithfully modeled.
+ * That state (LookupInput) is the set's t-bit tag plane, its
+ * recency order and the cache's own validity word; every scan gets
+ * its tag compares from the one eq_mask kernel (core/kernels.h) and
+ * differs only in the order it walks the resulting mask.
  */
 
 #ifndef ASSOC_CORE_LOOKUP_H
@@ -28,7 +32,9 @@ struct LookupInput
 {
     unsigned assoc = 0;                     ///< number of ways
     const std::uint32_t *stored_tags = nullptr; ///< t-bit tag per way
-    const std::uint8_t *valid = nullptr;        ///< 0/1 per way
+    /** The set's validity word, as the cache keeps it: bit w set
+     *  iff way w holds a block. */
+    std::uint64_t valid = 0;
     /** Way indices from most- to least-recently used. */
     const std::uint8_t *mru_order = nullptr;
     std::uint32_t incoming_tag = 0;         ///< t-bit incoming tag

@@ -72,7 +72,7 @@ PartialLookup::lookup(const LookupInput &in) const
         res.events.field_reads += g;
         const unsigned base = sub * g;
         std::uint64_t cand = kern.partial_mask(
-            in.stored_tags + base, in.valid + base, g, inc, k, kind,
+            in.stored_tags + base, in.valid >> base, g, inc, k, kind,
             *xform_);
 
         // Step 2: full compares of the partial matches, in

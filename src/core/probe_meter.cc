@@ -58,7 +58,7 @@ ProbeMeter::observe(const mem::L2AccessView &view)
     }
 
     // The hierarchy hands every observer one decoded snapshot of
-    // the set (full tags, valid flags, MRU order); this meter only
+    // the set (full tags, validity word, MRU order); this meter only
     // slices tags down to its own stored width t. When t covers the
     // full tag the slice is the identity and the snapshot plane is
     // fed to the strategy as-is.

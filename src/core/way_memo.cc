@@ -95,7 +95,8 @@ WayPredictLookup::lookup(const LookupInput &in) const
     res.probes = 1;
     res.events.tag_reads = 1;
     res.events.tag_compares = 1;
-    if (in.valid[pred] && in.stored_tags[pred] == in.incoming_tag) {
+    if (((in.valid >> pred) & 1) != 0 &&
+        in.stored_tags[pred] == in.incoming_tag) {
         res.hit = true;
         res.way = static_cast<int>(pred);
         return res;

@@ -163,7 +163,7 @@ WriteBackCache::findWay(BlockAddr b) const
     // One kernel eq mask over the set's block plane; the lowest set
     // bit is the first valid way holding b (ways are unique, but the
     // lowest-bit pick also matches a valid-order scan exactly).
-    std::uint64_t e = core::activeKernels().eq_mask_bits(
+    std::uint64_t e = core::activeKernels().eq_mask(
         &blocks_[index(set, 0)], valid_[set], assoc_, b);
     return e != 0 ? static_cast<int>(std::countr_zero(e)) : -1;
 }
@@ -189,7 +189,7 @@ WriteBackCache::probeRelaxed(BlockAddr b, unsigned *probes) const
     // AVX2 body trades per-element relaxed loads for plain vector
     // loads outside TSan — see core/kernels.h); the order walk then
     // only tests bit membership.
-    std::uint64_t e = core::activeKernels().eq_mask_bits_relaxed(
+    std::uint64_t e = core::activeKernels().eq_mask_relaxed(
         &blocks_[base], planeLoad(valid_[set]), assoc_, b);
     std::uint64_t packed_order = 0;
     if (packed_)
@@ -443,19 +443,12 @@ WriteBackCache::fifoOrder(std::uint32_t set) const
 void
 WriteBackCache::snapshotSet(std::uint32_t set,
                             std::uint32_t *full_tags,
-                            std::uint8_t *valid,
                             std::uint8_t *mru) const
 {
-    const core::LookupKernels &kern = core::activeKernels();
-    if (full_tags != nullptr) {
-        // fullTagOf() is a uniform right shift of the block plane.
-        kern.shift_tags(&blocks_[index(set, 0)], assoc_,
-                        geom_.indexBits(), full_tags);
-    }
-    if (valid != nullptr)
-        kern.expand_bits(valid_[set], assoc_, valid);
-    if (mru != nullptr)
-        orderDecode(mru_packed_, mru_wide_, set, mru);
+    // fullTagOf() is a uniform right shift of the block plane.
+    core::activeKernels().shift_tags(&blocks_[index(set, 0)], assoc_,
+                                     geom_.indexBits(), full_tags);
+    orderDecode(mru_packed_, mru_wide_, set, mru);
 }
 
 unsigned

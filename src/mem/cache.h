@@ -15,6 +15,8 @@
  *    findWay() is one kernel eq mask over the set instead of a
  *    stride over structs. A cache has at most kMaxAssoc = 64 ways:
  *    the lookup kernels' masks (core/kernels.h) are one 64-bit word.
+ *    The valid word reaches every lookup as it is (validMask()):
+ *    the kernels take validity as a word, never as per-way bytes.
  *  - The per-set MRU and fill-age (FIFO) orders are packed into one
  *    std::uint64_t of 4-bit way slots each up to 16 ways (slot 0 =
  *    most recent); promotion and demotion are shift/mask updates.
@@ -199,15 +201,23 @@ class WriteBackCache
     std::vector<std::uint8_t> fifoOrder(std::uint32_t set) const;
 
     /**
-     * Decode the pre-access state of @p set into caller scratch
-     * buffers of assoc() elements each: full (untruncated) tags,
-     * 0/1 valid flags and the MRU order. This is the hot-path
-     * export used by TwoLevelHierarchy to hand lookup schemes a
-     * core::LookupInput-compatible view without per-way line()
-     * calls. Any pointer may be null to skip that plane.
+     * Decode the pre-access planes of @p set into caller scratch
+     * buffers of assoc() elements each: full (untruncated) tags and
+     * the MRU order. With validMask() this is the hot-path export
+     * the observer fan-out (mem/hierarchy.h) hands lookup schemes
+     * as a core::LookupInput-compatible view without per-way line()
+     * calls.
      */
     void snapshotSet(std::uint32_t set, std::uint32_t *full_tags,
-                     std::uint8_t *valid, std::uint8_t *mru) const;
+                     std::uint8_t *mru) const;
+
+    /** Validity word of @p set: bit w set iff way w is valid. The
+     *  cache's own representation, read without decoding. */
+    std::uint64_t
+    validMask(std::uint32_t set) const
+    {
+        return valid_[set];
+    }
 
     /** Number of valid lines in @p set. */
     unsigned validCount(std::uint32_t set) const;

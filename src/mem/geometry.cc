@@ -39,7 +39,7 @@ CacheGeometry::name() const
 {
     std::string n = sizeLabel(size_) + "-" + std::to_string(block_);
     if (assoc_ != 1)
-        n += " " + std::to_string(assoc_) + "-way";
+        n.append(" ").append(std::to_string(assoc_)).append("-way");
     return n;
 }
 

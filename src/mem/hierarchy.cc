@@ -47,10 +47,53 @@ HierarchyStats::hintAccuracy() const
     return n == 0 ? 0.0 : static_cast<double>(hint_correct) / n;
 }
 
+ObserverFanout::ObserverFanout(unsigned assoc)
+    : tags_(assoc), order_(assoc)
+{
+}
+
+void
+ObserverFanout::add(L2Observer *obs)
+{
+    panicIf(obs == nullptr, "null observer");
+    observers_.push_back(obs);
+}
+
+void
+ObserverFanout::deliver(const WriteBackCache &cache, L2ReqType type,
+                        BlockAddr block, int hit_way, int hint_way)
+{
+    const CacheGeometry &geom = cache.geom();
+    L2AccessView view;
+    view.type = type;
+    view.set = geom.setOf(block);
+    view.block = block;
+    view.full_tag = geom.fullTagOf(block);
+    view.cache = &cache;
+    view.hit_way = hit_way;
+    view.hint_way = hint_way;
+    // Decode the accessed set once for every observer: the packed
+    // cache state becomes the flat per-way planes core::LookupInput
+    // expects, next to the set's validity word as the cache keeps
+    // it, and meters stop re-reading lines per strategy.
+    cache.snapshotSet(view.set, tags_.data(), order_.data());
+    view.full_tags = tags_.data();
+    view.valid = cache.validMask(view.set);
+    view.mru_order = order_.data();
+    for (L2Observer *obs : observers_)
+        obs->observe(view);
+}
+
+void
+ObserverFanout::onFlush()
+{
+    for (L2Observer *obs : observers_)
+        obs->onFlush();
+}
+
 TwoLevelHierarchy::TwoLevelHierarchy(const HierarchyConfig &cfg)
     : cfg_(cfg), l1_(cfg.l1), l2_(cfg.l2, cfg.l2_replacement),
-      scratch_tags_(cfg.l2.assoc()), scratch_valid_(cfg.l2.assoc()),
-      scratch_order_(cfg.l2.assoc()),
+      fanout_(cfg.l2.assoc()),
       way_hint_(static_cast<std::size_t>(cfg.l1.sets()) *
                     cfg.l1.assoc(),
                 -1)
@@ -62,8 +105,7 @@ TwoLevelHierarchy::TwoLevelHierarchy(const HierarchyConfig &cfg)
 void
 TwoLevelHierarchy::addObserver(L2Observer *obs)
 {
-    panicIf(obs == nullptr, "null observer");
-    observers_.push_back(obs);
+    fanout_.add(obs);
 }
 
 void
@@ -73,41 +115,13 @@ TwoLevelHierarchy::setMemorySide(MemorySide *mem)
     mem_side_ = mem;
 }
 
-void
-TwoLevelHierarchy::notify(L2AccessView &view)
-{
-    if (observers_.empty())
-        return;
-    // Decode the accessed set once for every observer: the packed
-    // cache state becomes the flat per-way planes core::LookupInput
-    // expects, and meters stop re-reading lines per strategy.
-    l2_.snapshotSet(view.set, scratch_tags_.data(),
-                    scratch_valid_.data(), scratch_order_.data());
-    view.full_tags = scratch_tags_.data();
-    view.valid = scratch_valid_.data();
-    view.mru_order = scratch_order_.data();
-    for (L2Observer *obs : observers_)
-        obs->observe(view);
-}
-
 int
 TwoLevelHierarchy::l2ReadIn(BlockAddr l2_block)
 {
     ++stats_.read_ins;
     std::uint32_t set = cfg_.l2.setOf(l2_block);
     int way = l2_.findWay(l2_block);
-
-    if (!observers_.empty()) {
-        L2AccessView view;
-        view.type = L2ReqType::ReadIn;
-        view.set = set;
-        view.block = l2_block;
-        view.full_tag = cfg_.l2.fullTagOf(l2_block);
-        view.cache = &l2_;
-        view.hit_way = way;
-        view.hint_way = -1;
-        notify(view);
-    }
+    fanout_.notify(l2_, L2ReqType::ReadIn, l2_block, way, -1);
 
     if (way >= 0) {
         ++stats_.read_in_hits;
@@ -128,13 +142,12 @@ TwoLevelHierarchy::l2ReadIn(BlockAddr l2_block)
     return fr.way;
 }
 
-void
-TwoLevelHierarchy::enforceInclusion(BlockAddr evicted_l2_block)
+TwoLevelHierarchy::L1Drop
+TwoLevelHierarchy::dropL1Lines(BlockAddr l2_block)
 {
-    // Every level-one line inside the evicted level-two block must
-    // leave the level one as well [Baer88].
+    L1Drop drop;
     std::uint32_t ratio = cfg_.l2.blockBytes() / cfg_.l1.blockBytes();
-    trace::Addr base = cfg_.l2.byteAddrOf(evicted_l2_block);
+    trace::Addr base = cfg_.l2.byteAddrOf(l2_block);
     for (std::uint32_t i = 0; i < ratio; ++i) {
         BlockAddr l1_block =
             cfg_.l1.blockAddrOf(base + i * cfg_.l1.blockBytes());
@@ -142,16 +155,25 @@ TwoLevelHierarchy::enforceInclusion(BlockAddr evicted_l2_block)
         int way = l1_.findWay(l1_block);
         if (way < 0)
             continue;
-        ++stats_.inclusion_invalidations;
-        if (l1_.line(set, way).dirty) {
-            // The dirty words travel to memory with the level-two
-            // victim (not modeled beyond counting).
-            ++stats_.inclusion_dirty_invalidations;
-        }
-        l1_.invalidate(l1_block);
+        ++drop.lines;
+        if (l1_.invalidate(l1_block))
+            ++drop.dirty;
         way_hint_[static_cast<std::size_t>(set) * cfg_.l1.assoc() +
                   way] = -1;
     }
+    return drop;
+}
+
+void
+TwoLevelHierarchy::enforceInclusion(BlockAddr evicted_l2_block)
+{
+    // Every level-one line inside the evicted level-two block must
+    // leave the level one as well [Baer88]. Dirty words travel to
+    // memory with the level-two victim (not modeled beyond
+    // counting).
+    const L1Drop drop = dropL1Lines(evicted_l2_block);
+    stats_.inclusion_invalidations += drop.lines;
+    stats_.inclusion_dirty_invalidations += drop.dirty;
 }
 
 void
@@ -160,18 +182,7 @@ TwoLevelHierarchy::l2WriteBack(BlockAddr l2_block, int hint_way)
     ++stats_.write_backs;
     std::uint32_t set = cfg_.l2.setOf(l2_block);
     int way = l2_.findWay(l2_block);
-
-    if (!observers_.empty()) {
-        L2AccessView view;
-        view.type = L2ReqType::WriteBack;
-        view.set = set;
-        view.block = l2_block;
-        view.full_tag = cfg_.l2.fullTagOf(l2_block);
-        view.cache = &l2_;
-        view.hit_way = way;
-        view.hint_way = hint_way;
-        notify(view);
-    }
+    fanout_.notify(l2_, L2ReqType::WriteBack, l2_block, way, hint_way);
 
     if (hint_way >= 0) {
         if (way == hint_way)
@@ -313,19 +324,7 @@ TwoLevelHierarchy::remoteInvalidate(BlockAddr l2_block)
     // The invalidation propagates to the level one (as coherency
     // protocols require of an inclusive hierarchy; and without
     // inclusion, stale level-one copies must still die).
-    std::uint32_t ratio = cfg_.l2.blockBytes() / cfg_.l1.blockBytes();
-    trace::Addr base = cfg_.l2.byteAddrOf(l2_block);
-    for (std::uint32_t i = 0; i < ratio; ++i) {
-        BlockAddr l1_block =
-            cfg_.l1.blockAddrOf(base + i * cfg_.l1.blockBytes());
-        std::uint32_t set = cfg_.l1.setOf(l1_block);
-        int l1_way = l1_.findWay(l1_block);
-        if (l1_way < 0)
-            continue;
-        l1_.invalidate(l1_block);
-        way_hint_[static_cast<std::size_t>(set) * cfg_.l1.assoc() +
-                  l1_way] = -1;
-    }
+    dropL1Lines(l2_block);
     return true;
 }
 
@@ -336,8 +335,7 @@ TwoLevelHierarchy::flushAll()
     l2_.flush();
     std::fill(way_hint_.begin(), way_hint_.end(),
               static_cast<std::int16_t>(-1));
-    for (L2Observer *obs : observers_)
-        obs->onFlush();
+    fanout_.onFlush();
     if (mem_side_)
         mem_side_->onFlush();
 }

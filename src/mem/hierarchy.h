@@ -12,7 +12,9 @@
  * and monitors how often multi-level inclusion would be violated.
  *
  * Lookup-cost observers (src/core) attach here and are shown every
- * level-two access before it commits.
+ * level-two access before it commits. One ObserverFanout per
+ * observed level (this level two, and a ThirdLevelCache's level
+ * three) builds each access's view and delivers it.
  */
 
 #ifndef ASSOC_MEM_HIERARCHY_H
@@ -40,13 +42,14 @@ enum class L2ReqType : std::uint8_t {
  * What an observer sees for one level-two access, *before* the
  * access updates any state.
  *
- * The per-way planes (full_tags / valid / mru_order) are a decoded
- * scratch view of the accessed set, produced once per access by the
- * hierarchy and shared by every observer: they alias hierarchy
+ * The per-way planes (full_tags / mru_order) are a decoded scratch
+ * view of the accessed set, produced once per access by the level's
+ * ObserverFanout and shared by every observer: they alias its
  * scratch buffers and are only valid for the duration of observe().
- * They carry exactly what core::LookupInput needs, so probe meters
- * feed strategies without touching the cache's packed state; @c
- * cache remains available for anything else (auditors, tests).
+ * With the set's validity word they carry exactly what
+ * core::LookupInput needs, so probe meters feed strategies without
+ * touching the cache's packed state; @c cache remains available for
+ * anything else (auditors, tests).
  */
 struct L2AccessView
 {
@@ -60,8 +63,8 @@ struct L2AccessView
 
     /** Full (untruncated) tag per way of the accessed set. */
     const std::uint32_t *full_tags = nullptr;
-    /** 0/1 valid flag per way. */
-    const std::uint8_t *valid = nullptr;
+    /** Validity word of the set: bit w set iff way w is valid. */
+    std::uint64_t valid = 0;
     /** Way indices from most- to least-recently used. */
     const std::uint8_t *mru_order = nullptr;
 };
@@ -77,6 +80,53 @@ class L2Observer
 
     /** Called when the hierarchy is flushed (cold-start boundary). */
     virtual void onFlush() {}
+};
+
+/**
+ * The observers of one cache level and the one place their view is
+ * built: each observed access decodes its set once into scratch
+ * planes sized to the level's associativity, and every observer
+ * sees the same L2AccessView. TwoLevelHierarchy owns one for the
+ * level two, ThirdLevelCache one for the level three.
+ */
+class ObserverFanout
+{
+  public:
+    explicit ObserverFanout(unsigned assoc);
+
+    /** Attach an observer (not owned). */
+    void add(L2Observer *obs);
+
+    /**
+     * Show every observer the access of @p block in @p cache before
+     * it commits. Without an observer no view is built and no set
+     * is decoded.
+     */
+    void
+    notify(const WriteBackCache &cache, L2ReqType type, BlockAddr block,
+           int hit_way, int hint_way)
+    {
+        if (!observers_.empty())
+            deliver(cache, type, block, hit_way, hint_way);
+    }
+
+    /** Forward a flush (cold-start boundary) to every observer. */
+    void onFlush();
+
+    /** Bytes held by the scratch planes. */
+    std::uint64_t
+    footprintBytes() const
+    {
+        return tags_.size() * sizeof(std::uint32_t) + order_.size();
+    }
+
+  private:
+    void deliver(const WriteBackCache &cache, L2ReqType type,
+                 BlockAddr block, int hit_way, int hint_way);
+
+    std::vector<L2Observer *> observers_;
+    std::vector<std::uint32_t> tags_;
+    std::vector<std::uint8_t> order_;
 };
 
 /**
@@ -282,8 +332,7 @@ class TwoLevelHierarchy
     {
         return l1_.footprintBytes() + l2_.footprintBytes() +
                way_hint_.size() * sizeof(std::int16_t) +
-               scratch_tags_.size() * sizeof(std::uint32_t) +
-               scratch_valid_.size() + scratch_order_.size();
+               fanout_.footprintBytes();
     }
 
   private:
@@ -299,26 +348,26 @@ class TwoLevelHierarchy
      *  block (inclusion enforcement). */
     void enforceInclusion(BlockAddr evicted_l2_block);
 
-    /** Decode the accessed set into the scratch view planes and
-     *  deliver @p view to every observer. */
-    void notify(L2AccessView &view);
+    /** Level-one lines dropL1Lines() invalidated. */
+    struct L1Drop
+    {
+        unsigned lines = 0; ///< resident lines invalidated
+        unsigned dirty = 0; ///< of which dirty
+    };
+
+    /** Invalidate every level-one line inside @p l2_block and clear
+     *  its way hint (inclusion and coherency both need it). */
+    L1Drop dropL1Lines(BlockAddr l2_block);
 
     HierarchyConfig cfg_;
     WriteBackCache l1_;
     WriteBackCache l2_;
-
-    // Scratch planes backing L2AccessView's decoded set view; sized
-    // to the level-two associativity, refilled once per observed
-    // access (skipped entirely when no observer is attached).
-    std::vector<std::uint32_t> scratch_tags_;
-    std::vector<std::uint8_t> scratch_valid_;
-    std::vector<std::uint8_t> scratch_order_;
+    ObserverFanout fanout_; ///< the level two's observers
 
     /** Per level-one line: which level-two way holds its block
      *  (-1 unknown). Indexed like the level-one line array. */
     std::vector<std::int16_t> way_hint_;
 
-    std::vector<L2Observer *> observers_;
     MemorySide *mem_side_ = nullptr;
     HierarchyStats stats_;
 };

@@ -25,8 +25,7 @@ ThirdLevelStats::writeBackFraction() const
 ThirdLevelCache::ThirdLevelCache(const CacheGeometry &l3,
                                  const CacheGeometry &l2,
                                  ReplPolicy policy)
-    : l2_geom_(l2), l3_(l3, policy), scratch_tags_(l3.assoc()),
-      scratch_valid_(l3.assoc()), scratch_order_(l3.assoc())
+    : l2_geom_(l2), l3_(l3, policy), fanout_(l3.assoc())
 {
     fatalIf(l2.blockBytes() > l3.blockBytes(),
             "level-two block size exceeds level-three block size");
@@ -35,8 +34,7 @@ ThirdLevelCache::ThirdLevelCache(const CacheGeometry &l3,
 void
 ThirdLevelCache::addObserver(L2Observer *obs)
 {
-    panicIf(obs == nullptr, "null observer");
-    observers_.push_back(obs);
+    fanout_.add(obs);
 }
 
 BlockAddr
@@ -46,39 +44,17 @@ ThirdLevelCache::l3BlockOf(BlockAddr l2_block) const
 }
 
 void
-ThirdLevelCache::notify(L2AccessView &view)
-{
-    if (observers_.empty())
-        return;
-    l3_.snapshotSet(view.set, scratch_tags_.data(),
-                    scratch_valid_.data(), scratch_order_.data());
-    view.full_tags = scratch_tags_.data();
-    view.valid = scratch_valid_.data();
-    view.mru_order = scratch_order_.data();
-    for (L2Observer *obs : observers_)
-        obs->observe(view);
-}
-
-void
 ThirdLevelCache::access(BlockAddr l3_block, L2ReqType type)
 {
+    const std::uint32_t set = l3_.geom().setOf(l3_block);
     int way = l3_.findWay(l3_block);
-
-    L2AccessView view;
-    view.type = type;
-    view.set = l3_.geom().setOf(l3_block);
-    view.block = l3_block;
-    view.full_tag = l3_.geom().fullTagOf(l3_block);
-    view.cache = &l3_;
-    view.hit_way = way;
-    view.hint_way = -1;
-    notify(view);
+    fanout_.notify(l3_, type, l3_block, way, -1);
 
     if (type == L2ReqType::ReadIn) {
         ++stats_.read_ins;
         if (way >= 0) {
             ++stats_.read_in_hits;
-            l3_.touch(view.set, way);
+            l3_.touch(set, way);
         } else {
             ++stats_.read_in_misses;
             // Fetch from memory; dirty victims go to memory.
@@ -88,8 +64,8 @@ ThirdLevelCache::access(BlockAddr l3_block, L2ReqType type)
         ++stats_.write_backs;
         if (way >= 0) {
             ++stats_.write_back_hits;
-            l3_.setDirty(view.set, way);
-            l3_.touch(view.set, way);
+            l3_.setDirty(set, way);
+            l3_.touch(set, way);
         } else {
             ++stats_.write_back_misses;
             l3_.fill(l3_block, true);
@@ -113,8 +89,7 @@ void
 ThirdLevelCache::onFlush()
 {
     l3_.flush();
-    for (L2Observer *obs : observers_)
-        obs->onFlush();
+    fanout_.onFlush();
 }
 
 } // namespace mem

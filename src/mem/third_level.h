@@ -21,8 +21,6 @@
 #ifndef ASSOC_MEM_THIRD_LEVEL_H
 #define ASSOC_MEM_THIRD_LEVEL_H
 
-#include <vector>
-
 #include "mem/cache.h"
 #include "mem/hierarchy.h"
 
@@ -70,21 +68,12 @@ class ThirdLevelCache : public MemorySide
 
   private:
     BlockAddr l3BlockOf(BlockAddr l2_block) const;
-    /** Decode the accessed set into the scratch planes and deliver
-     *  @p view to every observer (same contract as the two-level
-     *  hierarchy's notify). */
-    void notify(L2AccessView &view);
     void access(BlockAddr l3_block, L2ReqType type);
 
     CacheGeometry l2_geom_;
     WriteBackCache l3_;
-    std::vector<L2Observer *> observers_;
+    ObserverFanout fanout_; ///< the level three's observers
     ThirdLevelStats stats_;
-
-    // Scratch planes backing L2AccessView's decoded set view.
-    std::vector<std::uint32_t> scratch_tags_;
-    std::vector<std::uint8_t> scratch_valid_;
-    std::vector<std::uint8_t> scratch_order_;
 };
 
 } // namespace mem

@@ -69,7 +69,7 @@ ConcurrentCache::probe(mem::BlockAddr b) const
         }
         unsigned probes = 0;
         // The tag scan dispatches through the torn-read-tolerant
-        // kernel (eq_mask_bits_relaxed, docs/KERNELS.md): element
+        // kernel (eq_mask_relaxed, docs/KERNELS.md): element
         // loads may tear against a mid-publication writer, and the
         // sequence re-check below is what discards such a view.
         int way = cache_.probeRelaxed(b, &probes);

@@ -144,10 +144,11 @@ TextTable::print(std::ostream &os, Format fmt) const
                 continue;
             os << (first ? "" : ",\n") << "  {";
             for (std::size_t i = 0; i < ncols; ++i) {
-                const std::string key =
-                    i < header_.size() && !header_[i].empty()
-                        ? header_[i]
-                        : "c" + std::to_string(i);
+                std::string key = "c";
+                if (i < header_.size() && !header_[i].empty())
+                    key = header_[i];
+                else
+                    key += std::to_string(i);
                 const std::string &c =
                     i < r.cells.size() ? r.cells[i] : "";
                 os << (i ? ", " : "") << '"' << json_escape(key)

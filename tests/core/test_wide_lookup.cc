@@ -24,7 +24,9 @@ struct SetFixture
         LookupInput in;
         in.assoc = static_cast<unsigned>(tags.size());
         in.stored_tags = tags.data();
-        in.valid = valid.data();
+        // The 0/1 flags as the cache keeps them: one word.
+        for (std::size_t w = 0; w < valid.size(); ++w)
+            in.valid |= std::uint64_t{valid[w] != 0} << w;
         in.mru_order = mru.data();
         in.incoming_tag = incoming;
         return in;

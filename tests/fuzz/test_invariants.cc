@@ -111,7 +111,8 @@ struct SetState
         core::LookupInput in;
         in.assoc = static_cast<unsigned>(tags.size());
         in.stored_tags = tags.data();
-        in.valid = valid.data();
+        for (std::size_t w = 0; w < valid.size(); ++w)
+            in.valid |= std::uint64_t{valid[w] != 0} << w;
         in.mru_order = order.data();
         in.incoming_tag = incoming;
         return in;
@@ -226,7 +227,7 @@ TEST(PartialCandidateMask, ContainsEverySlicedEqualWay)
         core::LookupInput in = s.input(rng.below(16));
         std::uint64_t mask = partialCandidateMask(cfg, in);
         for (unsigned w = 0; w < 8; ++w) {
-            if (in.valid[w] && in.stored_tags[w] == in.incoming_tag) {
+            if (s.valid[w] && in.stored_tags[w] == in.incoming_tag) {
                 ASSERT_TRUE(mask & (1ull << w))
                     << "way " << w << " filtered out";
             }

@@ -75,7 +75,8 @@ struct RandomSet
         LookupInput in;
         in.assoc = static_cast<unsigned>(tags.size());
         in.stored_tags = tags.data();
-        in.valid = valid.data();
+        for (std::size_t w = 0; w < valid.size(); ++w)
+            in.valid |= std::uint64_t{valid[w] != 0} << w;
         in.mru_order = order.data();
         in.incoming_tag = incoming;
         return in;
@@ -155,8 +156,8 @@ INSTANTIATE_TEST_SUITE_P(Assoc, StrategyAgreement,
                          ::testing::Values(2u, 4u, 8u, 16u),
                          [](const ::testing::TestParamInfo<unsigned>
                                 &info) {
-                             return "a" +
-                                    std::to_string(info.param);
+                             return std::string("a").append(
+                                 std::to_string(info.param));
                          });
 
 } // namespace

@@ -24,8 +24,8 @@ brokenKernels()
     LookupKernels k = swarKernels();
     k.isa = KernelIsa::Swar;
     k.name = "broken";
-    k.eq_mask = +[](const std::uint32_t *, const std::uint8_t *,
-                    unsigned, std::uint32_t) -> std::uint64_t {
+    k.eq_mask = +[](const std::uint32_t *, std::uint64_t, unsigned,
+                    std::uint32_t) -> std::uint64_t {
         return ~0ull;
     };
     return k;
@@ -58,7 +58,7 @@ TEST(KernelDispatch, SelfCheckCatchesACorruptTable)
     std::string why;
     EXPECT_FALSE(kernelSelfCheck(bad, &why));
     EXPECT_FALSE(why.empty());
-    EXPECT_NE(std::string::npos, why.find("eq_mask")) << why;
+    EXPECT_NE(std::string::npos, why.find("eq_mask mismatch")) << why;
 }
 
 TEST(KernelDispatch, ChooseHonorsAnExplicitName)

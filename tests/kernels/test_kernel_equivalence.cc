@@ -4,8 +4,9 @@
  *
  * Every table registeredKernels() exposes must agree bit for bit
  * with the scalar reference on every kernel, over a sweep of
- * associativities, field geometries, all four tag transforms,
- * misaligned plane offsets, all-invalid sets, and sets whose
+ * associativities (every one from 1 to 64), field geometries, all
+ * four tag transforms, misaligned plane offsets, all-invalid sets,
+ * validity words with stray bits above the set, and sets whose
  * truncated tags collide so the partial-compare step 2 must
  * disambiguate. A vector body that cuts a corner anywhere in this
  * grid fails here, not in a golden diff three layers up.
@@ -33,23 +34,24 @@ namespace {
 // allocator gave us, 1 and 3 force element-aligned-only pointers so
 // no kernel can get away with assuming 16/32-byte plane alignment.
 const unsigned kOffsets[] = {0, 1, 3};
-const unsigned kAssocs[] = {1, 2, 4, 8, 16};
+/** Strategy-level associativities (powers of two, as caches have). */
+const unsigned kAssocs[] = {1, 2, 4, 8, 16, 32, 64};
 
-/** Planes for one synthetic set, with a controlled misalignment. */
+/** One synthetic set: a tag plane with a controlled misalignment
+ *  and its validity word. */
 struct SetPlanes
 {
     std::vector<std::uint32_t> tag_buf;
-    std::vector<std::uint8_t> valid_buf;
     std::uint32_t *tags;
-    std::uint8_t *valid;
+    std::uint64_t valid = 0;
 
     SetPlanes(unsigned a, unsigned off)
-        : tag_buf(a + off), valid_buf(a + off),
-          tags(tag_buf.data() + off), valid(valid_buf.data() + off)
+        : tag_buf(a + off), tags(tag_buf.data() + off)
     {}
 };
 
-/** Fill a set from a small tag pool so duplicates are common. */
+/** Fill a set from a small tag pool so duplicates are common; about
+ *  two ways in three are valid. */
 void
 fillSet(SetPlanes &s, unsigned a, Pcg32 &rng,
         std::uint32_t tag_mask, bool all_invalid)
@@ -59,20 +61,12 @@ fillSet(SetPlanes &s, unsigned a, Pcg32 &rng,
     std::uint32_t pool[4];
     for (std::uint32_t &p : pool)
         p = rng.next() & tag_mask;
+    s.valid = 0;
     for (unsigned w = 0; w < a; ++w) {
         s.tags[w] = pool[rng.below(4)];
-        s.valid[w] =
-            all_invalid ? 0 : static_cast<std::uint8_t>(rng.below(3) != 0);
+        if (!all_invalid && rng.below(3) != 0)
+            s.valid |= std::uint64_t{1} << w;
     }
-}
-
-std::uint64_t
-validBitsOf(const SetPlanes &s, unsigned a)
-{
-    std::uint64_t bits = 0;
-    for (unsigned w = 0; w < a; ++w)
-        bits |= static_cast<std::uint64_t>(s.valid[w] != 0) << w;
-    return bits;
 }
 
 TEST(KernelEquivalence, EqMasksAgreeEverywhere)
@@ -80,7 +74,7 @@ TEST(KernelEquivalence, EqMasksAgreeEverywhere)
     const LookupKernels &ref = scalarKernels();
     Pcg32 rng(0x5eed0001, 11);
     for (const LookupKernels *k : registeredKernels()) {
-        for (unsigned a : kAssocs) {
+        for (unsigned a = 1; a <= 64; ++a) {
             for (unsigned off : kOffsets) {
                 for (int all_invalid = 0; all_invalid < 2;
                      ++all_invalid) {
@@ -91,27 +85,24 @@ TEST(KernelEquivalence, EqMasksAgreeEverywhere)
                         std::uint32_t needle =
                             (rep & 1) ? s.tags[rng.below(a)]
                                       : (rng.next() & 0xffffu);
-                        std::uint64_t vbits = validBitsOf(s, a);
+                        // Every fourth set carries stray validity
+                        // bits above way a, which must not leak
+                        // into the mask.
+                        std::uint64_t valid = s.valid;
+                        if (rep % 4 == 3)
+                            valid |= rng.next64() & ~maskBits(a);
                         SCOPED_TRACE(std::string(k->name) +
                                      " a=" + std::to_string(a) +
                                      " off=" + std::to_string(off));
-                        EXPECT_EQ(
-                            ref.eq_mask(s.tags, s.valid, a, needle),
-                            k->eq_mask(s.tags, s.valid, a, needle));
-                        EXPECT_EQ(ref.eq_mask_bits(s.tags, vbits, a,
-                                                   needle),
-                                  k->eq_mask_bits(s.tags, vbits, a,
-                                                  needle));
-                        EXPECT_EQ(ref.eq_mask_bits_relaxed(
-                                      s.tags, vbits, a, needle),
-                                  k->eq_mask_bits_relaxed(
-                                      s.tags, vbits, a, needle));
+                        const std::uint64_t want =
+                            ref.eq_mask(s.tags, valid, a, needle);
+                        EXPECT_EQ(want,
+                                  k->eq_mask(s.tags, valid, a, needle));
+                        EXPECT_EQ(want, k->eq_mask_relaxed(
+                                            s.tags, valid, a, needle));
+                        EXPECT_EQ(0u, want & ~s.valid);
                         if (all_invalid) {
-                            EXPECT_EQ(0u, k->eq_mask(s.tags, s.valid,
-                                                     a, needle));
-                            EXPECT_EQ(0u,
-                                      k->eq_mask_bits(s.tags, 0, a,
-                                                      needle));
+                            EXPECT_EQ(0u, want);
                         }
                     }
                 }
@@ -119,13 +110,11 @@ TEST(KernelEquivalence, EqMasksAgreeEverywhere)
         }
         // The full-width mask boundary: every way matches at a=64.
         SetPlanes s(64, 0);
-        for (unsigned w = 0; w < 64; ++w) {
+        for (unsigned w = 0; w < 64; ++w)
             s.tags[w] = 0xabcd;
-            s.valid[w] = 1;
-        }
-        EXPECT_EQ(~0ull, k->eq_mask(s.tags, s.valid, 64, 0xabcd))
+        EXPECT_EQ(~0ull, k->eq_mask(s.tags, ~0ull, 64, 0xabcd))
             << k->name;
-        EXPECT_EQ(~0ull, k->eq_mask_bits(s.tags, ~0ull, 64, 0xabcd))
+        EXPECT_EQ(~0ull, k->eq_mask_relaxed(s.tags, ~0ull, 64, 0xabcd))
             << k->name;
     }
 }
@@ -157,12 +146,19 @@ TEST(KernelEquivalence, PartialMaskAllTransformsAllFieldWidths)
                             for (unsigned l = 0; l < g; ++l)
                                 inc_fields[l] = xf->field(
                                     xf->apply(inc, l), l);
+                            // A subset's word is the set's word
+                            // shifted down: the ways above the
+                            // subset arrive as stray high bits.
+                            const std::uint64_t valid =
+                                s.valid |
+                                (rng.next64() & ~maskBits(g));
                             std::uint64_t want = ref.partial_mask(
-                                s.tags, s.valid, g,
+                                s.tags, valid, g,
                                 inc_fields.data(), k, kind, *xf);
                             std::uint64_t got = kern->partial_mask(
-                                s.tags, s.valid, g,
+                                s.tags, valid, g,
                                 inc_fields.data(), k, kind, *xf);
+                            EXPECT_EQ(0u, want & ~s.valid);
                             EXPECT_EQ(want, got)
                                 << kern->name << " t=" << t
                                 << " k=" << k << " g=" << g
@@ -182,26 +178,19 @@ TEST(KernelEquivalence, PlaneDecodeHelpersAgree)
     const LookupKernels &ref = scalarKernels();
     Pcg32 rng(0x5eed0003, 13);
     for (const LookupKernels *k : registeredKernels()) {
-        for (unsigned n = 1; n <= 64; ++n) {
-            std::uint64_t bits = rng.next64();
-            std::uint8_t want[64 + 3], got[64 + 3];
-            for (unsigned off : kOffsets) {
-                ref.expand_bits(bits, n, want + off);
-                k->expand_bits(bits, n, got + off);
-                for (unsigned i = 0; i < n; ++i)
-                    ASSERT_EQ(want[off + i], got[off + i])
-                        << k->name << " n=" << n << " i=" << i;
-            }
-        }
+        // The packed recency order covers up to 16 ways.
         for (unsigned n = 1; n <= 16; ++n) {
             std::uint64_t word = rng.next64();
-            std::uint8_t want[16], got[16];
-            ref.expand_nibbles(word, n, want);
-            k->expand_nibbles(word, n, got);
-            for (unsigned i = 0; i < n; ++i)
-                ASSERT_EQ(want[i], got[i]) << k->name << " n=" << n;
+            std::uint8_t want[16 + 3], got[16 + 3];
+            for (unsigned off : kOffsets) {
+                ref.expand_nibbles(word, n, want + off);
+                k->expand_nibbles(word, n, got + off);
+                for (unsigned i = 0; i < n; ++i)
+                    ASSERT_EQ(want[off + i], got[off + i])
+                        << k->name << " n=" << n << " off=" << off;
+            }
         }
-        for (unsigned n : {1u, 3u, 8u, 16u, 33u}) {
+        for (unsigned n = 1; n <= 64; ++n) {
             for (unsigned shift : {0u, 1u, 7u, 14u, 31u}) {
                 for (unsigned off : kOffsets) {
                     std::vector<std::uint32_t> in(n + off),
@@ -317,12 +306,9 @@ TEST(KernelEquivalence, DuplicateTruncatedTagsForceStepTwo)
 
     const std::uint32_t inc = 0xbeb5;
     std::uint32_t tags[8];
-    std::uint8_t valid[8];
     std::uint8_t order[8];
-    for (unsigned w = 0; w < 8; ++w) {
-        valid[w] = 1;
+    for (unsigned w = 0; w < 8; ++w)
         order[w] = static_cast<std::uint8_t>(w);
-    }
     // Ways 0..2: field w agrees with the incoming tag (a bit in a
     // high field is flipped instead), so each is a false candidate
     // costing one step-2 probe. Way 3 is the true match.
@@ -334,12 +320,11 @@ TEST(KernelEquivalence, DuplicateTruncatedTagsForceStepTwo)
         tags[w] = inc ^ (1u << (2 * w));
     // Way 5 would be a candidate, but the line is invalid.
     tags[5] = inc ^ (1u << 2);
-    valid[5] = 0;
 
     LookupInput in;
     in.assoc = 8;
     in.stored_tags = tags;
-    in.valid = valid;
+    in.valid = 0xffu & ~(1u << 5);
     in.mru_order = order;
     in.incoming_tag = inc;
 

@@ -225,25 +225,21 @@ runCase(std::uint64_t seed, std::uint64_t index,
     FuzzSet s = sampleSet(seed, index);
     const LookupKernels &ref = scalarKernels();
 
-    // Candidate masks: eq and (for every divisor subset count that
-    // fits the tag width) partial, every table against scalar.
-    std::uint64_t vbits = 0;
+    // The cache's form of the valid flags: one word, bit w = way w.
+    std::uint64_t valid = 0;
     for (unsigned w = 0; w < s.assoc; ++w)
-        vbits |= static_cast<std::uint64_t>(s.valid[w] != 0) << w;
+        valid |= static_cast<std::uint64_t>(s.valid[w] != 0) << w;
+
+    // Candidate masks: eq every table against scalar (partial masks
+    // are held through the strategy below).
     std::uint64_t want_eq =
-        ref.eq_mask(s.tags.data(), s.valid.data(), s.assoc,
-                    s.incoming);
+        ref.eq_mask(s.tags.data(), valid, s.assoc, s.incoming);
     for (const LookupKernels *k : tables) {
-        ASSERT_EQ(want_eq, k->eq_mask(s.tags.data(), s.valid.data(),
-                                      s.assoc, s.incoming))
-            << k->name << "\n  " << reproLine(seed, index);
         ASSERT_EQ(want_eq,
-                  k->eq_mask_bits(s.tags.data(), vbits, s.assoc,
-                                  s.incoming))
+                  k->eq_mask(s.tags.data(), valid, s.assoc, s.incoming))
             << k->name << "\n  " << reproLine(seed, index);
-        ASSERT_EQ(want_eq,
-                  k->eq_mask_bits_relaxed(s.tags.data(), vbits,
-                                          s.assoc, s.incoming))
+        ASSERT_EQ(want_eq, k->eq_mask_relaxed(s.tags.data(), valid,
+                                              s.assoc, s.incoming))
             << k->name << "\n  " << reproLine(seed, index);
     }
 
@@ -256,7 +252,7 @@ runCase(std::uint64_t seed, std::uint64_t index,
         LookupInput in;
         in.assoc = s.assoc;
         in.stored_tags = s.tags.data();
-        in.valid = s.valid.data();
+        in.valid = valid;
         in.mru_order = s.order.data();
         in.incoming_tag = s.incoming;
         for (const LookupKernels *k : tables) {
@@ -289,7 +285,7 @@ runCase(std::uint64_t seed, std::uint64_t index,
             LookupInput in;
             in.assoc = s.assoc;
             in.stored_tags = s.tags.data();
-            in.valid = s.valid.data();
+            in.valid = valid;
             in.mru_order = s.order.data();
             in.incoming_tag = s.incoming;
             for (const LookupKernels *k : tables) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <vector>
 
 #include "mem/hierarchy.h"
@@ -340,6 +341,76 @@ TEST(TwoLevelHierarchy, NullObserverPanics)
 {
     TwoLevelHierarchy h(smallConfig());
     EXPECT_THROW(h.addObserver(nullptr), PanicError);
+}
+
+/** Copies a view, and its decoded planes while they are alive. */
+class PlaneObserver : public L2Observer
+{
+  public:
+    void
+    observe(const L2AccessView &view) override
+    {
+        const unsigned a = view.cache->geom().assoc();
+        last = view;
+        tags.assign(view.full_tags, view.full_tags + a);
+        order.assign(view.mru_order, view.mru_order + a);
+        ++seen;
+    }
+
+    L2AccessView last{};
+    std::vector<std::uint32_t> tags;
+    std::vector<std::uint8_t> order;
+    int seen = 0;
+};
+
+TEST(ObserverFanout, ViewIsTheCachesPreAccessSet)
+{
+    WriteBackCache cache(CacheGeometry(1024, 32, 4));
+    const BlockAddr sets = cache.geom().sets();
+    // Three of set 1's four ways hold a block; the middle one is
+    // touched so the recency order differs from the fill order.
+    for (BlockAddr b : {1 + sets, 1 + 2 * sets, 1 + 3 * sets})
+        cache.fill(b, false);
+    cache.touch(1, cache.findWay(1 + 2 * sets));
+
+    ObserverFanout fanout(4);
+    PlaneObserver obs;
+    fanout.add(&obs);
+    const BlockAddr block = 1 + 3 * sets;
+    const int way = cache.findWay(block);
+    fanout.notify(cache, L2ReqType::WriteBack, block, way, 2);
+
+    ASSERT_EQ(obs.seen, 1);
+    EXPECT_EQ(obs.last.type, L2ReqType::WriteBack);
+    EXPECT_EQ(obs.last.set, 1u);
+    EXPECT_EQ(obs.last.block, block);
+    EXPECT_EQ(obs.last.full_tag, cache.geom().fullTagOf(block));
+    EXPECT_EQ(obs.last.cache, &cache);
+    EXPECT_EQ(obs.last.hit_way, way);
+    EXPECT_EQ(obs.last.hint_way, 2);
+    // Validity is the cache's own word: three valid ways.
+    EXPECT_EQ(obs.last.valid, cache.validMask(1));
+    EXPECT_EQ(std::popcount(obs.last.valid), 3);
+    EXPECT_EQ(obs.order, cache.mruOrder(1));
+    for (unsigned w = 0; w < 4; ++w)
+        EXPECT_EQ(obs.tags[w],
+                  cache.geom().fullTagOf(
+                      cache.line(1, static_cast<int>(w)).block));
+}
+
+TEST(ObserverFanout, ForwardsFlushesAndCountsItsPlanes)
+{
+    ObserverFanout fanout(16);
+    RecordingObserver a, b;
+    fanout.add(&a);
+    fanout.add(&b);
+    fanout.onFlush();
+    EXPECT_EQ(a.flushes, 1);
+    EXPECT_EQ(b.flushes, 1);
+    EXPECT_THROW(fanout.add(nullptr), PanicError);
+    // A full tag and an order byte per way.
+    EXPECT_EQ(fanout.footprintBytes(),
+              16u * (sizeof(std::uint32_t) + 1));
 }
 
 } // namespace

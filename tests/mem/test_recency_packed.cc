@@ -171,14 +171,15 @@ TEST(RecencyPacked, SnapshotMatchesPerLineReads)
     }
     const unsigned a = cache.geom().assoc();
     std::vector<std::uint32_t> tags(a);
-    std::vector<std::uint8_t> valid(a), order(a);
+    std::vector<std::uint8_t> order(a);
     for (std::uint32_t set = 0; set < cache.geom().sets(); ++set) {
-        cache.snapshotSet(set, tags.data(), valid.data(),
-                          order.data());
+        cache.snapshotSet(set, tags.data(), order.data());
+        const std::uint64_t valid = cache.validMask(set);
+        EXPECT_EQ(0u, valid >> a);
         std::vector<std::uint8_t> mru = cache.mruOrder(set);
         for (unsigned w = 0; w < a; ++w) {
             Line l = cache.line(set, static_cast<int>(w));
-            EXPECT_EQ(valid[w], l.valid ? 1 : 0);
+            EXPECT_EQ((valid >> w) & 1, l.valid ? 1u : 0u);
             EXPECT_EQ(tags[w], cache.geom().fullTagOf(l.block));
             EXPECT_EQ(order[w], mru[w]);
         }

@@ -65,8 +65,9 @@ checkContract(const TraceSource &src, const std::string &file,
         EXPECT_LE(src.skippedRecords(), ErrorPolicy().max_skips)
             << file;
     }
-    if (mode == ErrorMode::FailFast)
+    if (mode == ErrorMode::FailFast) {
         EXPECT_EQ(src.skippedRecords(), 0u) << file;
+    }
 }
 
 class CorpusTest : public ::testing::TestWithParam<ErrorMode>

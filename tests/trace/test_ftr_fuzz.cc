@@ -121,8 +121,9 @@ fuzzDecodersOnGarbage(Pcg32 &rng)
 
     Expected<ftr::FileHeader> fh =
         ftr::decodeFileHeader(bytes.data(), bytes.size());
-    if (!fh.ok())
+    if (!fh.ok()) {
         ASSERT_FALSE(fh.error().text().empty());
+    }
 
     if (bytes.size() >= ftr::kFrameHeaderBytes) {
         ftr::FrameHeader hdr;
@@ -135,8 +136,9 @@ fuzzDecodersOnGarbage(Pcg32 &rng)
     std::uint32_t expect = rng.below(16);
     std::vector<MemRef> out;
     if (ftr::decodeFramePayload(bytes.data(), bytes.size(), expect,
-                                out))
+                                out)) {
         ASSERT_EQ(out.size(), expect);
+    }
 
     std::vector<ftr::IndexEntry> index;
     std::uint64_t total = 0;
@@ -161,8 +163,9 @@ fuzzMutatedPayload(Pcg32 &rng)
     std::vector<MemRef> out;
     if (ftr::decodeFramePayload(
             bent.data(), bent.size(),
-            static_cast<std::uint32_t>(recs.size()), out))
+            static_cast<std::uint32_t>(recs.size()), out)) {
         ASSERT_EQ(out.size(), recs.size());
+    }
 
     // The pristine payload must always decode to the input.
     ASSERT_TRUE(ftr::decodeFramePayload(
@@ -195,8 +198,9 @@ fuzzMutatedFooter(Pcg32 &rng)
     flipBits(rng, bent, 1 + rng.below(3));
     std::vector<ftr::IndexEntry> got;
     std::uint64_t total = 0;
-    if (ftr::decodeFooter(bent.data(), bent.size(), got, total))
+    if (ftr::decodeFooter(bent.data(), bent.size(), got, total)) {
         ASSERT_EQ(got.size(), index.size());
+    }
 
     got.clear();
     ASSERT_TRUE(
