@@ -48,13 +48,16 @@ main(int argc, char **argv)
         const unsigned assocs[] = {2u, 4u, 8u, 16u};
         // Each associativity is an independent simulation driving
         // the hierarchy directly; fan them out with one row slot
-        // per job and print in submission order.
+        // per job and print in submission order. The trace is
+        // synthesized once and every job replays it from memory.
+        const trace::VectorTraceSource::Buffer refs =
+            exec::synthesizeAtumTrace(traceConfig(args), args.jobs);
         std::vector<std::vector<std::string>> rows(4);
         std::vector<std::function<void()>> jobs;
         for (std::size_t i = 0; i < 4; ++i) {
             jobs.push_back([&, i] {
                 unsigned a = assocs[i];
-                trace::AtumLikeGenerator gen(traceConfig(args));
+                trace::VectorTraceSource src(refs);
                 mem::HierarchyConfig cfg{
                     mem::CacheGeometry(4096, 16, 1),
                     mem::CacheGeometry(65536, 32, 4), true};
@@ -76,7 +79,7 @@ main(int argc, char **argv)
                 l3.addObserver(m_mru.get());
                 l3.addObserver(m_part.get());
                 l3.addObserver(&dist);
-                hier.run(gen);
+                hier.run(src);
 
                 const mem::ThirdLevelStats &ts = l3.stats();
                 rows[i] = {

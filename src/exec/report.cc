@@ -24,6 +24,15 @@ ProgressMeter::tick()
     std::fprintf(stderr, "%s: %zu/%zu\n", label_.c_str(), k, total_);
 }
 
+void
+ProgressMeter::note(const std::string &text)
+{
+    if (!verbose_)
+        return;
+    std::lock_guard<std::mutex> lock(io_mutex_);
+    std::fprintf(stderr, "%s: %s\n", label_.c_str(), text.c_str());
+}
+
 std::string
 jsonEscape(const std::string &s)
 {

@@ -42,6 +42,10 @@ class ProgressMeter
     /** Record one finished job (thread-safe). */
     void tick();
 
+    /** When verbose, print one "label: @p text" line to stderr
+     *  (thread-safe). */
+    void note(const std::string &text);
+
     /** Jobs recorded so far. */
     std::size_t completed() const
     {

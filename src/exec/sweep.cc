@@ -52,14 +52,24 @@ fileTraceFactory(const std::string &path, ErrorPolicy policy)
     };
 }
 
+namespace {
+
+/** The workers runJobs() starts for @p jobs jobs at @p threads. */
+unsigned
+workerCount(unsigned threads, std::size_t jobs)
+{
+    if (threads == 0)
+        threads = std::max(1u, std::thread::hardware_concurrency());
+    return static_cast<unsigned>(std::min<std::size_t>(threads, jobs));
+}
+
+} // namespace
+
 void
 runJobs(std::vector<std::function<void()>> jobs, unsigned threads,
         ProgressMeter *progress)
 {
-    if (threads == 0)
-        threads = std::max(1u, std::thread::hardware_concurrency());
-    threads = static_cast<unsigned>(
-        std::min<std::size_t>(threads, jobs.size()));
+    threads = workerCount(threads, jobs.size());
 
     std::atomic<std::size_t> next{0};
     std::mutex error_mutex;
@@ -100,6 +110,33 @@ runJobs(std::vector<std::function<void()>> jobs, unsigned threads,
         w.join();
     if (first_error)
         std::rethrow_exception(first_error);
+}
+
+trace::VectorTraceSource::Buffer
+synthesizeAtumTrace(const trace::AtumLikeConfig &cfg, unsigned threads)
+{
+    const std::uint64_t total = trace::AtumLikeGenerator(cfg).totalRefs();
+    // Below this bound the total neither wraps nor passes max_size(),
+    // so every slice lies inside the buffer.
+    if (cfg.refs_per_segment >=
+        std::vector<trace::MemRef>().max_size() / cfg.segments)
+        throw std::bad_alloc();
+    auto refs = std::make_shared<std::vector<trace::MemRef>>(
+        static_cast<std::size_t>(total));
+    // Segment k starts after k segments and their flush markers.
+    const std::size_t stride = static_cast<std::size_t>(
+        cfg.refs_per_segment + (cfg.flush_between_segments ? 1 : 0));
+    std::vector<std::function<void()>> jobs;
+    jobs.reserve(cfg.segments);
+    for (unsigned k = 0; k < cfg.segments; ++k)
+        jobs.push_back([&cfg, &refs, stride, k] {
+            trace::MemRef *out = refs->data() + k * stride;
+            trace::AtumLikeGenerator(cfg).emitSegment(k, out);
+            if (cfg.flush_between_segments && k + 1 < cfg.segments)
+                out[cfg.refs_per_segment] = trace::MemRef::flush();
+        });
+    runJobs(std::move(jobs), threads);
+    return refs;
 }
 
 namespace {
@@ -270,38 +307,36 @@ struct SharedTrace
 /**
  * Synthesize @p cfg's stream once into an immutable buffer, charged
  * to @p budget (the sweep-global one; null = no accounting) before
- * anything is allocated. An empty factory means "stream instead":
- * the config is invalid (each job then fails with the generator's
- * own error, exactly as when streaming), the trace is not
- * addressable, or the budget or the allocator refuses it.
+ * anything is allocated, and filled by synthesizeAtumTrace() on
+ * @p threads workers. An empty factory means "stream instead": the
+ * generator rejects the config (each job then fails with the same
+ * error, exactly as when streaming), or the budget or the allocator
+ * refuses the buffer (a trace that is not addressable included).
  */
 SharedTrace
-shareAtumTrace(const trace::AtumLikeConfig &cfg, MemBudget *budget)
+shareAtumTrace(const trace::AtumLikeConfig &cfg, MemBudget *budget,
+               unsigned threads)
 {
     SharedTrace shared;
-    if (trace::validateConfig(cfg).failed())
-        return shared;
-    trace::AtumLikeGenerator gen(cfg);
-    const std::uint64_t total = gen.totalRefs();
-    if (total > std::vector<trace::MemRef>().max_size())
-        return shared;
-    const std::uint64_t bytes = total * sizeof(trace::MemRef);
-    Expected<MemCharge> charge =
-        MemCharge::charge(budget, bytes, "shared trace");
-    if (!charge.ok())
-        return shared;
-    trace::VectorTraceSource::Buffer refs;
     try {
-        refs = std::make_shared<const std::vector<trace::MemRef>>(
-            trace::materialize(gen, static_cast<std::size_t>(total)));
+        const std::uint64_t bytes = trace::AtumLikeGenerator(cfg).totalRefs() *
+                                    sizeof(trace::MemRef);
+        Expected<MemCharge> charge =
+            MemCharge::charge(budget, bytes, "shared trace");
+        if (!charge.ok())
+            return shared;
+        trace::VectorTraceSource::Buffer refs =
+            synthesizeAtumTrace(cfg, threads);
+        shared.factory = [refs](std::size_t) {
+            return std::make_unique<trace::VectorTraceSource>(refs);
+        };
+        shared.bytes = bytes;
+        shared.charge = charge.take();
+    } catch (const FatalError &) {
+        // The generator's config check (an ErrorException) or one of
+        // its process models' checks failed.
     } catch (const std::bad_alloc &) {
-        return shared;
     }
-    shared.factory = [refs](std::size_t) {
-        return std::make_unique<trace::VectorTraceSource>(refs);
-    };
-    shared.bytes = bytes;
-    shared.charge = charge.take();
     return shared;
 }
 
@@ -371,8 +406,23 @@ runChecked(const std::vector<sim::RunSpec> &specs,
     const std::size_t remaining = static_cast<std::size_t>(
         std::count(have.begin(), have.end(), false));
     if (shareable && remaining >= 2 &&
-        !(guards.cancel && guards.cancel->cancelled()))
-        shared = shareAtumTrace(*shareable, guards.budget);
+        !(guards.cancel && guards.cancel->cancelled())) {
+        const auto t0 = std::chrono::steady_clock::now();
+        shared = shareAtumTrace(*shareable, guards.budget, opts.jobs);
+        const auto ms =
+            std::chrono::duration_cast<std::chrono::milliseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count();
+        if (shared.factory && opts.progress)
+            opts.progress->note(
+                "shared trace: " +
+                std::to_string(shared.bytes / sizeof(trace::MemRef)) +
+                " records, " + std::to_string(shared.bytes) +
+                " bytes, " +
+                std::to_string(
+                    workerCount(opts.jobs, shareable->segments)) +
+                " fill workers, " + std::to_string(ms) + " ms");
+    }
     const TraceFactory &jobs_trace =
         shared.factory ? shared.factory : make_trace;
     result.shared_trace_bytes = shared.bytes;

@@ -13,8 +13,10 @@
  * Given the trace's config instead of a factory, runSweepChecked()
  * synthesizes the trace once, charged to the sweep's memory budget,
  * and every job replays that one immutable buffer through its own
- * cursor (generate once, replay many). Every job replays the same
- * stream either way, so the outputs are identical.
+ * cursor (generate once, replay many). The segments of the trace
+ * share no state, so the buffer is filled one segment per job on
+ * the sweep's own workers. Every job replays the same stream either
+ * way, so the outputs are identical.
  *
  * runJobs() is the one job runner: each worker takes the next job
  * from one shared cursor. With one worker the same loop runs inline,
@@ -121,6 +123,21 @@ using TraceFactory =
 TraceFactory atumTraceFactory(const trace::AtumLikeConfig &cfg);
 
 /**
+ * Synthesize @p cfg's whole stream into one buffer of
+ * AtumLikeGenerator::totalRefs() records, allocated once. Each
+ * segment's slice, plus the flush marker after it, is one runJobs()
+ * job on @p threads workers (0 = all hardware threads, 1 = inline,
+ * in order), written by its own generator through
+ * AtumLikeGenerator::emitSegment(). The buffer equals
+ * trace::materialize() of one serial generator record for record,
+ * at any @p threads. Throws ErrorException for a config
+ * validateConfig() rejects, and std::bad_alloc when the buffer (or a
+ * job's generator) cannot be allocated.
+ */
+trace::VectorTraceSource::Buffer
+synthesizeAtumTrace(const trace::AtumLikeConfig &cfg, unsigned threads);
+
+/**
  * A TraceFactory that opens @p path once per job, with the format
  * (din / bin / ftr) detected from extension or magic. @p policy
  * governs damaged-record handling; under ErrorMode::Skip every job
@@ -172,11 +189,15 @@ runSweepChecked(const std::vector<sim::RunSpec> &specs,
  * AtumLikeGenerator::totalRefs() * sizeof(MemRef) bytes are charged
  * to the sweep-global budget (opts.mem_budget; never to a job
  * budget) and held until the sweep returns; the trace is then
- * synthesized once into an immutable buffer and each job replays
- * it through a trace::VectorTraceSource cursor. When fewer than two
- * jobs remain, or the budget (or the allocator) refuses the buffer,
- * each job streams its own generator, exactly as with
- * atumTraceFactory(@p trace_cfg). Outputs are identical either way.
+ * synthesized once into an immutable buffer, one segment per job on
+ * the sweep's opts.jobs workers (synthesizeAtumTrace()), and each
+ * job replays it through a trace::VectorTraceSource cursor. When
+ * fewer than two jobs remain, or the budget (or the allocator)
+ * refuses the buffer, each job streams its own generator, exactly
+ * as with atumTraceFactory(@p trace_cfg). Outputs are identical
+ * either way. With opts.progress, a verbose meter prints one stderr
+ * line for the shared trace: its records, bytes, fill workers and
+ * wall milliseconds.
  */
 SweepResult
 runSweepChecked(const std::vector<sim::RunSpec> &specs,

@@ -21,7 +21,9 @@ validateConfig(const AtumLikeConfig &cfg)
 }
 
 AtumLikeGenerator::AtumLikeGenerator(const AtumLikeConfig &cfg)
-    : cfg_(cfg)
+    : cfg_(cfg),
+      os_burst_(1.0 / static_cast<double>(cfg.os_burst_mean)),
+      user_burst_(1.0 / static_cast<double>(cfg.switch_mean))
 {
     Error e = validateConfig(cfg_);
     if (e.failed())
@@ -78,8 +80,7 @@ AtumLikeGenerator::scheduleBurst()
     // user processes with geometric burst lengths.
     if (procs_.size() > 1 && sched_rng_.chance(cfg_.os_burst_prob)) {
         current_proc_ = 0;
-        burst_left_ = 1 + sched_rng_.geometric(
-            1.0 / static_cast<double>(cfg_.os_burst_mean));
+        burst_left_ = 1 + sched_rng_.geometric(os_burst_);
     } else {
         std::size_t users = procs_.size() - 1;
         if (users == 0) {
@@ -88,8 +89,7 @@ AtumLikeGenerator::scheduleBurst()
             std::size_t cur = current_proc_ == 0 ? 0 : current_proc_ - 1;
             current_proc_ = 1 + (cur + 1) % users;
         }
-        burst_left_ = 1 + sched_rng_.geometric(
-            1.0 / static_cast<double>(cfg_.switch_mean));
+        burst_left_ = 1 + sched_rng_.geometric(user_burst_);
     }
 }
 
@@ -119,13 +119,30 @@ AtumLikeGenerator::next(MemRef &ref)
         startSegment(segment_ + 1);
     }
 
+    ref = nextInSegment();
+    return true;
+}
+
+MemRef
+AtumLikeGenerator::nextInSegment()
+{
     if (burst_left_ == 0)
         scheduleBurst();
     --burst_left_;
-
-    ref = procs_[current_proc_]->nextRef();
     ++emitted_in_segment_;
-    return true;
+    return procs_[current_proc_]->nextRef();
+}
+
+void
+AtumLikeGenerator::emitSegment(unsigned seg, MemRef *out)
+{
+    panicIf(seg >= cfg_.segments,
+            "AtumLikeGenerator::emitSegment: segment out of range");
+    done_ = false;
+    flush_pending_ = false;
+    startSegment(seg);
+    for (std::uint64_t i = 0; i < cfg_.refs_per_segment; ++i)
+        out[i] = nextInSegment();
 }
 
 void

@@ -96,14 +96,30 @@ class AtumLikeGenerator : public TraceSource
      *  markers). */
     std::uint64_t totalRefs() const;
 
+    /**
+     * Write segment @p seg alone to @p out: the config's
+     * refs_per_segment references, exactly the records the serial
+     * stream emits for it. The flush marker that follows the segment
+     * in the stream is not written. The generator is left where the
+     * stream stands after the segment's last reference, so next()
+     * continues from there. Segments share no state, so separate
+     * generators can write the segments of one trace concurrently.
+     */
+    void emitSegment(unsigned seg, MemRef *out);
+
     /** The configuration in use. */
     const AtumLikeConfig &config() const { return cfg_; }
 
   private:
     void startSegment(unsigned seg);
     void scheduleBurst();
+    /** The current segment's next reference. */
+    MemRef nextInSegment();
 
     AtumLikeConfig cfg_;
+    /** Burst lengths: OS bursts and user time slices. */
+    Geometric os_burst_;
+    Geometric user_burst_;
 
     unsigned segment_ = 0;
     std::uint64_t emitted_in_segment_ = 0;

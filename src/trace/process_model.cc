@@ -24,7 +24,7 @@ ProcessModel::ProcessModel(std::uint8_t pid, Addr base,
                            const ProcessParams &params, std::uint64_t seed)
     : pid_(pid), base_(base), params_(params),
       rng_(seed, 0x5bd1e995u ^ pid),
-      zipf_(params.zipf_theta)
+      zipf_(params.zipf_theta), reuse_dist_(params.geom_p)
 {
     fatalIf(params_.functions == 0, "ProcessModel: need >= 1 function");
     fatalIf(!isPow2(params_.heap_block_bytes),
@@ -63,7 +63,7 @@ ProcessModel::jump()
     if (u < 0.60) {
         // Loop back within the current function: short backward
         // branch whose span is geometric (tight loops dominate).
-        Addr span = 4 * (1 + rng_.geometric(0.10, 256));
+        Addr span = 4 * (1 + rng_.geometric(loop_span_, 256));
         Addr target = pc_ >= func_start_ + span ? pc_ - span : func_start_;
         pc_ = target;
     } else if (u < 0.85) {
@@ -71,8 +71,9 @@ ProcessModel::jump()
         // list, occasionally branching to a cold one.
         std::uint32_t fid;
         if (!hot_funcs_.empty() && rng_.chance(0.8)) {
-            std::uint32_t pos = static_cast<std::uint32_t>(std::min<std::size_t>(
-                rng_.geometric(0.5, 255), hot_funcs_.size() - 1));
+            std::uint32_t pos =
+                static_cast<std::uint32_t>(std::min<std::size_t>(
+                    rng_.geometric(hot_pick_, 255), hot_funcs_.size() - 1));
             fid = hot_funcs_[pos];
             hot_funcs_.erase(hot_funcs_.begin() + pos);
         } else {
@@ -129,7 +130,7 @@ ProcessModel::stackAddr()
     // References cluster around the current frame: frame base plus a
     // small geometric offset downward (toward older frames).
     Addr frame = base_ + kStackOffset + call_depth_ * 96;
-    Addr back = 4 * rng_.geometric(0.15, 128);
+    Addr back = 4 * rng_.geometric(stack_back_, 128);
     Addr addr = frame >= back ? frame - back : base_ + kStackOffset;
     return addr;
 }
@@ -158,7 +159,7 @@ ProcessModel::heapAddr()
         std::uint32_t n = static_cast<std::uint32_t>(heap_blocks_.size());
         std::uint32_t dist;
         if (rng_.chance(params_.short_reuse_prob)) {
-            dist = rng_.geometric(params_.geom_p, n - 1);
+            dist = rng_.geometric(reuse_dist_, n - 1);
         } else {
             dist = zipf_.draw(rng_, n);
         }
@@ -173,7 +174,7 @@ ProcessModel::heapAddr()
     // touches of a data structure mostly hit the same words, which
     // is what gives real traces their fine-grained (level-one
     // block) temporal locality.
-    Addr off = 4 * rng_.geometric(0.45, blk / 4 - 1);
+    Addr off = 4 * rng_.geometric(word_offset_, blk / 4 - 1);
     return block_addr + off;
 }
 

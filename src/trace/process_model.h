@@ -104,6 +104,13 @@ class ProcessModel
     Pcg32 rng_;
     ZipfSampler zipf_;
 
+    // One geometric parameter per call site (log1p(-p) taken once).
+    Geometric loop_span_{0.10};   ///< backward-branch span, in words
+    Geometric hot_pick_{0.5};     ///< position in the hot-function list
+    Geometric stack_back_{0.15};  ///< words below the frame base
+    Geometric reuse_dist_;        ///< heap reuse distance (geom_p)
+    Geometric word_offset_{0.45}; ///< word within a heap block
+
     // --- instruction state ---
     Addr pc_;                       ///< current fetch address
     Addr func_start_;               ///< start of current function

@@ -5,15 +5,24 @@
 
 namespace assoc {
 
-std::uint32_t
-Pcg32::geometric(double p, std::uint32_t cap)
+Geometric::Geometric(double p) : p_(p)
 {
+    // Read back through a volatile so no compiler can see a constant
+    // p and fold the logarithm itself.
+    volatile double q = p;
+    log1p_neg_p_ = std::log1p(-q);
+}
+
+std::uint32_t
+Pcg32::geometric(const Geometric &g, std::uint32_t cap)
+{
+    const double p = g.p();
     panicIf(!(p > 0.0) || p > 1.0, "Pcg32::geometric: p out of (0, 1]");
     if (p >= 1.0)
         return 0;
     double u = uniform();
     // Avoid log(0); uniform() < 1 so 1 - u > 0.
-    double k = std::floor(std::log1p(-u) / std::log1p(-p));
+    double k = std::floor(std::log1p(-u) / g.log1pNegP());
     if (k < 0)
         k = 0;
     if (k > cap)

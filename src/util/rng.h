@@ -43,6 +43,30 @@ class SplitMix64
 };
 
 /**
+ * The parameter of a geometric draw (Pcg32::geometric): its success
+ * probability p and log1p(-p), computed once instead of on every
+ * draw. The logarithm is taken at run time by the same std::log1p
+ * call a per-draw computation makes, never folded at compile time
+ * (GCC folds log1p of a constant with MPFR, whose last bit can
+ * differ from the C library's), so every draw is bit-identical to
+ * one with log1p(-p) computed in place. An out-of-range p is
+ * reported by the draw, not here.
+ */
+class Geometric
+{
+  public:
+    explicit Geometric(double p);
+
+    double p() const { return p_; }
+    /** log1p(-p). */
+    double log1pNegP() const { return log1p_neg_p_; }
+
+  private:
+    double p_;
+    double log1p_neg_p_;
+};
+
+/**
  * PCG32 (O'Neill): fast 32-bit generator with 64-bit state and a
  * selectable stream. Used for all stochastic choices in the
  * synthetic trace generator.
@@ -121,9 +145,11 @@ class Pcg32
 
     /**
      * Geometric draw: number of failures before the first success
-     * with success probability @p p; capped at @p cap.
+     * with success probability @p g.p(); capped at @p cap. Panics
+     * unless p is in (0, 1].
      */
-    std::uint32_t geometric(double p, std::uint32_t cap = 1u << 20);
+    std::uint32_t geometric(const Geometric &g,
+                            std::uint32_t cap = 1u << 20);
 
   private:
     std::uint64_t state_ = 0;

@@ -256,6 +256,27 @@ TEST(SharedTrace, InvalidConfigFailsEveryJobAsStreamingDoes)
     }
 }
 
+TEST(SharedTrace, ProcessConfigErrorFailsEveryJobAsStreamingDoes)
+{
+    // validateConfig() passes this config; the OS process model
+    // rejects it when the generator builds a segment.
+    trace::AtumLikeConfig tcfg = traceConfig();
+    tcfg.os.functions = 0;
+    const std::vector<sim::RunSpec> specs = sweepSpecs();
+    SweepOptions opts;
+    opts.jobs = 2;
+    SweepResult shared = runSweepChecked(specs, tcfg, opts);
+    SweepResult streamed =
+        runSweepChecked(specs, atumTraceFactory(tcfg), opts);
+    EXPECT_EQ(shared.shared_trace_bytes, 0u);
+    ASSERT_EQ(shared.failures(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        EXPECT_EQ(shared.jobs[i].error.code(), ErrorCode::Usage);
+        EXPECT_EQ(shared.jobs[i].error.text(),
+                  streamed.jobs[i].error.text());
+    }
+}
+
 } // namespace
 } // namespace exec
 } // namespace assoc

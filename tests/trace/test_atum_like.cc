@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "trace/atum_like.h"
@@ -176,6 +177,59 @@ TEST(AtumLike, SegmentsDiffer)
     for (std::size_t i = 0; i < seg1.size(); ++i)
         same += seg1[i] == seg2[i];
     EXPECT_LT(same, static_cast<int>(seg1.size()) / 2);
+}
+
+TEST(AtumLike, SegmentAloneEqualsItsSliceOfTheStream)
+{
+    const AtumLikeConfig cfg = smallConfig();
+    AtumLikeGenerator serial(cfg);
+    const std::vector<MemRef> stream =
+        materialize(serial, serial.totalRefs());
+    const std::size_t seg_refs = cfg.refs_per_segment;
+    const std::size_t stride = seg_refs + 1; // and its flush marker
+    for (unsigned k = 0; k < cfg.segments; ++k) {
+        AtumLikeGenerator gen(cfg);
+        std::vector<MemRef> seg(seg_refs);
+        gen.emitSegment(k, seg.data());
+        const auto begin = stream.begin() + k * stride;
+        EXPECT_TRUE(std::equal(seg.begin(), seg.end(), begin))
+            << "segment " << k;
+        // next() goes on from the end of segment k: the flush
+        // marker, then the later segments.
+        std::vector<MemRef> rest;
+        MemRef r;
+        while (gen.next(r))
+            rest.push_back(r);
+        EXPECT_TRUE(std::equal(rest.begin(), rest.end(),
+                               begin + seg_refs, stream.end()))
+            << "after segment " << k;
+    }
+}
+
+TEST(AtumLike, SegmentAloneKeepsTheWrappingSeedProduct)
+{
+    // A segment's seed adds the 32-bit product 0x9e37u * (k + 1),
+    // which wraps from k = 106040 on; segment k alone must seed the
+    // way the stream does on both sides of the wrap.
+    const unsigned first = 106037; // three segments before the wrap
+    AtumLikeConfig cfg;
+    cfg.segments = first + 6;
+    cfg.refs_per_segment = 1;
+    cfg.flush_between_segments = false;
+    cfg.processes = 1;
+    AtumLikeGenerator serial(cfg);
+    std::vector<MemRef> tail;
+    MemRef r;
+    for (std::uint64_t i = 0; serial.next(r); ++i)
+        if (i >= first)
+            tail.push_back(r);
+    ASSERT_EQ(tail.size(), 6u);
+    for (unsigned k = first; k < cfg.segments; ++k) {
+        AtumLikeGenerator gen(cfg);
+        MemRef alone;
+        gen.emitSegment(k, &alone);
+        EXPECT_EQ(alone, tail[k - first]) << "segment " << k;
+    }
 }
 
 TEST(AtumLike, RejectsBadConfig)

@@ -110,7 +110,7 @@ TEST(Pcg32, GeometricMeanMatchesTheory)
     const int n = 50000;
     double sum = 0;
     for (int i = 0; i < n; ++i)
-        sum += rng.geometric(p);
+        sum += rng.geometric(Geometric(p));
     // Mean of failures-before-success geometric is (1-p)/p = 3.
     EXPECT_NEAR(sum / n, (1 - p) / p, 0.15);
 }
@@ -119,22 +119,22 @@ TEST(Pcg32, GeometricRespectsCap)
 {
     Pcg32 rng(32);
     for (int i = 0; i < 2000; ++i)
-        EXPECT_LE(rng.geometric(0.001, 50), 50u);
+        EXPECT_LE(rng.geometric(Geometric(0.001), 50), 50u);
 }
 
 TEST(Pcg32, GeometricWithPOneIsZero)
 {
     Pcg32 rng(33);
     for (int i = 0; i < 10; ++i)
-        EXPECT_EQ(rng.geometric(1.0), 0u);
+        EXPECT_EQ(rng.geometric(Geometric(1.0)), 0u);
 }
 
 TEST(Pcg32, GeometricRejectsBadP)
 {
     Pcg32 rng(34);
-    EXPECT_THROW(rng.geometric(0.0), PanicError);
-    EXPECT_THROW(rng.geometric(-0.5), PanicError);
-    EXPECT_THROW(rng.geometric(1.5), PanicError);
+    EXPECT_THROW(rng.geometric(Geometric(0.0)), PanicError);
+    EXPECT_THROW(rng.geometric(Geometric(-0.5)), PanicError);
+    EXPECT_THROW(rng.geometric(Geometric(1.5)), PanicError);
 }
 
 TEST(ZipfSampler, StaysInRange)
