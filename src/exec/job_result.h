@@ -44,6 +44,9 @@ struct JobResult
     unsigned attempts = 0; ///< runs tried (0 when cancelled unstarted)
     std::uint64_t wall_ns = 0; ///< wall time of the last attempt
     bool from_journal = false; ///< restored by --resume, not re-run
+    /** Replayed its level one's shared request stream instead of
+     *  running the level one (sim::runTrace's filtered replay). */
+    bool filtered = false;
 
     bool ok() const { return status == JobStatus::Ok; }
 };
@@ -58,6 +61,10 @@ struct SweepResult
     /** Bytes of the one synthesized trace every job replayed from
      *  memory (0 = each job streamed its own). */
     std::uint64_t shared_trace_bytes = 0;
+    /** Bytes of the level-one request streams filtered jobs
+     *  replayed (0 = every job ran its level one). Not in the sweep
+     *  JSON: it depends on the budget, not on the results. */
+    std::uint64_t request_stream_bytes = 0;
     /** Watchdog observations (deadline misses and escalations). */
     std::vector<StallReport> stalls;
 

@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <new>
+#include <numeric>
 #include <system_error>
 #include <thread>
 
@@ -185,11 +186,14 @@ statusFromError(const Error &e)
     }
 }
 
-/** Run one slot with retry, timing, deadline and fault hooks. */
+/** Run one slot with retry, timing, deadline and fault hooks. With
+ *  @p requests, each attempt replays that level-one request stream
+ *  (sim::runTrace's filtered replay). */
 JobResult
 runOneJob(const std::vector<sim::RunSpec> &specs,
           const TraceFactory &make_trace, const SweepOptions &opts,
-          const SweepGuards &guards, std::size_t i)
+          const SweepGuards &guards, std::size_t i,
+          const mem::L2RequestStream *requests)
 {
     JobResult res;
     const std::uint64_t spec_hash = hashSpec(specs[i]);
@@ -258,7 +262,10 @@ runOneJob(const std::vector<sim::RunSpec> &specs,
             if (opts.inject)
                 src = opts.inject->wrapJobTrace(std::move(src), i,
                                                 &token, budget);
-            res.output = sim::runTrace(*src, spec);
+            res.output = requests
+                             ? sim::runTrace(*src, spec, *requests)
+                             : sim::runTrace(*src, spec);
+            res.filtered = requests != nullptr;
             res.status = JobStatus::Ok;
             res.error = Error();
         } catch (...) {
@@ -297,6 +304,8 @@ runOneJob(const std::vector<sim::RunSpec> &specs,
 /** A synthesized trace held in memory for a whole sweep. */
 struct SharedTrace
 {
+    /** The records (null = each job streams). */
+    trace::VectorTraceSource::Buffer refs;
     /** Cursors over the buffer (empty = each job streams). */
     TraceFactory factory;
     std::uint64_t bytes = 0;
@@ -330,6 +339,7 @@ shareAtumTrace(const trace::AtumLikeConfig &cfg, MemBudget *budget,
         shared.factory = [refs](std::size_t) {
             return std::make_unique<trace::VectorTraceSource>(refs);
         };
+        shared.refs = std::move(refs);
         shared.bytes = bytes;
         shared.charge = charge.take();
     } catch (const FatalError &) {
@@ -338,6 +348,195 @@ shareAtumTrace(const trace::AtumLikeConfig &cfg, MemBudget *budget,
     } catch (const std::bad_alloc &) {
     }
     return shared;
+}
+
+/** Records per stream chunk: the most a segment's stream holds
+ *  allocated but unused. */
+constexpr std::size_t kRequestChunk = 1024;
+constexpr std::uint64_t kRequestChunkBytes =
+    kRequestChunk * sizeof(mem::L2Request);
+
+/** One level one's requests over one stretch of the trace. */
+struct StreamPart
+{
+    mem::L2RequestStream chunks;
+    std::vector<MemCharge> charges; ///< one per chunk
+};
+
+/**
+ * Run @p refs[begin, end) through a cold write-back level one of
+ * geometry @p l1 and append its requests to @p part, charging each
+ * chunk to @p budget before allocating it. @return false when the
+ * budget refuses a chunk, or @p stop is set at a chunk boundary.
+ */
+bool
+filterPart(const mem::CacheGeometry &l1,
+           const std::vector<trace::MemRef> &refs, std::size_t begin,
+           std::size_t end, MemBudget *budget,
+           const std::atomic<bool> &stop, StreamPart &part)
+{
+    mem::LevelOne level_one(l1, mem::L1WritePolicy::WriteBack);
+    std::vector<mem::L2Request> chunk;
+    for (std::size_t pos = begin; pos < end; ++pos) {
+        // A reference yields at most two requests.
+        if (chunk.size() + 2 > chunk.capacity()) {
+            if (stop)
+                return false;
+            Expected<MemCharge> c = MemCharge::charge(
+                budget, kRequestChunkBytes, "level-one request stream");
+            if (!c.ok())
+                return false;
+            part.charges.push_back(c.take());
+            if (!chunk.empty())
+                part.chunks.push_back(std::move(chunk));
+            chunk = std::vector<mem::L2Request>();
+            chunk.reserve(kRequestChunk);
+        }
+        level_one.access(refs[pos], static_cast<std::uint32_t>(pos),
+                        chunk);
+    }
+    part.chunks.push_back(std::move(chunk));
+    return true;
+}
+
+/** The bytes the largest hierarchies among the jobs left to run
+ *  hold at once on @p threads workers. */
+std::uint64_t
+concurrentFootprint(const std::vector<sim::RunSpec> &specs,
+                    const std::vector<bool> &have, unsigned threads)
+{
+    std::vector<std::uint64_t> bytes;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        if (have[i])
+            continue;
+        try {
+            bytes.push_back(
+                mem::TwoLevelHierarchy(specs[i].hier).footprintBytes());
+        } catch (...) {
+            // A hierarchy that cannot be built holds nothing: its job
+            // fails alone.
+        }
+    }
+    const std::size_t n = workerCount(threads, bytes.size());
+    std::partial_sort(bytes.begin(), bytes.begin() + n, bytes.end(),
+                      std::greater<>());
+    return std::accumulate(bytes.begin(), bytes.begin() + n,
+                           std::uint64_t{0});
+}
+
+/** The level-one request streams a sweep's jobs replay. */
+struct LevelOneStreams
+{
+    /** Per spec: the stream its job replays (null = lockstep). */
+    std::vector<const mem::L2RequestStream *> of;
+    std::vector<mem::L2RequestStream> streams;
+    /** Each chunk's charge on the sweep-global budget. */
+    std::vector<MemCharge> charges;
+    std::size_t jobs = 0;    ///< jobs given a stream
+    std::size_t refused = 0; ///< level ones left in lockstep
+    std::uint64_t requests = 0;
+};
+
+/**
+ * Filter each level one that at least two of the jobs left to run
+ * share (sim::levelOneDecoupled() specs, grouped by level-one
+ * geometry) once over the shared trace @p refs, into an immutable
+ * request stream. When @p cfg writes a flush marker after each
+ * segment, each segment starts from a cold level one, as the fill
+ * does, and is its own runJobs() job on @p threads workers;
+ * otherwise each level one is one job. Every chunk is charged to
+ * @p budget (the sweep-global one) before it is allocated. A
+ * refused charge or a std::bad_alloc drops that level one's stream,
+ * and its jobs replay the shared trace in lockstep.
+ */
+LevelOneStreams
+filterLevelOnes(const std::vector<sim::RunSpec> &specs,
+                const std::vector<bool> &have,
+                const trace::AtumLikeConfig &cfg,
+                const std::vector<trace::MemRef> &refs,
+                MemBudget *budget, unsigned threads)
+{
+    LevelOneStreams out;
+    out.of.assign(specs.size(), nullptr);
+    // A request carries its reference's trace position in 32 bits.
+    if (refs.size() > std::uint64_t{1} << 32)
+        return out;
+
+    struct Group
+    {
+        mem::CacheGeometry l1;
+        std::vector<std::size_t> jobs;
+    };
+    std::vector<Group> groups;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        if (have[i] || !sim::levelOneDecoupled(specs[i]))
+            continue;
+        auto g = std::find_if(groups.begin(), groups.end(),
+                              [&](const Group &grp) {
+                                  return grp.l1 == specs[i].hier.l1;
+                              });
+        if (g == groups.end())
+            g = groups.insert(g, Group{specs[i].hier.l1, {}});
+        g->jobs.push_back(i);
+    }
+    std::erase_if(groups,
+                  [](const Group &g) { return g.jobs.size() < 2; });
+    if (groups.empty())
+        return out;
+
+    // Segment k, and the flush marker after it, start at k * stride.
+    const bool split = cfg.flush_between_segments;
+    const std::size_t parts = split ? cfg.segments : 1;
+    const std::size_t stride = split ? static_cast<std::size_t>(
+                                           cfg.refs_per_segment + 1)
+                                     : refs.size();
+    std::vector<StreamPart> part(groups.size() * parts);
+    std::unique_ptr<std::atomic<bool>[]> refused(
+        new std::atomic<bool>[groups.size()]());
+    std::vector<std::function<void()>> jobs;
+    jobs.reserve(part.size());
+    for (std::size_t g = 0; g < groups.size(); ++g)
+        for (std::size_t k = 0; k < parts; ++k)
+            jobs.push_back([&, g, k] {
+                const std::size_t end =
+                    std::min(refs.size(), (k + 1) * stride);
+                StreamPart &p = part[g * parts + k];
+                bool ok = false;
+                try {
+                    ok = filterPart(groups[g].l1, refs, k * stride, end,
+                                    budget, refused[g], p);
+                } catch (...) {
+                    // std::bad_alloc, or a level one the cache
+                    // rejects: each of its jobs then fails alone.
+                }
+                if (!ok) {
+                    refused[g] = true;
+                    p = StreamPart(); // give the room back at once
+                }
+            });
+    runJobs(std::move(jobs), threads);
+
+    out.streams.reserve(groups.size());
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+        if (refused[g]) {
+            ++out.refused;
+            continue;
+        }
+        mem::L2RequestStream &stream = out.streams.emplace_back();
+        for (std::size_t k = 0; k < parts; ++k) {
+            StreamPart &p = part[g * parts + k];
+            for (std::vector<mem::L2Request> &c : p.chunks) {
+                out.requests += c.size();
+                stream.push_back(std::move(c));
+            }
+            for (MemCharge &c : p.charges)
+                out.charges.push_back(std::move(c));
+        }
+        for (std::size_t i : groups[g].jobs)
+            out.of[i] = &stream;
+        out.jobs += groups[g].jobs.size();
+    }
+    return out;
 }
 
 /**
@@ -427,6 +626,50 @@ runChecked(const std::vector<sim::RunSpec> &specs,
         shared.factory ? shared.factory : make_trace;
     result.shared_trace_bytes = shared.bytes;
 
+    // Simulate each shared level one once: its jobs replay only its
+    // level-two requests. Held, and charged, until the sweep returns.
+    // Under a limit the streams never take the room the jobs need:
+    // the largest hierarchies that can run at once stay reserved
+    // while the streams are filtered.
+    LevelOneStreams streams;
+    streams.of.assign(specs.size(), nullptr);
+    MemCharge reserve;
+    bool room = true;
+    if (shared.refs && opts.mem_budget != 0) {
+        Expected<MemCharge> c = MemCharge::charge(
+            guards.budget, concurrentFootprint(specs, have, opts.jobs),
+            "the jobs' hierarchies");
+        room = c.ok();
+        if (room)
+            reserve = c.take();
+    }
+    if (shared.refs && room &&
+        !(guards.cancel && guards.cancel->cancelled())) {
+        const auto t0 = std::chrono::steady_clock::now();
+        streams = filterLevelOnes(specs, have, *shareable, *shared.refs,
+                                  guards.budget, opts.jobs);
+        reserve.release();
+        const auto ms =
+            std::chrono::duration_cast<std::chrono::milliseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count();
+        const std::uint64_t bytes =
+            streams.charges.size() * kRequestChunkBytes;
+        result.request_stream_bytes = bytes;
+        if (opts.progress && (streams.jobs != 0 || streams.refused != 0))
+            opts.progress->note(
+                "level-one streams: " +
+                std::to_string(streams.streams.size()) + " (" +
+                std::to_string(streams.jobs) + " jobs), " +
+                std::to_string(streams.requests) +
+                " requests, " + std::to_string(bytes) + " bytes, " +
+                std::to_string(ms) + " ms" +
+                (streams.refused != 0
+                     ? ", " + std::to_string(streams.refused) +
+                           " refused (lockstep)"
+                     : std::string()));
+    }
+
     // Open the journal we append new completions to. When both
     // --journal and --resume are given, the fresh journal also
     // receives the restored slots, producing a compacted, complete
@@ -473,9 +716,10 @@ runChecked(const std::vector<sim::RunSpec> &specs,
                 continue;
             }
             jobs.push_back([&specs, &jobs_trace, &opts, &guards,
-                            &result, &writer, &journal_mutex, i] {
+                            &result, &writer, &journal_mutex,
+                            &streams, i] {
                 JobResult r = runOneJob(specs, jobs_trace, opts,
-                                        guards, i);
+                                        guards, i, streams.of[i]);
                 if (r.ok() && writer.isOpen()) {
                     std::lock_guard<std::mutex> lock(journal_mutex);
                     Error e = writer.append(i, r.output);

@@ -16,7 +16,9 @@
  * cursor (generate once, replay many). The segments of the trace
  * share no state, so the buffer is filled one segment per job on
  * the sweep's own workers. Every job replays the same stream either
- * way, so the outputs are identical.
+ * way, so the outputs are identical. Over that buffer, each level one
+ * that two or more decoupled jobs share is then simulated once, and
+ * those jobs replay only its level-two requests.
  *
  * runJobs() is the one job runner: each worker takes the next job
  * from one shared cursor. With one worker the same loop runs inline,
@@ -198,6 +200,21 @@ runSweepChecked(const std::vector<sim::RunSpec> &specs,
  * either way. With opts.progress, a verbose meter prints one stderr
  * line for the shared trace: its records, bytes, fill workers and
  * wall milliseconds.
+ *
+ * Over the shared buffer, the jobs left to run whose level one is
+ * sim::levelOneDecoupled() are grouped by level-one geometry. Each
+ * group of two or more is filtered once, on the same workers (one
+ * job per level one and segment when flush markers separate the
+ * segments), into an immutable mem::L2RequestStream, and its jobs
+ * replay it through sim::runTrace's filtered replay
+ * (JobResult::filtered). Each stream chunk is charged to the
+ * sweep-global budget before it is allocated and held until the
+ * sweep returns; under a limit the room the largest concurrent job
+ * hierarchies need stays reserved while the streams are filtered. A
+ * refused chunk or a std::bad_alloc leaves that group's jobs in
+ * lockstep over the shared trace, with identical outputs. A second
+ * verbose stderr line gives the streams' level ones, jobs,
+ * requests, bytes and wall milliseconds.
  */
 SweepResult
 runSweepChecked(const std::vector<sim::RunSpec> &specs,

@@ -91,8 +91,35 @@ ObserverFanout::onFlush()
         obs->onFlush();
 }
 
+LevelOne::LevelOne(const CacheGeometry &geom, L1WritePolicy policy)
+    : cache_(geom), policy_(policy)
+{
+}
+
+void
+LevelOne::access(const trace::MemRef &ref, std::uint32_t pos,
+                std::vector<L2Request> &out)
+{
+    if (ref.isFlush()) {
+        cache_.flush();
+        out.push_back({pos, 0, 0, L2Request::Kind::Flush});
+        return;
+    }
+    if (lookup(ref) >= 0)
+        return;
+    // Nothing else touches a write-back level one between its miss
+    // and its fill, so the fill need not wait for the read-in.
+    const Fill f = fill(ref);
+    out.push_back({pos, cache_.geom().blockAddrOf(ref.addr), f.frame,
+                   L2Request::Kind::ReadIn});
+    if (f.write_back)
+        out.push_back(
+            {pos, f.victim, f.frame, L2Request::Kind::WriteBack});
+}
+
 TwoLevelHierarchy::TwoLevelHierarchy(const HierarchyConfig &cfg)
-    : cfg_(cfg), l1_(cfg.l1), l2_(cfg.l2, cfg.l2_replacement),
+    : cfg_(cfg), l1_(cfg.l1, cfg.write_policy),
+      l2_(cfg.l2, cfg.l2_replacement),
       fanout_(cfg.l2.assoc()),
       way_hint_(static_cast<std::size_t>(cfg.l1.sets()) *
                     cfg.l1.assoc(),
@@ -152,11 +179,11 @@ TwoLevelHierarchy::dropL1Lines(BlockAddr l2_block)
         BlockAddr l1_block =
             cfg_.l1.blockAddrOf(base + i * cfg_.l1.blockBytes());
         std::uint32_t set = cfg_.l1.setOf(l1_block);
-        int way = l1_.findWay(l1_block);
+        int way = l1_.cache().findWay(l1_block);
         if (way < 0)
             continue;
         ++drop.lines;
-        if (l1_.invalidate(l1_block))
+        if (l1_.cache().invalidate(l1_block))
             ++drop.dirty;
         way_hint_[static_cast<std::size_t>(set) * cfg_.l1.assoc() +
                   way] = -1;
@@ -218,32 +245,22 @@ void
 TwoLevelHierarchy::access(const trace::MemRef &ref)
 {
     if (ref.isFlush()) {
-        flushAll();
-        ++stats_.flushes;
+        flushMarker();
         return;
     }
 
     ++stats_.proc_refs;
-    BlockAddr l1_block = cfg_.l1.blockAddrOf(ref.addr);
-    std::uint32_t l1_set = cfg_.l1.setOf(l1_block);
-    int l1_way = l1_.findWay(l1_block);
-
-    if (l1_way >= 0) {
+    const std::int64_t hit = l1_.lookup(ref);
+    const bool store_through =
+        ref.isWrite() &&
+        cfg_.write_policy == L1WritePolicy::WriteThrough;
+    if (hit >= 0) {
         ++stats_.l1_hits;
-        l1_.touch(l1_set, l1_way);
-        if (ref.isWrite()) {
-            if (cfg_.write_policy == L1WritePolicy::WriteBack) {
-                l1_.setDirty(l1_set, l1_way);
-            } else {
-                // Write-through: the store goes straight to the
-                // level two, guided by the way hint.
-                int hint =
-                    way_hint_[static_cast<std::size_t>(l1_set) *
-                                  cfg_.l1.assoc() +
-                              l1_way];
-                l2WriteBack(cfg_.l2.blockAddrOf(ref.addr), hint);
-            }
-        }
+        // Write-through: the store goes straight to the level two,
+        // guided by the way hint.
+        if (store_through)
+            l2WriteBack(cfg_.l2.blockAddrOf(ref.addr),
+                        way_hint_[static_cast<std::size_t>(hit)]);
         return;
     }
 
@@ -255,31 +272,19 @@ TwoLevelHierarchy::access(const trace::MemRef &ref)
     int l2_way = l2ReadIn(l2_block);
 
     // The fill happens after the read-in (whose inclusion
-    // invalidations may have emptied level-one frames); the
-    // FillResult carries the displaced victim's address and dirty
-    // state, and its frame's level-two way hint is read before the
-    // slot is overwritten with the new block's.
-    bool fill_dirty = ref.isWrite() &&
-                      cfg_.write_policy == L1WritePolicy::WriteBack;
-    FillResult fr = l1_.fill(l1_block, fill_dirty);
-    std::size_t hint_idx =
-        static_cast<std::size_t>(l1_set) * cfg_.l1.assoc() +
-        static_cast<std::size_t>(fr.way);
-    int victim_hint = way_hint_[hint_idx];
-    way_hint_[hint_idx] = static_cast<std::int16_t>(l2_way);
+    // invalidations may have emptied level-one frames), and the
+    // displaced victim's way hint is read before its frame takes
+    // the new block's.
+    const LevelOne::Fill fill = l1_.fill(ref);
+    int victim_hint = rehint(fill.frame, l2_way);
 
-    // Then the write-back of the displaced dirty block (write-back
-    // policy only; write-through lines are never dirty).
-    if (fr.evicted && fr.victim_dirty) {
-        trace::Addr victim_byte =
-            cfg_.l1.byteAddrOf(fr.victim_block);
-        l2WriteBack(cfg_.l2.blockAddrOf(victim_byte), victim_hint);
-    }
+    // Then the write-back of the displaced dirty block.
+    if (fill.write_back)
+        l2WriteBack(l2BlockOf(fill.victim), victim_hint);
 
     // A write-through store that missed the level one still goes to
     // the level two after the read-in.
-    if (ref.isWrite() &&
-        cfg_.write_policy == L1WritePolicy::WriteThrough)
+    if (store_through)
         l2WriteBack(l2_block, l2_way);
 }
 
@@ -291,13 +296,86 @@ TwoLevelHierarchy::replay(const trace::MemRef *refs, std::size_t n,
         // Warm the next reference's set planes while this one
         // executes; flush markers touch no set.
         if (i + 1 < n && !refs[i + 1].isFlush()) {
-            l1_.prefetchSet(cfg_.l1.blockAddrOf(refs[i + 1].addr));
+            l1_.cache().prefetchSet(
+                cfg_.l1.blockAddrOf(refs[i + 1].addr));
             l2_.prefetchSet(cfg_.l2.blockAddrOf(refs[i + 1].addr));
         }
         access(refs[i]);
         if (remote)
             remote->step(*this);
     }
+}
+
+namespace {
+
+[[noreturn]] void
+streamMismatch(std::uint64_t pos, const char *what)
+{
+    throwError(Error::internal(
+        "level-one request stream does not match the trace at "
+        "reference " + std::to_string(pos) + ": " + what));
+}
+
+} // namespace
+
+void
+TwoLevelHierarchy::replayRequests(const trace::MemRef *refs,
+                                  std::size_t n, std::uint64_t first,
+                                  L2RequestCursor &reqs)
+{
+    const std::uint64_t end = first + n;
+    std::uint64_t flushes = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        flushes += refs[i].isFlush();
+
+    // Read-ins and flushes take one reference each, in trace order;
+    // a write-back follows its reference's read-in.
+    std::uint64_t free_from = first;
+    std::uint64_t read_ins = 0, flushed = 0;
+    int victim_hint = -1;
+    bool after_read_in = false;
+    for (const L2Request *req = reqs.peek(); req && req->ref < end;
+         req = reqs.peek()) {
+        reqs.advance();
+        const std::uint64_t pos = req->ref;
+        // Warm the next request's level-two set while this one runs.
+        const L2Request *next = reqs.peek();
+        if (next && next->kind != L2Request::Kind::Flush)
+            l2_.prefetchSet(l2BlockOf(next->block));
+        if (pos < first)
+            streamMismatch(pos, "request out of trace order");
+        const trace::MemRef &ref = refs[pos - first];
+        switch (req->kind) {
+          case L2Request::Kind::ReadIn:
+            if (pos < free_from || ref.isFlush() ||
+                cfg_.l1.blockAddrOf(ref.addr) != req->block)
+                streamMismatch(pos, "read-in of another block");
+            ++read_ins;
+            victim_hint =
+                rehint(req->frame, l2ReadIn(l2BlockOf(req->block)));
+            after_read_in = true;
+            break;
+          case L2Request::Kind::WriteBack:
+            if (!after_read_in || pos + 1 != free_from)
+                streamMismatch(pos, "write-back without its read-in");
+            l2WriteBack(l2BlockOf(req->block), victim_hint);
+            after_read_in = false;
+            continue;
+          case L2Request::Kind::Flush:
+            if (pos < free_from || !ref.isFlush())
+                streamMismatch(pos, "flush marker out of place");
+            ++flushed;
+            flushMarker();
+            after_read_in = false;
+            break;
+        }
+        free_from = pos + 1;
+    }
+    if (flushed != flushes)
+        streamMismatch(first, "a flush marker has no request");
+    stats_.proc_refs += n - flushes;
+    stats_.l1_misses += read_ins;
+    stats_.l1_hits += n - flushes - read_ins;
 }
 
 void
@@ -331,7 +409,7 @@ TwoLevelHierarchy::remoteInvalidate(BlockAddr l2_block)
 void
 TwoLevelHierarchy::flushAll()
 {
-    l1_.flush();
+    l1_.cache().flush();
     l2_.flush();
     std::fill(way_hint_.begin(), way_hint_.end(),
               static_cast<std::int16_t>(-1));

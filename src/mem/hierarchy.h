@@ -11,6 +11,16 @@
  * way *hints* that implement the paper's write-back optimization
  * and monitors how often multi-level inclusion would be violated.
  *
+ * The two halves are separate. LevelOne takes a reference and
+ * yields its level-two requests; TwoLevelHierarchy applies them.
+ * The lockstep replay (access, replay, run) applies each
+ * reference's requests before it reads the next one. The filtered
+ * replay (replayRequests) applies a request stream a LevelOne
+ * yielded earlier, without a level one of its own. That is exact
+ * when nothing the level two does reaches back into the level one:
+ * a write-back level one, no inclusion enforcement and no
+ * coherency traffic.
+ *
  * Lookup-cost observers (src/core) attach here and are shown every
  * level-two access before it commits. One ObserverFanout per
  * observed level (this level two, and a ThirdLevelCache's level
@@ -21,6 +31,7 @@
 #define ASSOC_MEM_HIERARCHY_H
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "mem/cache.h"
@@ -268,6 +279,149 @@ struct HierarchyConfig
     ReplPolicy l2_replacement = ReplPolicy::Lru;
 };
 
+/**
+ * One level-two request of a write-back level one, tagged with the
+ * trace position of the reference that caused it.
+ */
+struct L2Request
+{
+    enum class Kind : std::uint8_t {
+        ReadIn,    ///< fetch @c block, filling level-one @c frame
+        WriteBack, ///< write back @c block, the frame's dirty victim
+        Flush,     ///< a flush marker
+    };
+
+    std::uint32_t ref = 0;   ///< trace position of the reference
+    BlockAddr block = 0;     ///< level-one block address
+    std::uint32_t frame = 0; ///< level-one frame (set * assoc + way)
+    Kind kind = Kind::ReadIn;
+};
+static_assert(sizeof(L2Request) <= 16);
+
+/**
+ * A level one's requests over one trace, in trace order, held in
+ * chunks so the sweep can charge each chunk to a budget before
+ * allocating it. Immutable once built: any number of jobs, on any
+ * threads, replay one stream through their own L2RequestCursor.
+ */
+using L2RequestStream = std::vector<std::vector<L2Request>>;
+
+/** One replay's read position in an L2RequestStream. */
+class L2RequestCursor
+{
+  public:
+    explicit L2RequestCursor(const L2RequestStream &stream)
+        : stream_(stream)
+    {
+        settle();
+    }
+
+    /** The next request, or null when the stream is used up. */
+    const L2Request *
+    peek() const
+    {
+        return cur_ == end_ ? nullptr : cur_;
+    }
+
+    void
+    advance()
+    {
+        if (++cur_ == end_)
+            settle();
+    }
+
+  private:
+    /** Move to the next non-empty chunk, if there is one. */
+    void
+    settle()
+    {
+        while (cur_ == end_ && chunk_ < stream_.size()) {
+            const std::vector<L2Request> &c = stream_[chunk_++];
+            cur_ = c.data();
+            end_ = cur_ + c.size();
+        }
+    }
+
+    const L2RequestStream &stream_;
+    std::size_t chunk_ = 0;
+    const L2Request *cur_ = nullptr;
+    const L2Request *end_ = nullptr;
+};
+
+/**
+ * The level-one half: the level-one cache, and what one reference
+ * does to it. TwoLevelHierarchy drives lookup() and fill() in
+ * lockstep with its level two. On its own, access() runs both back
+ * to back and yields the reference's level-two requests.
+ */
+class LevelOne
+{
+  public:
+    LevelOne(const CacheGeometry &geom, L1WritePolicy policy);
+
+    /**
+     * Look up @p ref (not a flush marker). A hit becomes its set's
+     * most recently used line and, under write-back, a write marks
+     * it dirty. @return the hit frame (set * assoc + way), or -1 on
+     * a miss.
+     */
+    std::int64_t
+    lookup(const trace::MemRef &ref)
+    {
+        const CacheGeometry &geom = cache_.geom();
+        BlockAddr block = geom.blockAddrOf(ref.addr);
+        std::uint32_t set = geom.setOf(block);
+        int way = cache_.findWay(block);
+        if (way < 0)
+            return -1;
+        cache_.touch(set, way);
+        if (ref.isWrite() && policy_ == L1WritePolicy::WriteBack)
+            cache_.setDirty(set, way);
+        return static_cast<std::int64_t>(set) * geom.assoc() + way;
+    }
+
+    /** Where fill() put a missed block, and what it displaced. */
+    struct Fill
+    {
+        std::uint32_t frame;  ///< set * assoc + way
+        bool write_back;      ///< the victim was dirty
+        BlockAddr victim;     ///< its level-one block, if write_back
+    };
+
+    /** Fill the block that @p ref missed on (after lookup()). */
+    Fill
+    fill(const trace::MemRef &ref)
+    {
+        const CacheGeometry &geom = cache_.geom();
+        BlockAddr block = geom.blockAddrOf(ref.addr);
+        // Write-through lines are never dirty, so their replacements
+        // are silent.
+        FillResult fr = cache_.fill(
+            block, ref.isWrite() && policy_ == L1WritePolicy::WriteBack);
+        return {geom.setOf(block) * geom.assoc() +
+                    static_cast<std::uint32_t>(fr.way),
+                fr.evicted && fr.victim_dirty, fr.victim_block};
+    }
+
+    /**
+     * The whole half for @p ref at trace position @p pos: append its
+     * requests, at most two, to @p out. A miss yields the read-in
+     * and then, for a dirty victim, the write-back; a flush marker
+     * flushes the level one and yields a Flush. Write-back policy
+     * only: a write-through store's request needs the level two's
+     * hint at once.
+     */
+    void access(const trace::MemRef &ref, std::uint32_t pos,
+                std::vector<L2Request> &out);
+
+    WriteBackCache &cache() { return cache_; }
+    const WriteBackCache &cache() const { return cache_; }
+
+  private:
+    WriteBackCache cache_;
+    L1WritePolicy policy_;
+};
+
 /** The two-level write-back hierarchy. */
 class TwoLevelHierarchy
 {
@@ -288,8 +442,9 @@ class TwoLevelHierarchy
     void access(const trace::MemRef &ref);
 
     /**
-     * Apply @p n references in trace order: the one replay loop
-     * every trace-driven run goes through. Each access prefetches
+     * Apply @p n references in trace order: the lockstep replay loop
+     * every trace-driven run goes through unless it replays a
+     * request stream (replayRequests). Each access prefetches
      * the next reference's level-one and level-two set planes while
      * the current one executes; accesses still commit strictly one
      * at a time, so the statistics do not depend on how a trace is
@@ -309,6 +464,20 @@ class TwoLevelHierarchy
      */
     void run(trace::TraceSource &src, unsigned batch = kReplayBatch);
 
+    /**
+     * The filtered replay: apply the level-two requests @p reqs
+     * holds for references @p refs[0..n), which sit at trace
+     * positions @p first onwards, instead of running the level one.
+     * The level-one statistics follow from the references and the
+     * read-ins. Each request is checked against its reference (the
+     * read-in's block, or the flush marker); a stream that does not
+     * match the trace throws an Internal ErrorException. Requires a
+     * write-back level one, no enforce_inclusion and no coherency
+     * traffic; the result is then identical to replay().
+     */
+    void replayRequests(const trace::MemRef *refs, std::size_t n,
+                        std::uint64_t first, L2RequestCursor &reqs);
+
     /** Invalidate both levels (cold start). */
     void flushAll();
 
@@ -321,7 +490,7 @@ class TwoLevelHierarchy
     bool remoteInvalidate(BlockAddr l2_block);
 
     const HierarchyStats &stats() const { return stats_; }
-    const WriteBackCache &l1() const { return l1_; }
+    const WriteBackCache &l1() const { return l1_.cache(); }
     const WriteBackCache &l2() const { return l2_; }
     const HierarchyConfig &config() const { return cfg_; }
 
@@ -330,7 +499,7 @@ class TwoLevelHierarchy
     std::uint64_t
     footprintBytes() const
     {
-        return l1_.footprintBytes() + l2_.footprintBytes() +
+        return l1().footprintBytes() + l2_.footprintBytes() +
                way_hint_.size() * sizeof(std::int16_t) +
                fanout_.footprintBytes();
     }
@@ -343,6 +512,31 @@ class TwoLevelHierarchy
     /** Issue a write-back (or write-through store) carrying the
      *  level-one way hint. */
     void l2WriteBack(BlockAddr l2_block, int hint_way);
+
+    /** A read-in that landed in level-two way @p l2_way filled
+     *  level-one frame @p frame: record the frame's new way hint and
+     *  @return the old one, its dirty victim's. */
+    int
+    rehint(std::uint32_t frame, int l2_way)
+    {
+        return std::exchange(way_hint_[frame],
+                             static_cast<std::int16_t>(l2_way));
+    }
+
+    /** The level-two block holding level-one block @p l1_block. */
+    BlockAddr
+    l2BlockOf(BlockAddr l1_block) const
+    {
+        return cfg_.l2.blockAddrOf(cfg_.l1.byteAddrOf(l1_block));
+    }
+
+    /** A flush marker: both levels go cold. */
+    void
+    flushMarker()
+    {
+        flushAll();
+        ++stats_.flushes;
+    }
 
     /** Invalidate every level-one line inside an evicted level-two
      *  block (inclusion enforcement). */
@@ -360,7 +554,7 @@ class TwoLevelHierarchy
     L1Drop dropL1Lines(BlockAddr l2_block);
 
     HierarchyConfig cfg_;
-    WriteBackCache l1_;
+    LevelOne l1_;
     WriteBackCache l2_;
     ObserverFanout fanout_; ///< the level two's observers
 

@@ -1,15 +1,23 @@
 #include "sim/runner.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "util/logging.h"
 
 namespace assoc {
 namespace sim {
 
+namespace {
+
+/** runTrace(), through the filtered replay when @p requests is set. */
 RunOutput
-runTrace(trace::TraceSource &src, const RunSpec &spec)
+run(trace::TraceSource &src, const RunSpec &spec,
+    const mem::L2RequestStream *requests)
 {
+    if (requests && !levelOneDecoupled(spec))
+        throwError(Error::internal(
+            "a request stream replayed by a coupled level one"));
     mem::TwoLevelHierarchy hier(spec.hier);
 
     // The hierarchy's line planes are the run's dominant allocation;
@@ -66,6 +74,10 @@ runTrace(trace::TraceSource &src, const RunSpec &spec)
             throwError(Error(go.error()).withContext("before streaming"));
     }
 
+    std::optional<mem::L2RequestCursor> reqs;
+    if (requests)
+        reqs.emplace(*requests);
+
     constexpr std::uint64_t kBatch = RunSpec::batch_size;
     trace::MemRef buf[kBatch];
     std::uint64_t n = 0;
@@ -81,7 +93,10 @@ runTrace(trace::TraceSource &src, const RunSpec &spec)
         if (period != 0)
             want = std::min(want, period - n % period);
         std::size_t got = src.nextBatch(buf, want);
-        hier.replay(buf, got, step);
+        if (reqs)
+            hier.replayRequests(buf, got, n, *reqs);
+        else
+            hier.replay(buf, got, step);
         n += got;
         // A short pull is the end of the trace (or a failed source),
         // and it stops short of the next checkpoint and sample.
@@ -108,6 +123,10 @@ runTrace(trace::TraceSource &src, const RunSpec &spec)
         Error e(src.error());
         throwError(std::move(e.withContext("streaming the trace")));
     }
+    if (reqs && reqs->peek())
+        throwError(Error::internal(
+            "level-one request stream outlasts the trace's " +
+            std::to_string(n) + " references"));
 
     out.skipped_records = src.skippedRecords();
     out.stats = hier.stats();
@@ -121,6 +140,28 @@ runTrace(trace::TraceSource &src, const RunSpec &spec)
             out.f[i] = dist->f(i);
     }
     return out;
+}
+
+} // namespace
+
+RunOutput
+runTrace(trace::TraceSource &src, const RunSpec &spec)
+{
+    return run(src, spec, nullptr);
+}
+
+RunOutput
+runTrace(trace::TraceSource &src, const RunSpec &spec,
+         const mem::L2RequestStream &requests)
+{
+    return run(src, spec, &requests);
+}
+
+bool
+levelOneDecoupled(const RunSpec &spec)
+{
+    return spec.hier.write_policy == mem::L1WritePolicy::WriteBack &&
+           !spec.hier.enforce_inclusion && spec.coherency_rate == 0.0;
 }
 
 std::string

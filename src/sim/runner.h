@@ -111,6 +111,28 @@ struct RunOutput
  */
 RunOutput runTrace(trace::TraceSource &src, const RunSpec &spec);
 
+/**
+ * True when nothing @p spec's level two does reaches back into its
+ * level one: the level one writes back, inclusion is not enforced
+ * and there is no coherency traffic. Such a spec can replay its
+ * level one's request stream.
+ */
+bool levelOneDecoupled(const RunSpec &spec);
+
+/**
+ * runTrace() with the filtered replay: @p requests is what
+ * @p spec's level one yields over @p src's trace (a mem::LevelOne
+ * fed the same references; exec::runSweepChecked builds them once
+ * per sweep). The job still pulls @p src and applies the requests
+ * of each pulled batch (mem::TwoLevelHierarchy::replayRequests), so
+ * checkpoints, occupancy samples and error contexts land on the
+ * same reference, and the output equals runTrace()'s. A stream
+ * that does not match the trace, or a spec that is not
+ * levelOneDecoupled(), fails with an Internal error.
+ */
+RunOutput runTrace(trace::TraceSource &src, const RunSpec &spec,
+                   const mem::L2RequestStream &requests);
+
 /** The paper's notation for a cache, e.g. "16K-16". */
 std::string cacheName(std::uint32_t bytes, std::uint32_t block);
 
