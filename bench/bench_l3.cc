@@ -75,9 +75,11 @@ main(int argc, char **argv)
                 auto m_part =
                     core::SchemeSpec::paperPartial(a).makeMeter();
                 core::MruDistanceMeter dist(a);
-                l3.addObserver(m_naive.get());
-                l3.addObserver(m_mru.get());
-                l3.addObserver(m_part.get());
+                core::MeterBank bank;
+                bank.add(m_naive.get());
+                bank.add(m_mru.get());
+                bank.add(m_part.get());
+                l3.addObserver(&bank);
                 l3.addObserver(&dist);
                 hier.run(src);
 

@@ -56,18 +56,14 @@ struct BenchSet
         block_addr = rng.next() & 0xfff;
     }
 
+    /** The set's input, compare included (built inside each timed
+     *  iteration, so a lookup row prices the whole lookup). */
     core::LookupInput
     input() const
     {
-        core::LookupInput in;
-        in.assoc = static_cast<unsigned>(tags.size());
-        in.stored_tags = tags.data();
-        in.valid = valid;
-        in.mru_order = order.data();
-        in.incoming_tag = incoming;
-        in.block_addr = block_addr;
-        in.set = block_addr & 255;
-        return in;
+        return core::LookupInput(static_cast<unsigned>(tags.size()),
+                                 tags.data(), valid, order.data(),
+                                 incoming, block_addr, block_addr & 255);
     }
 };
 
@@ -174,17 +170,18 @@ void
 runPartialMask(benchmark::State &state,
                const core::LookupKernels &kern)
 {
-    // One subset spanning the whole set, k sized so g*k fills the
-    // 16-bit tag: (g, k) = (4,4), (8,2), (16,1).
-    const unsigned g = static_cast<unsigned>(state.range(0));
-    const unsigned k = 16 / g;
+    // One whole-set call at Table 4's geometry: a ways in subsets of
+    // g = 4, k = 4 on 16-bit tags (the paper's Partial at a = 4, 8
+    // and 16 has 1, 2 and 4 subsets).
+    const unsigned a = static_cast<unsigned>(state.range(0));
+    constexpr unsigned g = 4, k = 4;
     auto xf =
         core::TagTransform::make(core::TransformKind::XorLow, 16, k);
     Pcg32 rng(42);
     std::vector<BenchSet> sets;
     std::vector<std::vector<std::uint32_t>> inc_fields;
     for (int i = 0; i < 256; ++i) {
-        sets.emplace_back(g, rng);
+        sets.emplace_back(a, rng);
         std::vector<std::uint32_t> inc(g);
         for (unsigned l = 0; l < g; ++l)
             inc[l] = xf->field(xf->apply(sets.back().incoming, l), l);
@@ -194,7 +191,7 @@ runPartialMask(benchmark::State &state,
     for (auto _ : state) {
         const BenchSet &s = sets[i & 255];
         benchmark::DoNotOptimize(kern.partial_mask(
-            s.tags.data(), s.valid, g,
+            s.tags.data(), s.valid, a, g,
             inc_fields[i & 255].data(), k,
             core::TransformKind::XorLow, *xf));
         ++i;
@@ -438,15 +435,18 @@ BM_HierarchyWithMeters(benchmark::State &state)
                               mem::CacheGeometry(262144, 32, 4),
                               true};
     mem::TwoLevelHierarchy hier(hcfg);
+    // Attached the way sim::runTrace attaches them: one bank.
     std::vector<std::unique_ptr<core::ProbeMeter>> meters;
+    core::MeterBank bank;
     core::SchemeSpec naive, mru;
     naive.kind = core::SchemeKind::Naive;
     mru.kind = core::SchemeKind::Mru;
     for (const core::SchemeSpec &s :
          {naive, mru, core::SchemeSpec::paperPartial(4)}) {
         meters.push_back(s.makeMeter());
-        hier.addObserver(meters.back().get());
+        bank.add(meters.back().get());
     }
+    hier.addObserver(&bank);
     std::size_t i = 0;
     for (auto _ : state) {
         hier.access(refs[i]);

@@ -123,8 +123,10 @@ main(int argc, char **argv)
                             .makeMeter());
                     kinds.push_back(hw::ImplKind::Partial);
                 }
+                core::MeterBank bank; // one slice and compare per access
                 for (auto &m : meters)
-                    hier.addObserver(m.get());
+                    bank.add(m.get());
+                hier.addObserver(&bank);
                 hier.run(gen);
 
                 for (std::size_t i = 0; i < meters.size(); ++i) {

@@ -541,7 +541,10 @@ runCase(const FuzzCase &c, BugInjection inject,
     try {
         mem::TwoLevelHierarchy hier(c.hier);
         InvariantAuditor auditor(&out.log);
+        // Attached as sim::runTrace attaches them: one bank, whose
+        // meters share an input per tag width (a case mixes widths).
         std::vector<std::unique_ptr<core::ProbeMeter>> meters;
+        core::MeterBank bank;
         meters.reserve(c.schemes.size());
         for (const core::SchemeSpec &spec : c.schemes) {
             core::MeterConfig mcfg;
@@ -550,8 +553,10 @@ runCase(const FuzzCase &c, BugInjection inject,
             meters.push_back(std::make_unique<core::ProbeMeter>(
                 makeStrategy(spec, inject), mcfg));
             meters.back()->setAuditor(&auditor);
-            hier.addObserver(meters.back().get());
+            bank.add(meters.back().get());
         }
+        if (!meters.empty())
+            hier.addObserver(&bank);
         // Self-checking observer: panics if a hit way is ever
         // missing from the recency order.
         core::MruDistanceMeter dist(c.hier.l2.assoc());

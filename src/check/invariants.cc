@@ -517,6 +517,18 @@ InvariantAuditor::audit(const core::ProbeMeter &meter,
     // 6. LRU-stack integrity of the accessed set, for both the
     // recency and the fill-age order.
     checkRecencyOrders(*view.cache, view.set, *log_);
+
+    // 7. The shared compare: every scan walks in.eq, so it must be
+    // exactly the per-way compare of the sliced tag plane and the
+    // validity word, redone here without the kernel.
+    std::uint64_t eq = 0;
+    for (unsigned w = 0; w < a; ++w)
+        if (validWay(in, w) && in.stored_tags[w] == in.incoming_tag)
+            eq |= std::uint64_t{1} << w;
+    if (in.eq != eq)
+        log_->add(who + ": input eq mask " + std::to_string(in.eq) +
+                  " != the per-way compare " + std::to_string(eq) +
+                  " at a=" + std::to_string(a));
 }
 
 } // namespace check

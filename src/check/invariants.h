@@ -16,6 +16,8 @@
  *  - the Partial step-1 superset property: the partially-matching
  *    candidate set must contain every way whose sliced tag equals
  *    the incoming one (in particular, the true hit way);
+ *  - the shared compare: the input's eq mask, which every scan
+ *    walks, must equal an independent per-way tag compare;
  *  - LRU-stack integrity: the per-set recency order is a
  *    permutation of the ways with invalid frames at the tail;
  *  - GF(2) transform invertibility, linearity and tag-width masking;
@@ -185,7 +187,10 @@ bool checkInclusion(const mem::TwoLevelHierarchy &hier,
  *     names exactly the way the underlying scheme's reference scan
  *     finds, and a memo miss reproduces that reference verbatim —
  *     memoization changes costs, never outcomes;
- *  6. LRU-stack integrity of the accessed set.
+ *  6. LRU-stack integrity of the accessed set;
+ *  7. the input's eq mask: exactly the per-way compare of the
+ *     sliced tags with the incoming tag on valid ways, recomputed
+ *     without a kernel call (every scan walks that one mask).
  */
 class InvariantAuditor : public core::LookupAuditor
 {

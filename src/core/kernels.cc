@@ -46,8 +46,9 @@ scalarEqMask(const std::uint32_t *tags, std::uint64_t valid,
 
 std::uint64_t
 scalarPartialMask(const std::uint32_t *tags, std::uint64_t valid,
-                  unsigned g, const std::uint32_t *inc_fields,
-                  unsigned k, TransformKind kind, const TagTransform &xf)
+                  unsigned a, unsigned g,
+                  const std::uint32_t *inc_fields, unsigned k,
+                  TransformKind kind, const TagTransform &xf)
 {
     // The original PartialLookup inner loop: per-way virtual
     // apply() + field() calls, no closed forms. (void)k/kind — the
@@ -55,12 +56,13 @@ scalarPartialMask(const std::uint32_t *tags, std::uint64_t valid,
     (void)k;
     (void)kind;
     std::uint64_t m = 0;
-    for (unsigned l = 0; l < g; ++l) {
-        if (((valid >> l) & 1) == 0)
+    for (unsigned w = 0; w < a; ++w) {
+        if (((valid >> w) & 1) == 0)
             continue;
-        std::uint32_t stored = xf.apply(tags[l], l);
+        const unsigned l = w % g; // way w's collection in its subset
+        std::uint32_t stored = xf.apply(tags[w], l);
         if (xf.field(stored, l) == inc_fields[l])
-            m |= std::uint64_t{1} << l;
+            m |= std::uint64_t{1} << w;
     }
     return m;
 }
@@ -84,11 +86,12 @@ scalarShiftTags(const std::uint32_t *in, unsigned n, unsigned shift,
 
 std::uint64_t
 swarPartialMaskFn(const std::uint32_t *tags, std::uint64_t valid,
-                  unsigned g, const std::uint32_t *inc_fields,
-                  unsigned k, TransformKind kind, const TagTransform &xf)
+                  unsigned a, unsigned g,
+                  const std::uint32_t *inc_fields, unsigned k,
+                  TransformKind kind, const TagTransform &xf)
 {
     (void)xf;
-    return kdetail::swarPartialMask(tags, valid, g, inc_fields, k,
+    return kdetail::swarPartialMask(tags, valid, a, g, inc_fields, k,
                                     kind);
 }
 
@@ -226,14 +229,18 @@ kernelSelfCheck(const LookupKernels &k, std::string *why)
     }
 
     // Partial-compare smoke vectors: every transform kind at field
-    // geometries covering one-field, tail-only and multi-chunk
-    // subsets. Tags truncated to t bits; duplicate truncated fields
-    // are near-certain with a 4-value pool.
+    // geometries covering one-field subsets, one subset, several
+    // subsets per vector chunk, subsets that straddle chunks,
+    // gathered collections (g > 8) and a short last chunk. Tags
+    // truncated to t bits; duplicate truncated fields are
+    // near-certain with a 4-value pool.
     struct Geo {
-        unsigned t, k, g;
+        unsigned t, k, g, a;
     };
-    static const Geo geos[] = {{16, 4, 4}, {16, 1, 13}, {12, 3, 4},
-                               {8, 8, 1},  {32, 2, 16}, {20, 2, 9}};
+    static const Geo geos[] = {
+        {16, 4, 4, 4},   {16, 4, 4, 16}, {16, 1, 13, 39},
+        {12, 3, 4, 12},  {8, 8, 1, 7},   {32, 2, 16, 64},
+        {20, 2, 9, 18},  {32, 1, 32, 64}, {16, 2, 6, 30}};
     static const TransformKind kinds[] = {
         TransformKind::None, TransformKind::XorLow,
         TransformKind::Improved, TransformKind::Swap};
@@ -248,23 +255,24 @@ kernelSelfCheck(const LookupKernels &k, std::string *why)
                     p = static_cast<std::uint32_t>(rng.next()) &
                         static_cast<std::uint32_t>(maskBits(geo.t));
                 std::uint32_t *t = tags + off;
-                for (unsigned l = 0; l < geo.g; ++l)
-                    t[l] = pool[rng.next() & 3];
+                for (unsigned w = 0; w < geo.a; ++w)
+                    t[w] = pool[rng.next() & 3];
                 const std::uint64_t valid = rng.next();
                 std::uint32_t incoming = pool[rng.next() & 3];
                 for (unsigned l = 0; l < geo.g; ++l)
                     inc_fields[l] =
                         xf->field(xf->apply(incoming, l), l);
-                if (k.partial_mask(t, valid, geo.g, inc_fields, geo.k,
-                                   kind, *xf) !=
-                    ref.partial_mask(t, valid, geo.g, inc_fields,
-                                     geo.k, kind, *xf)) {
+                if (k.partial_mask(t, valid, geo.a, geo.g, inc_fields,
+                                   geo.k, kind, *xf) !=
+                    ref.partial_mask(t, valid, geo.a, geo.g,
+                                     inc_fields, geo.k, kind, *xf)) {
                     if (why != nullptr)
                         *why = std::string("partial_mask mismatch (") +
                                transformKindName(kind) +
                                " t=" + std::to_string(geo.t) +
                                " k=" + std::to_string(geo.k) +
                                " g=" + std::to_string(geo.g) +
+                               " a=" + std::to_string(geo.a) +
                                " off=" + std::to_string(off) + ")";
                     return false;
                 }

@@ -76,12 +76,13 @@ struct LookupKernels
 
     /**
      * Bit w set iff bit w of @p valid is set and tags[w] == needle,
-     * for w < a (a at most 64). The one tag-equality kernel:
-     * WriteBackCache::findWay, the way-order scan (Traditional,
-     * Naive, WideNaive), the recency-order scan (MRU, WideMRU,
-     * SwapMRU) and WayPredict's second probe each walk this mask in
-     * their own order. @p valid is the set's validity word as the
-     * cache keeps it (bit w = way w).
+     * for w < a (a at most 64). The one tag-equality kernel: behind
+     * WriteBackCache::findWay, and run once per core::LookupInput,
+     * whose eq mask the way-order scan (Traditional, Naive,
+     * WideNaive), the recency-order scan (MRU, WideMRU, SwapMRU),
+     * WayPredict and Partial's step 2 each walk in their own order.
+     * @p valid is the set's validity word as the cache keeps it
+     * (bit w = way w).
      */
     std::uint64_t (*eq_mask)(const std::uint32_t *tags,
                              std::uint64_t valid, unsigned a,
@@ -102,24 +103,25 @@ struct LookupKernels
                                      std::uint32_t needle);
 
     /**
-     * Partial-compare step 1 over one subset of g ways (Section
-     * 2.2): bit l set iff bit l of @p valid is set and field l of
-     * the transformed stored tag tags[l] equals inc_fields[l], for
-     * l < g (g at most 64). @p valid is the subset's validity word
-     * (the set's word shifted down to the subset's first way; bits
-     * at and above g are ignored). The caller precomputes
-     * inc_fields[l] = xf.field(xf.apply(incoming, l), l) once per
-     * lookup; the stored side is evaluated per way inside the
-     * kernel (the vector bodies use closed forms of the four
-     * transforms, the scalar body calls @p xf exactly like the
-     * original strategy).
+     * Partial-compare step 1 of every subset of a set at once
+     * (Section 2.2): the a ways form a/g subsets of g ways (g
+     * divides a), and way w reads collection l = w mod g of its
+     * subset. Bit w set iff bit w of @p valid is set and field l of
+     * the transformed stored tag tags[w] equals inc_fields[l], for
+     * w < a (a at most 64); bits of @p valid at and above a are
+     * ignored. The caller precomputes inc_fields[l] =
+     * xf.field(xf.apply(incoming, l), l) for l < g once per lookup;
+     * the stored side is evaluated per way inside the kernel (the
+     * vector bodies use closed forms of the four transforms, the
+     * scalar body calls @p xf exactly like the original strategy).
      *
      * @param k    field width in bits (xf.fieldBits()).
      * @param kind transform kind (selects the closed form).
      * @param xf   the strategy's transform (reference body only).
      */
     std::uint64_t (*partial_mask)(const std::uint32_t *tags,
-                                  std::uint64_t valid, unsigned g,
+                                  std::uint64_t valid, unsigned a,
+                                  unsigned g,
                                   const std::uint32_t *inc_fields,
                                   unsigned k, TransformKind kind,
                                   const TagTransform &xf);
@@ -150,9 +152,10 @@ std::vector<const LookupKernels *> registeredKernels();
 
 /**
  * Run the smoke-vector equivalence sweep on @p k against the scalar
- * reference: eq masks, partial masks under all four transforms,
- * plane decodes — each at several associativities, at misaligned
- * plane offsets and with validity bits set above the last way.
+ * reference: eq masks, whole-set partial masks under all four
+ * transforms, plane decodes — each at several associativities, at
+ * misaligned plane offsets and with validity bits set above the
+ * last way.
  * @return true when every vector matches; on
  * mismatch, false with a one-line reason in @p why (when non-null).
  */

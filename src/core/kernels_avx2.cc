@@ -9,12 +9,12 @@
  * -DASSOC_KERNELS_AVX2=OFF to compile them out entirely (the
  * no-AVX2 CI job, exotic toolchains).
  *
- * Layout per kernel: 8-lane AVX2 chunks, then a 4-lane SSE chunk,
- * then the shared scalar-tail bodies from kernels_inl.h — tails and
- * chunks must agree bit-for-bit, so the tail is never reimplemented
- * here. Tag-equality lanes become bitmasks via movemask on the
- * 32-bit compare results; validity arrives as the set's word and is
- * ANDed onto the finished mask.
+ * Layout: eq_mask runs 8-lane AVX2 chunks, then a 4-lane SSE chunk,
+ * then a scalar tail; partial_mask runs 8-lane chunks over the whole
+ * set, the last one through masked loads, with the closed forms of
+ * kernels_inl.h vectorized per lane. Tag-equality lanes become
+ * bitmasks via movemask on the 32-bit compare results; validity
+ * arrives as the set's word and is ANDed onto the finished mask.
  */
 
 #include "core/kernels.h"
@@ -22,6 +22,8 @@
 #if defined(__x86_64__) && !defined(ASSOC_NO_AVX2_KERNELS)
 
 #include <immintrin.h>
+
+#include <array>
 
 #include "core/kernels_inl.h"
 
@@ -100,66 +102,104 @@ avx2EqMaskRelaxed(const std::uint32_t *tags, std::uint64_t valid,
 #endif
 }
 
+/**
+ * The collection each lane of a set's first 8-way chunk reads (lane
+ * i: i mod g) and how far every later chunk moves it (8 mod g), for
+ * each subset width g up to 64.
+ */
+struct alignas(32) ChunkCollections
+{
+    std::int32_t first[8];
+    std::int32_t step;
+};
+
+constexpr std::array<ChunkCollections, 65> kChunkCollections = [] {
+    std::array<ChunkCollections, 65> table{};
+    for (unsigned g = 1; g <= 64; ++g) {
+        unsigned l = 0;
+        for (unsigned i = 0; i < 8; ++i) {
+            table[g].first[i] = static_cast<std::int32_t>(l);
+            if (++l == g)
+                l = 0;
+        }
+        table[g].step = static_cast<std::int32_t>(l);
+    }
+    return table;
+}();
+
+/** partialStoredField for 8 lanes: lane i reads collection idx[i]
+ *  of tag t[i]. */
+__attribute__((target("avx2"))) inline __m256i
+partialFields8(__m256i t, __m256i idx, __m256i vk, __m256i vmask,
+               TransformKind kind)
+{
+    if (kind == TransformKind::Swap) {
+        // Collection l of way l is always raw field 0.
+        return _mm256_and_si256(t, vmask);
+    }
+    __m256i shifted = _mm256_srlv_epi32(t, _mm256_mullo_epi32(idx, vk));
+    __m256i xsel = _mm256_setzero_si256();
+    const __m256i is0 = _mm256_cmpeq_epi32(idx, _mm256_setzero_si256());
+    if (kind == TransformKind::XorLow) {
+        // xsel = tag for lanes with l >= 1, 0 for l == 0.
+        xsel = _mm256_andnot_si256(is0, t);
+    } else if (kind == TransformKind::Improved) {
+        // l == 0 -> 0, l == 1 -> tag, l >= 2 -> tag ^ (tag >> k).
+        __m256i hi = _mm256_xor_si256(t, _mm256_srlv_epi32(t, vk));
+        __m256i is1 = _mm256_cmpeq_epi32(idx, _mm256_set1_epi32(1));
+        xsel = _mm256_andnot_si256(is0, _mm256_blendv_epi8(hi, t, is1));
+    }
+    return _mm256_and_si256(_mm256_xor_si256(shifted, xsel), vmask);
+}
+
 __attribute__((target("avx2"))) std::uint64_t
 avx2PartialMask(const std::uint32_t *tags, std::uint64_t valid,
-                unsigned g, const std::uint32_t *inc_fields,
+                unsigned a, unsigned g, const std::uint32_t *inc_fields,
                 unsigned k, TransformKind kind, const TagTransform &xf)
 {
     (void)xf;
+    const __m256i lane_idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    const __m256i vk = _mm256_set1_epi32(static_cast<int>(k));
+    const __m256i vmask = _mm256_set1_epi32(
+        static_cast<int>(static_cast<std::uint32_t>(maskBits(k))));
+    const __m256i vg = _mm256_set1_epi32(static_cast<int>(g));
+    const __m256i vlast = _mm256_set1_epi32(static_cast<int>(g) - 1);
+    const ChunkCollections &cc = kChunkCollections[g];
+    const __m256i vstep = _mm256_set1_epi32(cc.step);
+    __m256i idx = _mm256_load_si256(
+        reinterpret_cast<const __m256i *>(cc.first));
+    // Up to 8 collections fit one register, which each chunk
+    // permutes into lane order; wider subsets gather. Masked loads
+    // read no collection past g and no way past a.
+    const int *inc = reinterpret_cast<const int *>(inc_fields);
+    const __m256i inc8 =
+        g <= 8 ? _mm256_maskload_epi32(inc,
+                                       _mm256_cmpgt_epi32(vg, lane_idx))
+               : _mm256_setzero_si256();
     std::uint64_t m = 0;
-    unsigned l = 0;
-    if (g >= 8) {
-        const __m256i vmask = _mm256_set1_epi32(
-            static_cast<int>(static_cast<std::uint32_t>(maskBits(k))));
-        const __m256i vk = _mm256_set1_epi32(static_cast<int>(k));
-        const __m256i lane_idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5,
-                                                   6, 7);
-        for (; l + 8 <= g; l += 8) {
-            __m256i t = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(tags + l));
-            __m256i idx = _mm256_add_epi32(
-                _mm256_set1_epi32(static_cast<int>(l)), lane_idx);
-            __m256i fieldv;
-            if (kind == TransformKind::Swap) {
-                // Collection l of way l is always raw field 0.
-                fieldv = _mm256_and_si256(t, vmask);
-            } else {
-                __m256i shifted = _mm256_srlv_epi32(
-                    t, _mm256_mullo_epi32(idx, vk));
-                __m256i xsel = _mm256_setzero_si256();
-                if (kind == TransformKind::XorLow) {
-                    // xsel = tag for lanes with l >= 1, 0 for l == 0.
-                    __m256i is0 = _mm256_cmpeq_epi32(
-                        idx, _mm256_setzero_si256());
-                    xsel = _mm256_andnot_si256(is0, t);
-                } else if (kind == TransformKind::Improved) {
-                    // l == 0 -> 0, l == 1 -> tag, l >= 2 ->
-                    // tag ^ (tag >> k).
-                    __m256i hi = _mm256_xor_si256(
-                        t, _mm256_srlv_epi32(t, vk));
-                    __m256i is1 = _mm256_cmpeq_epi32(
-                        idx, _mm256_set1_epi32(1));
-                    __m256i is0 = _mm256_cmpeq_epi32(
-                        idx, _mm256_setzero_si256());
-                    xsel = _mm256_blendv_epi8(hi, t, is1);
-                    xsel = _mm256_andnot_si256(is0, xsel);
-                }
-                fieldv = _mm256_and_si256(
-                    _mm256_xor_si256(shifted, xsel), vmask);
-            }
-            __m256i inc = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(inc_fields + l));
-            unsigned eq = static_cast<unsigned>(_mm256_movemask_ps(
-                _mm256_castsi256_ps(_mm256_cmpeq_epi32(fieldv, inc))));
-            m |= static_cast<std::uint64_t>(eq) << l;
-        }
+    for (unsigned w = 0; w < a; w += 8) {
+        const int *at = reinterpret_cast<const int *>(tags + w);
+        const __m256i t =
+            w + 8 <= a
+                ? _mm256_loadu_si256(reinterpret_cast<const __m256i *>(at))
+                : _mm256_maskload_epi32(
+                      at, _mm256_cmpgt_epi32(
+                              _mm256_set1_epi32(static_cast<int>(a - w)),
+                              lane_idx));
+        const __m256i want =
+            g <= 8 ? _mm256_permutevar8x32_epi32(inc8, idx)
+                   : _mm256_i32gather_epi32(inc, idx, 4);
+        const unsigned eq = static_cast<unsigned>(_mm256_movemask_ps(
+            _mm256_castsi256_ps(_mm256_cmpeq_epi32(
+                partialFields8(t, idx, vk, vmask, kind), want))));
+        m |= static_cast<std::uint64_t>(eq) << w;
+        // The next chunk's collections: idx + 8 mod g, one
+        // conditional subtract since both terms are below g.
+        idx = _mm256_add_epi32(idx, vstep);
+        idx = _mm256_sub_epi32(
+            idx, _mm256_and_si256(_mm256_cmpgt_epi32(idx, vlast), vg));
     }
-    for (; l < g; ++l)
-        m |= static_cast<std::uint64_t>(
-                 kdetail::partialStoredField(tags[l], l, k, kind) ==
-                 inc_fields[l])
-             << l;
-    return m & valid & maskBits(g);
+    return m & valid & maskBits(a);
 }
 
 __attribute__((target("avx2"))) void

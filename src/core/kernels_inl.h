@@ -4,9 +4,9 @@
  *
  * Included by kernels.cc, kernels_avx2.cc and partial_lookup.cc so
  * the portable-SWAR loops and the closed-form transform fields have
- * exactly one definition: the vector ISAs reuse these for their
- * scalar tails, which guarantees chunk-boundary and tail lanes
- * compute bit-identical values.
+ * exactly one definition: the vector ISAs reuse them for their
+ * scalar tails and the AVX2 partial_mask vectorizes the same closed
+ * forms, so every lane computes bit-identical values.
  */
 
 #ifndef ASSOC_CORE_KERNELS_INL_H
@@ -82,19 +82,23 @@ swarEqMaskRelaxed(const std::uint32_t *tags, std::uint64_t valid,
     return m & valid & maskBits(a);
 }
 
-/** Closed-form partial_mask body (SWAR table). */
+/** Closed-form partial_mask body (SWAR table): way w reads
+ *  collection l = w mod g, counted up without a division. */
 inline std::uint64_t
 swarPartialMask(const std::uint32_t *tags, std::uint64_t valid,
-                unsigned g, const std::uint32_t *inc_fields,
+                unsigned a, unsigned g, const std::uint32_t *inc_fields,
                 unsigned k, TransformKind kind)
 {
     std::uint64_t m = 0;
-    for (unsigned l = 0; l < g; ++l)
+    for (unsigned w = 0, l = 0; w < a; ++w) {
         m |= static_cast<std::uint64_t>(
-                 partialStoredField(tags[l], l, k, kind) ==
+                 partialStoredField(tags[w], l, k, kind) ==
                  inc_fields[l])
-             << l;
-    return m & valid & maskBits(g);
+             << w;
+        if (++l == g)
+            l = 0;
+    }
+    return m & valid & maskBits(a);
 }
 
 /** Nibble -> byte spread of one packed order word (n <= 16). */

@@ -9,6 +9,18 @@
 namespace assoc {
 namespace core {
 
+LookupInput::LookupInput(unsigned assoc, const std::uint32_t *stored_tags,
+                         std::uint64_t valid,
+                         const std::uint8_t *mru_order,
+                         std::uint32_t incoming_tag,
+                         std::uint32_t block_addr, std::uint32_t set)
+    : assoc(assoc), stored_tags(stored_tags), valid(valid),
+      mru_order(mru_order), incoming_tag(incoming_tag),
+      block_addr(block_addr), set(set),
+      eq(activeKernels().eq_mask(stored_tags, valid, assoc,
+                                 incoming_tag))
+{}
+
 NaiveLookup
 NaiveLookup::wide(unsigned width)
 {
@@ -21,10 +33,8 @@ NaiveLookup::lookup(const LookupInput &in) const
 {
     const unsigned a = in.assoc;
     const unsigned b = width_ == 0 ? a : width_;
-    // Every tag compare at once, as one kernel eq mask: the first
-    // match in way order is its lowest set bit.
-    const std::uint64_t e = activeKernels().eq_mask(
-        in.stored_tags, in.valid, a, in.incoming_tag);
+    // The first match in way order is the eq mask's lowest bit.
+    const std::uint64_t e = in.eq;
     LookupResult res;
     unsigned last = a - 1; // a miss reads through the last way
     if (e != 0) {

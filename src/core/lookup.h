@@ -9,9 +9,13 @@
  * declares hit/miss itself from t-bit tag compares (as the hardware
  * would), so tag-width truncation effects are faithfully modeled.
  * That state (LookupInput) is the set's t-bit tag plane, its
- * recency order and the cache's own validity word; every scan gets
- * its tag compares from the one eq_mask kernel (core/kernels.h) and
- * differs only in the order it walks the resulting mask.
+ * recency order, the cache's own validity word and the t-bit
+ * compare of every way against the incoming tag: LookupInput's one
+ * constructor runs the eq_mask kernel (core/kernels.h) once, and
+ * every scan differs only in the order it walks that mask. The
+ * partial-compare lookup adds its k-bit step 1 and prices step 2
+ * from the same mask. Probe meters that share a tag width share
+ * one input, and so one compare (core/probe_meter.h, MeterBank).
  */
 
 #ifndef ASSOC_CORE_LOOKUP_H
@@ -30,19 +34,32 @@ namespace core {
 /** Pre-access snapshot of one set, with t-bit sliced tags. */
 struct LookupInput
 {
-    unsigned assoc = 0;                     ///< number of ways
-    const std::uint32_t *stored_tags = nullptr; ///< t-bit tag per way
+    /**
+     * Snapshot one set and compare its tags: the only way to build
+     * an input. eq is filled here, through the active kernel
+     * table's eq_mask, so no strategy compares tags itself.
+     */
+    LookupInput(unsigned assoc, const std::uint32_t *stored_tags,
+                std::uint64_t valid, const std::uint8_t *mru_order,
+                std::uint32_t incoming_tag, std::uint32_t block_addr = 0,
+                std::uint32_t set = 0);
+
+    unsigned assoc;                     ///< number of ways
+    const std::uint32_t *stored_tags;   ///< t-bit tag per way
     /** The set's validity word, as the cache keeps it: bit w set
      *  iff way w holds a block. */
-    std::uint64_t valid = 0;
+    std::uint64_t valid;
     /** Way indices from most- to least-recently used. */
-    const std::uint8_t *mru_order = nullptr;
-    std::uint32_t incoming_tag = 0;         ///< t-bit incoming tag
+    const std::uint8_t *mru_order;
+    std::uint32_t incoming_tag;         ///< t-bit incoming tag
     /** Incoming block address (set + full tag, unsliced). Lets
      *  address-indexed strategies (way memoization) key their state;
      *  tag-only strategies ignore it. */
-    std::uint32_t block_addr = 0;
-    std::uint32_t set = 0;                  ///< set index of this access
+    std::uint32_t block_addr;
+    std::uint32_t set;                  ///< set index of this access
+    /** The t-bit compare: bit w set iff bit w of valid is set and
+     *  stored_tags[w] == incoming_tag, for w < assoc. */
+    std::uint64_t eq;
 };
 
 /**

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "core/kernels.h"
 #include "core/probe_meter.h"
 #include "util/bitops.h"
 #include "util/logging.h"
@@ -33,10 +32,9 @@ MruLookup::lookup(const LookupInput &in) const
                                   ? a
                                   : std::min(list_len_, a);
 
-    // All tag compares up front, as one kernel eq mask; the scan
+    // The input carries every tag compare as one mask; the scan
     // below only walks bit positions.
-    const std::uint64_t e = activeKernels().eq_mask(
-        in.stored_tags, in.valid, a, in.incoming_tag);
+    const std::uint64_t e = in.eq;
 
     // The scan order is the list's ways, most recent first, then the
     // ways the list does not name in ascending way order. pos is the

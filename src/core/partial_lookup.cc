@@ -4,6 +4,7 @@
 
 #include "core/kernels.h"
 #include "core/kernels_inl.h"
+#include "util/bitops.h"
 #include "util/logging.h"
 
 namespace assoc {
@@ -62,38 +63,35 @@ PartialLookup::lookup(const LookupInput &in) const
         inc[l] = kdetail::partialStoredField(in.incoming_tag, l, k,
                                              kind);
 
-    const LookupKernels &kern = activeKernels();
+    // Step 1 of every subset as one mask M: way w partially matches
+    // through collection w mod g of its subset.
+    const std::uint64_t cand = activeKernels().partial_mask(
+        in.stored_tags, in.valid, a, g, inc, k, kind, *xform_);
+
+    // Step 2 from the masks alone. The subsets are searched in way
+    // order and so are their candidates, so the search stops at the
+    // lowest full match h = the lowest bit of E = in.eq. Equal tags
+    // have equal fields (the transforms are bijections per way
+    // slot), so E is a subset of M: reaching h costs the step-1
+    // probes of subsets 0..h/g and one full compare per candidate
+    // at or below h. A miss reads every subset and full-compares
+    // every candidate.
     LookupResult res;
-
-    for (unsigned sub = 0; sub < s; ++sub) {
-        // Step 1: one probe partially compares all g ways of this
-        // subset, each through its own k-bit collection.
-        ++res.probes;
-        res.events.field_reads += g;
-        const unsigned base = sub * g;
-        std::uint64_t cand = kern.partial_mask(
-            in.stored_tags + base, in.valid >> base, g, inc, k, kind,
-            *xform_);
-
-        // Step 2: full compares of the partial matches, in
-        // collection order. The transforms are bijections per way
-        // slot, so comparing raw tags decides exactly what the
-        // pre-kernel transformed-tag compare decided.
-        while (cand != 0) {
-            unsigned l =
-                static_cast<unsigned>(std::countr_zero(cand));
-            cand &= cand - 1;
-            ++res.probes;
-            ++res.events.tag_reads;
-            ++res.events.tag_compares;
-            if (in.stored_tags[base + l] == in.incoming_tag) {
-                res.hit = true;
-                res.way = static_cast<int>(base + l);
-                return res;
-            }
-        }
+    std::uint64_t compared = cand;
+    unsigned subsets = s;
+    if (in.eq != 0) {
+        const unsigned h = static_cast<unsigned>(std::countr_zero(in.eq));
+        res.hit = true;
+        res.way = static_cast<int>(h);
+        compared &= maskBits(h + 1);
+        subsets = h / g + 1;
     }
-    return res; // miss: s step-1 probes + one per false match
+    const unsigned full = popcount(compared);
+    res.probes = subsets + full;
+    res.events.field_reads = subsets * g;
+    res.events.tag_reads = full;
+    res.events.tag_compares = full;
+    return res;
 }
 
 } // namespace core

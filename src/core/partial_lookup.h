@@ -13,6 +13,11 @@
  * The search stops at the first full match; a miss costs the step-1
  * probe of every subset plus one probe per false partial match.
  *
+ * One partial_mask kernel call (core/kernels.h) does step 1 for
+ * every subset at once, and step 2 is priced from that mask and the
+ * input's eq mask: the first full match is eq's lowest way, and the
+ * full compares are the candidates in way order up to it.
+ *
  * Stored and incoming tags are hashed by a TagTransform so the
  * compared fields are closer to uniform (see transform.h).
  */

@@ -1,6 +1,7 @@
 #include "core/probe_meter.h"
 
 #include "core/tagbits.h"
+#include "util/bitops.h"
 #include "util/logging.h"
 
 namespace assoc {
@@ -47,38 +48,12 @@ ProbeMeter::onFlush()
 void
 ProbeMeter::observe(const mem::L2AccessView &view)
 {
-    const mem::WriteBackCache &cache = *view.cache;
-    const unsigned a = cache.geom().assoc();
+    price(view, [&] { return sliceInput(view, cfg_.tag_bits, tags_); });
+}
 
-    if (view.type == mem::L2ReqType::WriteBack && cfg_.wb_optimization) {
-        // The level-one cache knows the way: zero probes; counted
-        // as a hit reference in the averages (Table 4 caption).
-        stats_.write_backs.record(0.0);
-        return;
-    }
-
-    // The hierarchy hands every observer one decoded snapshot of
-    // the set (full tags, validity word, MRU order); this meter only
-    // slices tags down to its own stored width t. When t covers the
-    // full tag the slice is the identity and the snapshot plane is
-    // fed to the strategy as-is.
-    const std::uint32_t *stored = view.full_tags;
-    if (cfg_.tag_bits < cache.geom().fullTagBits()) {
-        tags_.resize(a);
-        for (unsigned w = 0; w < a; ++w)
-            tags_[w] = sliceTag(view.full_tags[w], cfg_.tag_bits);
-        stored = tags_.data();
-    }
-
-    LookupInput in;
-    in.assoc = a;
-    in.stored_tags = stored;
-    in.valid = view.valid;
-    in.mru_order = view.mru_order;
-    in.incoming_tag = sliceTag(view.full_tag, cfg_.tag_bits);
-    in.block_addr = view.block;
-    in.set = view.set;
-
+void
+ProbeMeter::record(const mem::L2AccessView &view, const LookupInput &in)
+{
     LookupResult res = strategy_->lookup(in);
 
     stats_.events += res.events;
@@ -108,6 +83,67 @@ ProbeMeter::observe(const mem::L2AccessView &view)
     } else {
         stats_.read_in_misses.record(probes);
     }
+}
+
+LookupInput
+sliceInput(const mem::L2AccessView &view, unsigned tag_bits,
+           std::vector<std::uint32_t> &scratch)
+{
+    // The hierarchy hands every observer one decoded snapshot of
+    // the set (full tags, validity word, MRU order); only the tags
+    // are sliced down to the stored width t. When t covers the full
+    // tag the slice is the identity and the snapshot plane is fed
+    // to the strategy as-is.
+    const mem::CacheGeometry &geom = view.cache->geom();
+    const unsigned a = geom.assoc();
+    const std::uint32_t incoming = sliceTag(view.full_tag, tag_bits);
+    const std::uint32_t *stored = view.full_tags;
+    if (tag_bits < geom.fullTagBits()) {
+        // sliceTag checked the width; every way takes the same mask.
+        const std::uint32_t mask =
+            static_cast<std::uint32_t>(maskBits(tag_bits));
+        scratch.resize(a);
+        for (unsigned w = 0; w < a; ++w)
+            scratch[w] = view.full_tags[w] & mask;
+        stored = scratch.data();
+    }
+    return LookupInput(a, stored, view.valid, view.mru_order, incoming,
+                       view.block, view.set);
+}
+
+void
+MeterBank::add(ProbeMeter *meter)
+{
+    panicIf(meter == nullptr, "MeterBank: null meter");
+    const unsigned t = meter->config().tag_bits;
+    unsigned i = 0;
+    while (i < widths_.size() && widths_[i].tag_bits != t)
+        ++i;
+    if (i == widths_.size())
+        widths_.push_back(Width{t, {}, std::nullopt});
+    meters_.emplace_back(meter, i);
+}
+
+void
+MeterBank::observe(const mem::L2AccessView &view)
+{
+    for (Width &w : widths_)
+        w.in.reset();
+    for (const auto &[meter, i] : meters_) {
+        meter->price(view, [&, i = i]() -> const LookupInput & {
+            Width &w = widths_[i];
+            if (!w.in)
+                w.in.emplace(sliceInput(view, w.tag_bits, w.tags));
+            return *w.in;
+        });
+    }
+}
+
+void
+MeterBank::onFlush()
+{
+    for (const auto &entry : meters_)
+        entry.first->onFlush();
 }
 
 MruDistanceMeter::MruDistanceMeter(unsigned assoc)

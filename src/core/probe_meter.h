@@ -13,13 +13,22 @@
  *  - Hit/miss *categories* come from the simulator's full-tag ground
  *    truth; tag-width truncation can, in principle, make a scheme
  *    declare a false hit (an alias) — counted separately.
+ *
+ * A run's meters are attached through one MeterBank: per level-two
+ * access it slices the set's tags and builds the LookupInput, and
+ * with it the tag compare, once per distinct tag width, and every
+ * meter prices the access from that shared input. A lone
+ * ProbeMeter observes through the same path with an input of its
+ * own.
  */
 
 #ifndef ASSOC_CORE_PROBE_METER_H
 #define ASSOC_CORE_PROBE_METER_H
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/lookup.h"
@@ -113,7 +122,31 @@ class ProbeMeter : public mem::L2Observer
     ProbeMeter(std::unique_ptr<LookupStrategy> strategy,
                const MeterConfig &cfg);
 
+    /** price() with an input of this meter's own. */
     void observe(const mem::L2AccessView &view) override;
+
+    /**
+     * Price one access. A write-back the write-back optimization
+     * makes free records zero probes without a lookup, and
+     * @p input is never called; any other access runs the strategy
+     * on input(), the set's LookupInput at this meter's tag width
+     * (sliceInput), and records the result after the auditor, the
+     * alias counts and the ground-truth check.
+     */
+    template <class Input>
+    void
+    price(const mem::L2AccessView &view, Input &&input)
+    {
+        if (view.type == mem::L2ReqType::WriteBack &&
+            cfg_.wb_optimization) {
+            // The level-one cache knows the way: zero probes;
+            // counted as a hit reference in the averages (Table 4
+            // caption).
+            stats_.write_backs.record(0.0);
+            return;
+        }
+        record(view, input());
+    }
 
     /** Forward the flush to address-keyed strategy state (memo
      *  tables go stale across a cold-start boundary). */
@@ -129,15 +162,58 @@ class ProbeMeter : public mem::L2Observer
     std::string name() const { return strategy_->name(); }
 
   private:
+    /** Run the strategy on @p in and record what it cost. */
+    void record(const mem::L2AccessView &view, const LookupInput &in);
+
     std::unique_ptr<LookupStrategy> strategy_;
     MeterConfig cfg_;
     ProbeStats stats_;
     LookupAuditor *auditor_ = nullptr;
 
-    /** Scratch for t-bit sliced tags, reused across observations
-     *  (unused when t covers the full tag width: the hierarchy's
-     *  snapshot plane is then passed through untouched). */
-    mutable std::vector<std::uint32_t> tags_;
+    /** Scratch for observe()'s t-bit sliced tags. */
+    std::vector<std::uint32_t> tags_;
+};
+
+/**
+ * The lookup input of @p view's access at tag width @p tag_bits:
+ * the set's tags sliced to t bits into @p scratch (the snapshot
+ * plane itself when t covers the cache's full tag), then the one
+ * LookupInput constructor, which compares them. Valid while
+ * @p scratch and the view are.
+ */
+LookupInput sliceInput(const mem::L2AccessView &view, unsigned tag_bits,
+                       std::vector<std::uint32_t> &scratch);
+
+/**
+ * The meters of one run as one observer: per access it builds the
+ * input of each distinct tag width once, on first use, and each
+ * meter, in the order added, prices the access through
+ * ProbeMeter::price. A write-back every meter prices at zero builds
+ * no input at all. sim::runTrace attaches its meters this way.
+ */
+class MeterBank : public mem::L2Observer
+{
+  public:
+    /** Append @p meter (not owned; keep it alive for the run). */
+    void add(ProbeMeter *meter);
+
+    void observe(const mem::L2AccessView &view) override;
+
+    /** Forward the flush to every meter, in order. */
+    void onFlush() override;
+
+  private:
+    /** One distinct tag width and its per-access input. */
+    struct Width
+    {
+        unsigned tag_bits;
+        std::vector<std::uint32_t> tags; ///< sliced-tag scratch
+        std::optional<LookupInput> in;   ///< this access's, once built
+    };
+
+    /** Each meter with the index of its width in widths_. */
+    std::vector<std::pair<ProbeMeter *, unsigned>> meters_;
+    std::vector<Width> widths_;
 };
 
 /**

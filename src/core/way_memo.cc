@@ -2,7 +2,6 @@
 
 #include <bit>
 
-#include "core/kernels.h"
 #include "util/logging.h"
 
 namespace assoc {
@@ -95,8 +94,7 @@ WayPredictLookup::lookup(const LookupInput &in) const
     res.probes = 1;
     res.events.tag_reads = 1;
     res.events.tag_compares = 1;
-    if (((in.valid >> pred) & 1) != 0 &&
-        in.stored_tags[pred] == in.incoming_tag) {
+    if (((in.eq >> pred) & 1) != 0) {
         res.hit = true;
         res.way = static_cast<int>(pred);
         return res;
@@ -107,17 +105,15 @@ WayPredictLookup::lookup(const LookupInput &in) const
 
     // Second probe: all remaining a-1 ways in parallel, hit = the
     // lowest matching way index (the parallel comparator's priority
-    // encoder) — the lowest bit of the kernel eq mask, which the
+    // encoder) — the lowest bit of the input's eq mask, which the
     // mispredicted way cannot be.
     ++res.probes;
     res.events.tag_reads += in.assoc - 1;
     res.events.tag_compares += in.assoc - 1;
     res.events.memo_writes = 1; // repair the prediction register
-    const std::uint64_t e = activeKernels().eq_mask(
-        in.stored_tags, in.valid, in.assoc, in.incoming_tag);
-    if (e != 0) {
+    if (in.eq != 0) {
         res.hit = true;
-        res.way = static_cast<int>(std::countr_zero(e));
+        res.way = static_cast<int>(std::countr_zero(in.eq));
     }
     return res;
 }

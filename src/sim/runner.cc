@@ -39,13 +39,18 @@ run(trace::TraceSource &src, const RunSpec &spec,
         hier_charge = c.take();
     }
 
+    // The meters share one observer, so each access's tags are
+    // sliced and compared once per tag width, not once per scheme.
     std::vector<std::unique_ptr<core::ProbeMeter>> meters;
+    core::MeterBank bank;
     meters.reserve(spec.schemes.size());
     for (const core::SchemeSpec &scheme : spec.schemes) {
         meters.push_back(scheme.makeMeter(spec.wb_optimization));
         meters.back()->setAuditor(spec.auditor);
-        hier.addObserver(meters.back().get());
+        bank.add(meters.back().get());
     }
+    if (!meters.empty())
+        hier.addObserver(&bank);
     for (mem::L2Observer *obs : spec.extra_observers)
         hier.addObserver(obs);
 

@@ -32,13 +32,8 @@ struct SetFixture
     LookupInput
     input(std::uint32_t incoming) const
     {
-        LookupInput in;
-        in.assoc = static_cast<unsigned>(tags.size());
-        in.stored_tags = tags.data();
-        in.valid = valid;
-        in.mru_order = mru.data();
-        in.incoming_tag = incoming;
-        return in;
+        return LookupInput(static_cast<unsigned>(tags.size()),
+                           tags.data(), valid, mru.data(), incoming);
     }
 };
 

@@ -7,6 +7,7 @@
 #include "core/scheme.h"
 #include "mem/hierarchy.h"
 #include "trace/atum_like.h"
+#include "util/stats.h"
 
 namespace assoc {
 namespace core {
@@ -258,6 +259,101 @@ TEST(ProbeMeter, NoAliasingWithFullWidthTags)
     h.access({0x2000, RefType::Read, 0});
     EXPECT_EQ(meter->stats().alias_hits, 0u);
     EXPECT_DOUBLE_EQ(meter->stats().read_in_misses.mean(), 4.0);
+}
+
+TEST(MeterBank, MatchesMetersAttachedAlone)
+{
+    // One bank with three tag widths (4 aliases, 16 slices, 32
+    // passes the plane through) and a meter that prices write-backs
+    // must leave every meter's statistics bit-identical to a copy
+    // observing on its own.
+    trace::AtumLikeConfig tcfg;
+    tcfg.segments = 2;
+    tcfg.refs_per_segment = 30000;
+    tcfg.processes = 2;
+    trace::AtumLikeGenerator gen(tcfg);
+
+    std::vector<std::pair<SchemeSpec, bool>> specs;
+    SchemeSpec spec;
+    spec.kind = SchemeKind::Naive;
+    specs.push_back({spec, true});
+    spec.kind = SchemeKind::Mru;
+    spec.tag_bits = 4;
+    specs.push_back({spec, true});
+    specs.push_back({SchemeSpec::paperPartial(4), true});
+    spec.kind = SchemeKind::Traditional;
+    spec.tag_bits = 32;
+    specs.push_back({spec, false});
+    spec.kind = SchemeKind::WayPredict;
+    spec.tag_bits = 4;
+    specs.push_back({spec, true});
+    spec.kind = SchemeKind::WayMemo;
+    spec.tag_bits = 16;
+    specs.push_back({spec, true});
+
+    TwoLevelHierarchy banked(smallConfig()), alone(smallConfig());
+    std::vector<std::unique_ptr<ProbeMeter>> in_bank, single;
+    MeterBank bank;
+    for (const auto &[s, wb] : specs) {
+        in_bank.push_back(s.makeMeter(wb));
+        bank.add(in_bank.back().get());
+        single.push_back(s.makeMeter(wb));
+        alone.addObserver(single.back().get());
+    }
+    banked.addObserver(&bank);
+    banked.run(gen);
+    alone.run(gen);
+
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        EXPECT_TRUE(identicalStats(in_bank[i]->stats(),
+                                   single[i]->stats()))
+            << in_bank[i]->name();
+        EXPECT_GT(in_bank[i]->stats().metered, 0u);
+    }
+    EXPECT_GT(in_bank[1]->stats().alias_hits, 0u);
+    EXPECT_GT(in_bank[3]->stats().write_backs.sum(), 0.0);
+}
+
+TEST(MeterBank, SharesOneInputPerTagWidth)
+{
+    // Every strategy notes the input object it was handed: within
+    // one access, meters of one tag width see the same input (one
+    // slice, one compare), meters of another width a different one,
+    // and a free write-back builds none.
+    struct Seen : NaiveLookup
+    {
+        std::vector<const LookupInput *> *log;
+        explicit Seen(std::vector<const LookupInput *> *l) : log(l) {}
+        LookupResult
+        lookup(const LookupInput &in) const override
+        {
+            log->push_back(&in);
+            return NaiveLookup::lookup(in);
+        }
+    };
+    std::vector<const LookupInput *> seen;
+    std::vector<std::unique_ptr<ProbeMeter>> meters;
+    MeterBank bank;
+    for (unsigned t : {16u, 8u, 16u}) {
+        MeterConfig mcfg;
+        mcfg.tag_bits = t;
+        meters.push_back(
+            std::make_unique<ProbeMeter>(std::make_unique<Seen>(&seen),
+                                         mcfg));
+        bank.add(meters.back().get());
+    }
+    TwoLevelHierarchy h(smallConfig());
+    h.addObserver(&bank);
+
+    h.access({0x0000, RefType::Write, 0});
+    ASSERT_EQ(3u, seen.size());
+    EXPECT_EQ(seen[0], seen[2]);
+    EXPECT_NE(seen[0], seen[1]);
+    seen.clear();
+    h.access({0x4000, RefType::Read, 0}); // write-back of 0x0000
+    // The read-in is priced; the free write-back is not.
+    EXPECT_EQ(3u, seen.size());
+    EXPECT_EQ(1u, meters[0]->stats().write_backs.count());
 }
 
 TEST(ProbeMeter, MeterNameFollowsStrategy)

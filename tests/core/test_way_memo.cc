@@ -45,17 +45,13 @@ struct TestSet
     LookupInput
     input(std::uint32_t incoming, std::uint32_t block) const
     {
-        LookupInput in;
-        in.assoc = static_cast<unsigned>(tags.size());
-        in.stored_tags = tags.data();
         // The 0/1 flags as the cache keeps them: one word.
+        std::uint64_t word = 0;
         for (std::size_t w = 0; w < valid.size(); ++w)
-            in.valid |= std::uint64_t{valid[w] != 0} << w;
-        in.mru_order = order.data();
-        in.incoming_tag = incoming;
-        in.block_addr = block;
-        in.set = block & 7;
-        return in;
+            word |= std::uint64_t{valid[w] != 0} << w;
+        return LookupInput(static_cast<unsigned>(tags.size()),
+                           tags.data(), word, order.data(),
+                           incoming, block, block & 7);
     }
 };
 

@@ -108,14 +108,13 @@ struct SetState
     core::LookupInput
     input(std::uint32_t incoming) const
     {
-        core::LookupInput in;
-        in.assoc = static_cast<unsigned>(tags.size());
-        in.stored_tags = tags.data();
+        // The 0/1 flags as the cache keeps them: one word.
+        std::uint64_t word = 0;
         for (std::size_t w = 0; w < valid.size(); ++w)
-            in.valid |= std::uint64_t{valid[w] != 0} << w;
-        in.mru_order = order.data();
-        in.incoming_tag = incoming;
-        return in;
+            word |= std::uint64_t{valid[w] != 0} << w;
+        return core::LookupInput(static_cast<unsigned>(tags.size()),
+                                 tags.data(), word, order.data(),
+                                 incoming);
     }
 
     static SetState
@@ -445,6 +444,64 @@ TEST(InvariantAuditor, FlagsAProbeOverReportingStrategy)
 
     EXPECT_FALSE(log.ok());
     EXPECT_GT(auditor.audited(), 0u);
+}
+
+TEST(InvariantAuditor, FlagsAWrongEqBit)
+{
+    // Every scan walks the input's eq mask, so the auditor redoes
+    // the compare per way. Each access is audited twice with the
+    // lookup's true result: once with the input as built (clean),
+    // once with one eq bit flipped by hand (exactly one violation).
+    class FlipOneBit : public mem::L2Observer
+    {
+      public:
+        FlipOneBit(core::ProbeMeter &meter, InvariantAuditor &auditor)
+            : meter_(meter), auditor_(auditor)
+        {}
+
+        void
+        observe(const mem::L2AccessView &view) override
+        {
+            if (view.type != mem::L2ReqType::ReadIn)
+                return;
+            const core::LookupInput in =
+                core::sliceInput(view, 16, scratch_);
+            const core::LookupResult res = meter_.strategy().lookup(in);
+            auditor_.audit(meter_, view, in, res);
+            core::LookupInput bad = in;
+            bad.eq ^= std::uint64_t{1} << (view.set % in.assoc);
+            auditor_.audit(meter_, view, bad, res);
+            ++flipped;
+        }
+
+        std::uint64_t flipped = 0;
+
+      private:
+        core::ProbeMeter &meter_;
+        InvariantAuditor &auditor_;
+        std::vector<std::uint32_t> scratch_;
+    };
+
+    mem::HierarchyConfig cfg{mem::CacheGeometry(512, 16, 1),
+                             mem::CacheGeometry(2048, 32, 4), true};
+    mem::TwoLevelHierarchy hier(cfg);
+    ViolationLog log;
+    InvariantAuditor auditor(&log);
+    core::MeterConfig mcfg;
+    mcfg.tag_bits = 16;
+    core::ProbeMeter meter(std::make_unique<core::NaiveLookup>(), mcfg);
+    FlipOneBit flip(meter, auditor);
+    hier.addObserver(&flip);
+
+    trace::UniformRandomTrace src(0x2000, 16, 512, 2000, 3, 0.3);
+    hier.run(src);
+
+    ASSERT_GT(flip.flipped, 0u);
+    EXPECT_EQ(flip.flipped, log.count());
+    ASSERT_FALSE(log.messages().empty());
+    EXPECT_NE(std::string::npos,
+              log.messages().front().find("eq mask"))
+        << log.messages().front();
 }
 
 TEST(InvariantAuditor, FlagsAStaleMemoHit)

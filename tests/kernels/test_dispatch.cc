@@ -31,6 +31,27 @@ brokenKernels()
     return k;
 }
 
+/**
+ * A table whose partial_mask still prices one subset per call: it
+ * compares the first g ways and drops every later subset, which a
+ * one-subset set (a = g) cannot tell from the whole-set contract.
+ */
+LookupKernels
+oneSubsetPartialKernels()
+{
+    LookupKernels k = swarKernels();
+    k.name = "one-subset";
+    k.partial_mask = +[](const std::uint32_t *tags, std::uint64_t valid,
+                         unsigned, unsigned g,
+                         const std::uint32_t *inc_fields, unsigned k,
+                         TransformKind kind,
+                         const TagTransform &xf) -> std::uint64_t {
+        return swarKernels().partial_mask(tags, valid, g, g, inc_fields,
+                                          k, kind, xf);
+    };
+    return k;
+}
+
 TEST(KernelDispatch, RegistryHasScalarLastAndSwarAlways)
 {
     std::vector<const LookupKernels *> reg = registeredKernels();
@@ -59,6 +80,12 @@ TEST(KernelDispatch, SelfCheckCatchesACorruptTable)
     EXPECT_FALSE(kernelSelfCheck(bad, &why));
     EXPECT_FALSE(why.empty());
     EXPECT_NE(std::string::npos, why.find("eq_mask mismatch")) << why;
+
+    LookupKernels partial = oneSubsetPartialKernels();
+    why.clear();
+    EXPECT_FALSE(kernelSelfCheck(partial, &why));
+    EXPECT_NE(std::string::npos, why.find("partial_mask mismatch"))
+        << why;
 }
 
 TEST(KernelDispatch, ChooseHonorsAnExplicitName)

@@ -121,6 +121,9 @@ TEST(KernelEquivalence, EqMasksAgreeEverywhere)
 
 TEST(KernelEquivalence, PartialMaskAllTransformsAllFieldWidths)
 {
+    // Whole-set calls: every a from 1 to 64 in subsets of every g
+    // that divides it with g*k <= t, so subsets sit inside, fill and
+    // straddle the vector chunks, and g > 8 gathers its collections.
     const LookupKernels &ref = scalarKernels();
     const TransformKind kinds[] = {TransformKind::None,
                                    TransformKind::XorLow,
@@ -129,42 +132,42 @@ TEST(KernelEquivalence, PartialMaskAllTransformsAllFieldWidths)
     Pcg32 rng(0x5eed0002, 12);
     for (const LookupKernels *kern : registeredKernels()) {
         for (unsigned t : {8u, 12u, 16u, 20u, 32u}) {
+            const std::uint32_t tag_mask =
+                static_cast<std::uint32_t>(maskBits(t));
             for (unsigned k = 1; k <= t; ++k) {
                 unsigned g_max = t / k; // the g*k <= t ceiling
                 for (unsigned g = 1; g <= g_max; ++g) {
                     for (TransformKind kind : kinds) {
                         auto xf = TagTransform::make(kind, t, k);
                         std::vector<std::uint32_t> inc_fields(g);
-                        std::uint32_t tag_mask =
-                            static_cast<std::uint32_t>(
-                                maskBits(t));
-                        for (unsigned off : kOffsets) {
-                            SetPlanes s(g, off);
-                            fillSet(s, g, rng, tag_mask, false);
-                            std::uint32_t inc =
-                                s.tags[rng.below(g)];
-                            for (unsigned l = 0; l < g; ++l)
-                                inc_fields[l] = xf->field(
-                                    xf->apply(inc, l), l);
-                            // A subset's word is the set's word
-                            // shifted down: the ways above the
-                            // subset arrive as stray high bits.
-                            const std::uint64_t valid =
-                                s.valid |
-                                (rng.next64() & ~maskBits(g));
-                            std::uint64_t want = ref.partial_mask(
-                                s.tags, valid, g,
-                                inc_fields.data(), k, kind, *xf);
-                            std::uint64_t got = kern->partial_mask(
-                                s.tags, valid, g,
-                                inc_fields.data(), k, kind, *xf);
-                            EXPECT_EQ(0u, want & ~s.valid);
-                            EXPECT_EQ(want, got)
-                                << kern->name << " t=" << t
-                                << " k=" << k << " g=" << g
-                                << " kind="
-                                << transformKindName(kind)
-                                << " off=" << off;
+                        for (unsigned a = g; a <= 64; a += g) {
+                            for (unsigned off : kOffsets) {
+                                SetPlanes s(a, off);
+                                fillSet(s, a, rng, tag_mask, false);
+                                std::uint32_t inc =
+                                    s.tags[rng.below(a)];
+                                for (unsigned l = 0; l < g; ++l)
+                                    inc_fields[l] = xf->field(
+                                        xf->apply(inc, l), l);
+                                // Stray validity bits above way a
+                                // must not leak into the mask.
+                                const std::uint64_t valid =
+                                    s.valid |
+                                    (rng.next64() & ~maskBits(a));
+                                std::uint64_t want = ref.partial_mask(
+                                    s.tags, valid, a, g,
+                                    inc_fields.data(), k, kind, *xf);
+                                std::uint64_t got = kern->partial_mask(
+                                    s.tags, valid, a, g,
+                                    inc_fields.data(), k, kind, *xf);
+                                EXPECT_EQ(0u, want & ~s.valid);
+                                EXPECT_EQ(want, got)
+                                    << kern->name << " t=" << t
+                                    << " k=" << k << " g=" << g
+                                    << " a=" << a << " kind="
+                                    << transformKindName(kind)
+                                    << " off=" << off;
+                            }
                         }
                     }
                 }
@@ -258,23 +261,24 @@ TEST(KernelEquivalence, StrategiesBitIdenticalUnderEveryTable)
             for (unsigned w = a; w > 1; --w)
                 std::swap(order[w - 1], order[rng.below(w)]);
 
-            LookupInput in;
-            in.assoc = a;
-            in.stored_tags = s.tags;
-            in.valid = s.valid;
-            in.mru_order = order.data();
-            in.incoming_tag = (rep & 1) ? s.tags[rng.below(a)]
-                                        : (rng.next() & 0xffffu);
+            const std::uint32_t incoming =
+                (rep & 1) ? s.tags[rng.below(a)] : (rng.next() & 0xffffu);
+            // Built under each table, so the input's compare is that
+            // table's eq_mask.
+            auto input = [&] {
+                return LookupInput(a, s.tags, s.valid, order.data(),
+                                   incoming);
+            };
 
             for (const auto &strat : strategies) {
                 LookupResult want;
                 {
                     ScopedKernelOverride o(scalarKernels());
-                    want = strat->lookup(in);
+                    want = strat->lookup(input());
                 }
                 for (const LookupKernels *k : registeredKernels()) {
                     ScopedKernelOverride o(*k);
-                    LookupResult got = strat->lookup(in);
+                    LookupResult got = strat->lookup(input());
                     EXPECT_EQ(want.hit, got.hit)
                         << strat->name() << " under " << k->name;
                     EXPECT_EQ(want.way, got.way)
@@ -321,16 +325,12 @@ TEST(KernelEquivalence, DuplicateTruncatedTagsForceStepTwo)
     // Way 5 would be a candidate, but the line is invalid.
     tags[5] = inc ^ (1u << 2);
 
-    LookupInput in;
-    in.assoc = 8;
-    in.stored_tags = tags;
-    in.valid = 0xffu & ~(1u << 5);
-    in.mru_order = order;
-    in.incoming_tag = inc;
+    const std::uint64_t valid = 0xffu & ~(1u << 5);
 
     for (const LookupKernels *k : registeredKernels()) {
         ScopedKernelOverride o(*k);
-        LookupResult r = strat.lookup(in);
+        LookupResult r =
+            strat.lookup(LookupInput(8, tags, valid, order, inc));
         EXPECT_TRUE(r.hit) << k->name;
         EXPECT_EQ(3, r.way) << k->name;
         // 1 step-1 probe + full compares of ways 0,1,2,3.
@@ -339,12 +339,11 @@ TEST(KernelEquivalence, DuplicateTruncatedTagsForceStepTwo)
         // Flip field 4 of the incoming tag: ways 0..3 stay
         // candidates (their fields live in bits 0..7), way 4 still
         // mismatches, and no full compare succeeds.
-        in.incoming_tag = inc ^ (0x3u << 8);
-        LookupResult miss = strat.lookup(in);
+        LookupResult miss = strat.lookup(
+            LookupInput(8, tags, valid, order, inc ^ (0x3u << 8)));
         EXPECT_FALSE(miss.hit) << k->name;
         // 1 step-1 probe + 4 false full compares (way 5 invalid).
         EXPECT_EQ(5u, miss.probes) << k->name;
-        in.incoming_tag = inc;
     }
 }
 

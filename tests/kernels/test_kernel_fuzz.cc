@@ -249,14 +249,12 @@ runCase(std::uint64_t seed, std::uint64_t index,
             continue;
         LookupResult want = refMru(s, list_len);
         MruLookup strat(list_len);
-        LookupInput in;
-        in.assoc = s.assoc;
-        in.stored_tags = s.tags.data();
-        in.valid = valid;
-        in.mru_order = s.order.data();
-        in.incoming_tag = s.incoming;
         for (const LookupKernels *k : tables) {
             ScopedKernelOverride o(*k);
+            // Built under the override: the input's compare is the
+            // table's eq_mask.
+            LookupInput in(s.assoc, s.tags.data(), valid, s.order.data(),
+                           s.incoming);
             LookupResult got = strat.lookup(in);
             ASSERT_TRUE(want.hit == got.hit && want.way == got.way &&
                         want.probes == got.probes)
@@ -282,14 +280,10 @@ runCase(std::uint64_t seed, std::uint64_t index,
             LookupResult want = refPartial(s, xf, subsets);
 
             PartialLookup &strat = cachedPartial(geo, s_idx, t_idx);
-            LookupInput in;
-            in.assoc = s.assoc;
-            in.stored_tags = s.tags.data();
-            in.valid = valid;
-            in.mru_order = s.order.data();
-            in.incoming_tag = s.incoming;
             for (const LookupKernels *k : tables) {
                 ScopedKernelOverride o(*k);
+                LookupInput in(s.assoc, s.tags.data(), valid,
+                               s.order.data(), s.incoming);
                 LookupResult got = strat.lookup(in);
                 ASSERT_TRUE(want.hit == got.hit &&
                             want.way == got.way &&
