@@ -200,28 +200,6 @@ runPartialMask(benchmark::State &state,
 }
 
 void
-runPlaneDecode(benchmark::State &state,
-               const core::LookupKernels &kern)
-{
-    // The snapshotSet() decode: shift a tag plane and expand a
-    // packed recency word into per-way bytes.
-    const unsigned a = static_cast<unsigned>(state.range(0));
-    Pcg32 rng(43);
-    std::vector<std::uint32_t> raw(a), tags(a);
-    std::vector<std::uint8_t> order(a);
-    for (unsigned w = 0; w < a; ++w)
-        raw[w] = rng.next();
-    std::uint64_t packed = rng.next64();
-    for (auto _ : state) {
-        kern.shift_tags(raw.data(), a, 13, tags.data());
-        kern.expand_nibbles(packed, a, order.data());
-        benchmark::DoNotOptimize(tags.data());
-        benchmark::DoNotOptimize(order.data());
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-
-void
 registerKernelBenchmarks()
 {
     for (const core::LookupKernels *k : core::registeredKernels()) {
@@ -238,10 +216,6 @@ registerKernelBenchmarks()
             [k](benchmark::State &st) { runPartialMask(st, *k); })
             ->Arg(4)
             ->Arg(8)
-            ->Arg(16);
-        benchmark::RegisterBenchmark(
-            ("BM_KernelPlaneDecode" + suffix).c_str(),
-            [k](benchmark::State &st) { runPlaneDecode(st, *k); })
             ->Arg(16);
     }
 }
@@ -360,13 +334,15 @@ BM_CacheSnapshotSet(benchmark::State &state)
         cache.fill(static_cast<mem::BlockAddr>(
                        (w + 1) * cache.geom().sets()),
                    false);
-    std::vector<std::uint32_t> tags(a);
+    // What the observer fan-out reads per access: the block plane
+    // in place, the validity word and the decoded recency order.
     std::vector<std::uint8_t> order(a);
     for (auto _ : state) {
-        cache.snapshotSet(0, tags.data(), order.data());
+        benchmark::DoNotOptimize(cache.setBlocks(0));
         benchmark::DoNotOptimize(cache.validMask(0));
-        benchmark::DoNotOptimize(tags.data());
+        cache.mruOrderInto(0, order.data());
         benchmark::DoNotOptimize(order.data());
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations());
 }

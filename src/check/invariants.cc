@@ -529,6 +529,31 @@ InvariantAuditor::audit(const core::ProbeMeter &meter,
         log_->add(who + ": input eq mask " + std::to_string(in.eq) +
                   " != the per-way compare " + std::to_string(eq) +
                   " at a=" + std::to_string(a));
+
+    // 8. The slice: each stored tag is its way's block cut to the
+    // meter's width, read through line() rather than the view's
+    // block plane, so a wrong shift or mask in sliceInput shows.
+    const mem::CacheGeometry &geom = view.cache->geom();
+    if (a != geom.assoc()) {
+        log_->add(who + ": input has " + std::to_string(a) +
+                  " ways, the cache " + std::to_string(geom.assoc()));
+        return;
+    }
+    const unsigned t = meter.config().tag_bits;
+    for (unsigned w = 0; w < a; ++w) {
+        const std::uint32_t want = core::sliceTag(
+            geom.fullTagOf(
+                view.cache->line(view.set, static_cast<int>(w)).block),
+            t);
+        if (in.stored_tags[w] != want) {
+            log_->add(who + ": stored tag " +
+                      std::to_string(in.stored_tags[w]) + " of way " +
+                      std::to_string(w) + " != its block's " +
+                      std::to_string(t) + "-bit tag " +
+                      std::to_string(want));
+            return; // one violation per access, like check 7
+        }
+    }
 }
 
 } // namespace check

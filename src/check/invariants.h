@@ -18,6 +18,8 @@
  *    the incoming one (in particular, the true hit way);
  *  - the shared compare: the input's eq mask, which every scan
  *    walks, must equal an independent per-way tag compare;
+ *  - the slice: every way's stored tag must be its block's full
+ *    tag cut to the meter's width, read from the cache's lines;
  *  - LRU-stack integrity: the per-set recency order is a
  *    permutation of the ways with invalid frames at the tail;
  *  - GF(2) transform invertibility, linearity and tag-width masking;
@@ -190,7 +192,11 @@ bool checkInclusion(const mem::TwoLevelHierarchy &hier,
  *  6. LRU-stack integrity of the accessed set;
  *  7. the input's eq mask: exactly the per-way compare of the
  *     sliced tags with the incoming tag on valid ways, recomputed
- *     without a kernel call (every scan walks that one mask).
+ *     without a kernel call (every scan walks that one mask);
+ *  8. the input's stored tags: for every way w, valid or not,
+ *     sliceTag(fullTagOf(block), t) of the block
+ *     WriteBackCache::line() reports, at the meter's tag width t,
+ *     computed without the view's planes.
  */
 class InvariantAuditor : public core::LookupAuditor
 {

@@ -9,9 +9,11 @@
  * exactly that. This module packages the data-parallel inner loops
  * of every lookup scheme as *kernels*: small non-virtual functions
  * over a tag plane and its set's validity word that return per-way
- * bitmasks (bit w = way w), plus the plane decode helpers
- * snapshotSet() is built from. Validity is one word from the cache
- * to every kernel; no kernel reads a per-way valid byte.
+ * bitmasks (bit w = way w). A table holds the three tag compares the
+ * paper's schemes differ in and nothing else: decoding a set for an
+ * observer (mem/hierarchy.h) is plain code in mem and core. Validity
+ * is one word from the cache to every kernel; no kernel reads a
+ * per-way valid byte.
  *
  * Several implementations of the same kernel table are registered:
  *
@@ -53,16 +55,6 @@
 namespace assoc {
 namespace core {
 
-/** Instruction sets a kernel table may be built for. */
-enum class KernelIsa : std::uint8_t {
-    Scalar, ///< reference loops (always registered)
-    Swar,   ///< portable branch-free word parallelism (always registered)
-    Avx2,   ///< x86-64 AVX2 (registered when compiled in)
-};
-
-/** Printable lower-case name ("scalar", "swar", "avx2"). */
-const char *kernelIsaName(KernelIsa isa);
-
 /**
  * One implementation of the kernel set. All functions are
  * free-standing (no captured state) so a table is just function
@@ -71,7 +63,7 @@ const char *kernelIsaName(KernelIsa isa);
  */
 struct LookupKernels
 {
-    KernelIsa isa = KernelIsa::Scalar;
+    /** "scalar", "swar" or "avx2": what ASSOC_KERNELS names. */
     const char *name = "scalar";
 
     /**
@@ -125,16 +117,6 @@ struct LookupKernels
                                   const std::uint32_t *inc_fields,
                                   unsigned k, TransformKind kind,
                                   const TagTransform &xf);
-
-    /** out[i] = 4-bit slot i of word, i < n <= 16. The packed
-     *  recency-order decode of snapshotSet(). */
-    void (*expand_nibbles)(std::uint64_t word, unsigned n,
-                           std::uint8_t *out);
-
-    /** out[i] = in[i] >> shift, i < n (shift < 32). The full-tag
-     *  plane decode of snapshotSet(). */
-    void (*shift_tags)(const std::uint32_t *in, unsigned n,
-                       unsigned shift, std::uint32_t *out);
 };
 
 /** The reference table (always available, never self-check gated). */
@@ -152,10 +134,9 @@ std::vector<const LookupKernels *> registeredKernels();
 
 /**
  * Run the smoke-vector equivalence sweep on @p k against the scalar
- * reference: eq masks, whole-set partial masks under all four
- * transforms, plane decodes — each at several associativities, at
- * misaligned plane offsets and with validity bits set above the
- * last way.
+ * reference: eq masks and whole-set partial masks under all four
+ * transforms, each at several associativities, at misaligned plane
+ * offsets and with validity bits set above the last way.
  * @return true when every vector matches; on
  * mismatch, false with a one-line reason in @p why (when non-null).
  */
@@ -175,7 +156,7 @@ chooseKernels(const char *env,
               std::string *reason);
 
 /**
- * The table every strategy and plane decode dispatches through,
+ * The table every tag compare dispatches through,
  * selected once at first use (thread-safe) and logged via warn()
  * when the choice involved a fallback. Override per-process with
  * ASSOC_KERNELS=scalar|swar|avx2.

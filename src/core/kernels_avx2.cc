@@ -202,23 +202,6 @@ avx2PartialMask(const std::uint32_t *tags, std::uint64_t valid,
     return m & valid & maskBits(a);
 }
 
-__attribute__((target("avx2"))) void
-avx2ShiftTags(const std::uint32_t *in, unsigned n, unsigned shift,
-              std::uint32_t *out)
-{
-    unsigned i = 0;
-    const __m128i vcount =
-        _mm_cvtsi32_si128(static_cast<int>(shift));
-    for (; i + 8 <= n; i += 8) {
-        __m256i t = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(in + i));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + i),
-                            _mm256_srl_epi32(t, vcount));
-    }
-    for (; i < n; ++i)
-        out[i] = in[i] >> shift;
-}
-
 } // namespace
 
 const LookupKernels *
@@ -227,13 +210,10 @@ avx2KernelsOrNull()
     if (!__builtin_cpu_supports("avx2"))
         return nullptr;
     static const LookupKernels k = {
-        KernelIsa::Avx2,
         "avx2",
         avx2EqMask,
         avx2EqMaskRelaxed,
         avx2PartialMask,
-        kdetail::swarExpandNibbles,
-        avx2ShiftTags,
     };
     return &k;
 }

@@ -101,36 +101,6 @@ swarPartialMask(const std::uint32_t *tags, std::uint64_t valid,
     return m & valid & maskBits(a);
 }
 
-/** Nibble -> byte spread of one packed order word (n <= 16). */
-inline void
-swarExpandNibbles(std::uint64_t word, unsigned n, std::uint8_t *out)
-{
-    unsigned i = 0;
-    for (; i + 8 <= n; i += 8) {
-        // Spread the 8 nibbles of one 32-bit half across a 64-bit
-        // word (a shift-interleave PDEP substitute), byte j =
-        // nibble j.
-        std::uint64_t x = (word >> (4 * i)) & 0xffffffffULL;
-        x = (x | (x << 16)) & 0x0000ffff0000ffffULL;
-        x = (x | (x << 8)) & 0x00ff00ff00ff00ffULL;
-        x = (x | (x << 4)) & 0x0f0f0f0f0f0f0f0fULL;
-        for (unsigned j = 0; j < 8; ++j)
-            out[i + j] =
-                static_cast<std::uint8_t>((x >> (8 * j)) & 0xf);
-    }
-    for (; i < n; ++i)
-        out[i] = static_cast<std::uint8_t>((word >> (4 * i)) & 0xf);
-}
-
-/** Uniform right-shift of a tag plane. */
-inline void
-swarShiftTags(const std::uint32_t *in, unsigned n, unsigned shift,
-              std::uint32_t *out)
-{
-    for (unsigned i = 0; i < n; ++i)
-        out[i] = in[i] >> shift;
-}
-
 } // namespace kdetail
 } // namespace core
 } // namespace assoc

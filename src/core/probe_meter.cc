@@ -89,26 +89,20 @@ LookupInput
 sliceInput(const mem::L2AccessView &view, unsigned tag_bits,
            std::vector<std::uint32_t> &scratch)
 {
-    // The hierarchy hands every observer one decoded snapshot of
-    // the set (full tags, validity word, MRU order); only the tags
-    // are sliced down to the stored width t. When t covers the full
-    // tag the slice is the identity and the snapshot plane is fed
-    // to the strategy as-is.
+    // The view carries the set's block plane as the cache stores
+    // it; each way's stored t-bit tag is cut from its block in one
+    // pass, sliceTag(fullTagOf(block), t), valid or not.
     const mem::CacheGeometry &geom = view.cache->geom();
     const unsigned a = geom.assoc();
     const std::uint32_t incoming = sliceTag(view.full_tag, tag_bits);
-    const std::uint32_t *stored = view.full_tags;
-    if (tag_bits < geom.fullTagBits()) {
-        // sliceTag checked the width; every way takes the same mask.
-        const std::uint32_t mask =
-            static_cast<std::uint32_t>(maskBits(tag_bits));
-        scratch.resize(a);
-        for (unsigned w = 0; w < a; ++w)
-            scratch[w] = view.full_tags[w] & mask;
-        stored = scratch.data();
-    }
-    return LookupInput(a, stored, view.valid, view.mru_order, incoming,
-                       view.block, view.set);
+    // sliceTag checked the width; every way takes the same mask.
+    const std::uint32_t mask =
+        static_cast<std::uint32_t>(maskBits(tag_bits));
+    scratch.resize(a);
+    for (unsigned w = 0; w < a; ++w)
+        scratch[w] = geom.fullTagOf(view.blocks[w]) & mask;
+    return LookupInput(a, scratch.data(), view.valid, view.mru_order,
+                       incoming, view.block, view.set);
 }
 
 void

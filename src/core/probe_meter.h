@@ -15,11 +15,11 @@
  *    declare a false hit (an alias) — counted separately.
  *
  * A run's meters are attached through one MeterBank: per level-two
- * access it slices the set's tags and builds the LookupInput, and
- * with it the tag compare, once per distinct tag width, and every
- * meter prices the access from that shared input. A lone
- * ProbeMeter observes through the same path with an input of its
- * own.
+ * access it cuts the set's t-bit tags from the cache's block plane
+ * and builds the LookupInput, and with it the tag compare, once per
+ * distinct tag width, and every meter prices the access from that
+ * shared input. A lone ProbeMeter observes through the same path
+ * with an input of its own.
  */
 
 #ifndef ASSOC_CORE_PROBE_METER_H
@@ -176,10 +176,10 @@ class ProbeMeter : public mem::L2Observer
 
 /**
  * The lookup input of @p view's access at tag width @p tag_bits:
- * the set's tags sliced to t bits into @p scratch (the snapshot
- * plane itself when t covers the cache's full tag), then the one
- * LookupInput constructor, which compares them. Valid while
- * @p scratch and the view are.
+ * scratch[w] = sliceTag(fullTagOf(view.blocks[w]), t) for every way
+ * w, valid or not, written in one pass over the set's block plane,
+ * then the one LookupInput constructor, which compares them. Valid
+ * while @p scratch and the view are.
  */
 LookupInput sliceInput(const mem::L2AccessView &view, unsigned tag_bits,
                        std::vector<std::uint32_t> &scratch);

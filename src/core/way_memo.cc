@@ -2,6 +2,7 @@
 
 #include <bit>
 
+#include "util/bitops.h"
 #include "util/logging.h"
 
 namespace assoc {
@@ -13,7 +14,7 @@ WayMemoLookup::WayMemoLookup(
     : underlying_(std::move(underlying)), cfg_(cfg)
 {
     panicIf(!underlying_, "WayMemoLookup: null underlying strategy");
-    fatalIf(!std::has_single_bit(cfg_.entries),
+    fatalIf(!isPow2(cfg_.entries),
             "memo entries must be a power of two");
     fatalIf(cfg_.region_bits >= 32,
             "memo region bits must leave a nonempty region id");

@@ -141,7 +141,7 @@ synthesizeAtumTrace(const trace::AtumLikeConfig &cfg, unsigned threads);
 
 /**
  * A TraceFactory that opens @p path once per job, with the format
- * (din / bin / ftr) detected from extension or magic. @p policy
+ * (din / ftr) detected from extension or magic. @p policy
  * governs damaged-record handling; under ErrorMode::Skip every job
  * sees the identical post-skip stream, so sweep results stay
  * deterministic even over a damaged trace.

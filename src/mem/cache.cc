@@ -269,8 +269,9 @@ WriteBackCache::orderDecode(const std::vector<std::uint64_t> &packed,
                             std::uint32_t set, std::uint8_t *out) const
 {
     if (packed_) {
-        core::activeKernels().expand_nibbles(packed[set], assoc_,
-                                             out);
+        const std::uint64_t word = packed[set];
+        for (unsigned i = 0; i < assoc_; ++i)
+            out[i] = static_cast<std::uint8_t>((word >> (4 * i)) & 0xf);
         return;
     }
     std::memcpy(out, &wide[index(set, 0)], assoc_);
@@ -428,8 +429,14 @@ std::vector<std::uint8_t>
 WriteBackCache::mruOrder(std::uint32_t set) const
 {
     std::vector<std::uint8_t> out(assoc_);
-    orderDecode(mru_packed_, mru_wide_, set, out.data());
+    mruOrderInto(set, out.data());
     return out;
+}
+
+void
+WriteBackCache::mruOrderInto(std::uint32_t set, std::uint8_t *out) const
+{
+    orderDecode(mru_packed_, mru_wide_, set, out);
 }
 
 std::vector<std::uint8_t>
@@ -438,17 +445,6 @@ WriteBackCache::fifoOrder(std::uint32_t set) const
     std::vector<std::uint8_t> out(assoc_);
     orderDecode(fifo_packed_, fifo_wide_, set, out.data());
     return out;
-}
-
-void
-WriteBackCache::snapshotSet(std::uint32_t set,
-                            std::uint32_t *full_tags,
-                            std::uint8_t *mru) const
-{
-    // fullTagOf() is a uniform right shift of the block plane.
-    core::activeKernels().shift_tags(&blocks_[index(set, 0)], assoc_,
-                                     geom_.indexBits(), full_tags);
-    orderDecode(mru_packed_, mru_wide_, set, mru);
 }
 
 unsigned

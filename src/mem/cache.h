@@ -194,6 +194,10 @@ class WriteBackCache
      */
     std::vector<std::uint8_t> mruOrder(std::uint32_t set) const;
 
+    /** mruOrder() decoded into @p out (assoc() bytes) instead of a
+     *  new vector: the observer fan-out's per-access decode. */
+    void mruOrderInto(std::uint32_t set, std::uint8_t *out) const;
+
     /**
      * Fill-age order of @p set: way indices from youngest to oldest
      * fill. Invalid ways occupy the tail (see invalidate()).
@@ -201,15 +205,18 @@ class WriteBackCache
     std::vector<std::uint8_t> fifoOrder(std::uint32_t set) const;
 
     /**
-     * Decode the pre-access planes of @p set into caller scratch
-     * buffers of assoc() elements each: full (untruncated) tags and
-     * the MRU order. With validMask() this is the hot-path export
-     * the observer fan-out (mem/hierarchy.h) hands lookup schemes
-     * as a core::LookupInput-compatible view without per-way line()
-     * calls.
+     * Block addresses of @p set's ways, assoc() of them, as the
+     * cache stores them: a pointer into the block plane, not a
+     * copy, so valid only until the set next changes. An invalid
+     * way keeps its last block. With validMask() and mruOrderInto()
+     * this is what the observer fan-out (mem/hierarchy.h) shows
+     * lookup schemes without per-way line() calls.
      */
-    void snapshotSet(std::uint32_t set, std::uint32_t *full_tags,
-                     std::uint8_t *mru) const;
+    const BlockAddr *
+    setBlocks(std::uint32_t set) const
+    {
+        return &blocks_[index(set, 0)];
+    }
 
     /** Validity word of @p set: bit w set iff way w is valid. The
      *  cache's own representation, read without decoding. */
@@ -293,7 +300,8 @@ class WriteBackCache
     unsigned orderBack(const std::vector<std::uint64_t> &packed,
                        const std::vector<std::uint8_t> &wide,
                        std::uint32_t set) const;
-    /** Decode one order into @p out (assoc bytes). */
+    /** Decode one order into @p out (assoc bytes): a shift loop
+     *  over the packed word, or a copy of the wide bytes. */
     void orderDecode(const std::vector<std::uint64_t> &packed,
                      const std::vector<std::uint8_t> &wide,
                      std::uint32_t set, std::uint8_t *out) const;

@@ -47,10 +47,7 @@ HierarchyStats::hintAccuracy() const
     return n == 0 ? 0.0 : static_cast<double>(hint_correct) / n;
 }
 
-ObserverFanout::ObserverFanout(unsigned assoc)
-    : tags_(assoc), order_(assoc)
-{
-}
+ObserverFanout::ObserverFanout(unsigned assoc) : order_(assoc) {}
 
 void
 ObserverFanout::add(L2Observer *obs)
@@ -72,13 +69,12 @@ ObserverFanout::deliver(const WriteBackCache &cache, L2ReqType type,
     view.cache = &cache;
     view.hit_way = hit_way;
     view.hint_way = hint_way;
-    // Decode the accessed set once for every observer: the packed
-    // cache state becomes the flat per-way planes core::LookupInput
-    // expects, next to the set's validity word as the cache keeps
-    // it, and meters stop re-reading lines per strategy.
-    cache.snapshotSet(view.set, tags_.data(), order_.data());
-    view.full_tags = tags_.data();
+    // The set as every observer reads it: the cache's block plane
+    // and validity word in place, and the packed recency order
+    // decoded once into the flat plane core::LookupInput expects.
+    view.blocks = cache.setBlocks(view.set);
     view.valid = cache.validMask(view.set);
+    cache.mruOrderInto(view.set, order_.data());
     view.mru_order = order_.data();
     for (L2Observer *obs : observers_)
         obs->observe(view);

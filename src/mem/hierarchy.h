@@ -24,7 +24,9 @@
  * Lookup-cost observers (src/core) attach here and are shown every
  * level-two access before it commits. One ObserverFanout per
  * observed level (this level two, and a ThirdLevelCache's level
- * three) builds each access's view and delivers it.
+ * three) builds each access's view and delivers it: the set's block
+ * plane and validity word as the cache keeps them, and its recency
+ * order decoded once into the fan-out's scratch.
  */
 
 #ifndef ASSOC_MEM_HIERARCHY_H
@@ -53,12 +55,13 @@ enum class L2ReqType : std::uint8_t {
  * What an observer sees for one level-two access, *before* the
  * access updates any state.
  *
- * The per-way planes (full_tags / mru_order) are a decoded scratch
- * view of the accessed set, produced once per access by the level's
- * ObserverFanout and shared by every observer: they alias its
- * scratch buffers and are only valid for the duration of observe().
- * With the set's validity word they carry exactly what
- * core::LookupInput needs, so probe meters feed strategies without
+ * The per-way planes are the accessed set as the level's
+ * ObserverFanout shows it to every observer: @c blocks points into
+ * the cache's own block plane and @c mru_order into the fan-out's
+ * scratch, and both are only valid for the duration of observe().
+ * With the set's validity word they carry everything
+ * core::LookupInput needs (core::sliceInput cuts each way's t-bit
+ * tag from its block), so probe meters feed strategies without
  * touching the cache's packed state; @c cache remains available for
  * anything else (auditors, tests).
  */
@@ -72,8 +75,9 @@ struct L2AccessView
     int hit_way;                  ///< way that hits, or -1 on a miss
     int hint_way;                 ///< L1's way hint (write-backs), -1 none
 
-    /** Full (untruncated) tag per way of the accessed set. */
-    const std::uint32_t *full_tags = nullptr;
+    /** Pre-access block address per way of the accessed set
+     *  (WriteBackCache::setBlocks; invalid ways keep their last). */
+    const BlockAddr *blocks = nullptr;
     /** Validity word of the set: bit w set iff way w is valid. */
     std::uint64_t valid = 0;
     /** Way indices from most- to least-recently used. */
@@ -95,10 +99,11 @@ class L2Observer
 
 /**
  * The observers of one cache level and the one place their view is
- * built: each observed access decodes its set once into scratch
- * planes sized to the level's associativity, and every observer
- * sees the same L2AccessView. TwoLevelHierarchy owns one for the
- * level two, ThirdLevelCache one for the level three.
+ * built: each observed access points the view at the set's block
+ * plane and validity word, decodes its recency order once into a
+ * scratch plane sized to the level's associativity, and every
+ * observer sees the same L2AccessView. TwoLevelHierarchy owns one
+ * for the level two, ThirdLevelCache one for the level three.
  */
 class ObserverFanout
 {
@@ -110,7 +115,7 @@ class ObserverFanout
 
     /**
      * Show every observer the access of @p block in @p cache before
-     * it commits. Without an observer no view is built and no set
+     * it commits. Without an observer no view is built and no order
      * is decoded.
      */
     void
@@ -124,19 +129,14 @@ class ObserverFanout
     /** Forward a flush (cold-start boundary) to every observer. */
     void onFlush();
 
-    /** Bytes held by the scratch planes. */
-    std::uint64_t
-    footprintBytes() const
-    {
-        return tags_.size() * sizeof(std::uint32_t) + order_.size();
-    }
+    /** Bytes held by the recency-order scratch plane. */
+    std::uint64_t footprintBytes() const { return order_.size(); }
 
   private:
     void deliver(const WriteBackCache &cache, L2ReqType type,
                  BlockAddr block, int hit_way, int hint_way);
 
     std::vector<L2Observer *> observers_;
-    std::vector<std::uint32_t> tags_;
     std::vector<std::uint8_t> order_;
 };
 
@@ -494,8 +494,9 @@ class TwoLevelHierarchy
     const WriteBackCache &l2() const { return l2_; }
     const HierarchyConfig &config() const { return cfg_; }
 
-    /** Bytes held by both levels' line planes plus the way-hint and
-     *  observer scratch planes (what a MemBudget is charged). */
+    /** Bytes held by both levels' line planes plus the way-hint
+     *  plane and the observers' order scratch (what a MemBudget is
+     *  charged). */
     std::uint64_t
     footprintBytes() const
     {

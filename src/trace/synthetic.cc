@@ -5,31 +5,6 @@
 namespace assoc {
 namespace trace {
 
-SequentialScan::SequentialScan(Addr base, std::uint32_t step,
-                               std::uint64_t count, RefType type)
-    : base_(base), step_(step), count_(count), type_(type)
-{
-    fatalIf(step_ == 0, "SequentialScan: zero step");
-}
-
-bool
-SequentialScan::next(MemRef &ref)
-{
-    if (pos_ >= count_)
-        return false;
-    ref.addr = base_ + static_cast<Addr>(pos_ * step_);
-    ref.type = type_;
-    ref.pid = 0;
-    ++pos_;
-    return true;
-}
-
-void
-SequentialScan::reset()
-{
-    pos_ = 0;
-}
-
 LoopTrace::LoopTrace(Addr base, std::uint32_t block_bytes,
                      std::uint32_t blocks, std::uint64_t count)
     : base_(base), block_bytes_(block_bytes), blocks_(blocks),
@@ -92,35 +67,6 @@ void
 UniformRandomTrace::reset()
 {
     rng_.reseed(seed_);
-    pos_ = 0;
-}
-
-StrideTrace::StrideTrace(Addr base, std::uint32_t stride,
-                         std::uint64_t refs_per_pass,
-                         std::uint32_t passes)
-    : base_(base), stride_(stride), refs_per_pass_(refs_per_pass),
-      passes_(passes)
-{
-    fatalIf(stride_ == 0, "StrideTrace: zero stride");
-    fatalIf(refs_per_pass_ == 0, "StrideTrace: empty pass");
-}
-
-bool
-StrideTrace::next(MemRef &ref)
-{
-    if (pos_ >= refs_per_pass_ * passes_)
-        return false;
-    std::uint64_t in_pass = pos_ % refs_per_pass_;
-    ref.addr = base_ + static_cast<Addr>(in_pass * stride_);
-    ref.type = RefType::Read;
-    ref.pid = 0;
-    ++pos_;
-    return true;
-}
-
-void
-StrideTrace::reset()
-{
     pos_ = 0;
 }
 

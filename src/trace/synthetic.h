@@ -4,8 +4,6 @@
  * reference streams for unit tests, calibration and controlled
  * experiments — the complement of the big ATUM-like workload.
  *
- *  - SequentialScan: one linear sweep (pure spatial locality,
- *    zero reuse): every new block is a cold miss.
  *  - LoopTrace: cyclic sweep over a fixed working set; with the
  *    working set inside a cache level, everything after the first
  *    lap hits; one block past the capacity of an LRU set turns
@@ -13,8 +11,6 @@
  *  - UniformRandomTrace: independent uniform block references over
  *    a region; hit ratios and MRU distances follow closed forms,
  *    which the meters are tested against.
- *  - StrideTrace: constant-stride sweep (vector code), exercising
- *    set-conflict behaviour when the stride hits one set.
  */
 
 #ifndef ASSOC_TRACE_SYNTHETIC_H
@@ -27,28 +23,6 @@
 
 namespace assoc {
 namespace trace {
-
-/** One linear byte sweep: addr = base + i*step. */
-class SequentialScan : public TraceSource
-{
-  public:
-    /**
-     * @param base first address, @param step bytes per reference,
-     * @param count references to emit.
-     */
-    SequentialScan(Addr base, std::uint32_t step, std::uint64_t count,
-                   RefType type = RefType::Read);
-
-    bool next(MemRef &ref) override;
-    void reset() override;
-
-  private:
-    Addr base_;
-    std::uint32_t step_;
-    std::uint64_t count_;
-    RefType type_;
-    std::uint64_t pos_ = 0;
-};
 
 /** Cyclic sweep over a working set of @p blocks cache blocks. */
 class LoopTrace : public TraceSource
@@ -93,29 +67,6 @@ class UniformRandomTrace : public TraceSource
     std::uint64_t seed_;
     double write_fraction_;
     Pcg32 rng_;
-    std::uint64_t pos_ = 0;
-};
-
-/** Constant-stride sweep repeated over a region (vector code). */
-class StrideTrace : public TraceSource
-{
-  public:
-    /**
-     * @param base region start, @param stride bytes between
-     * consecutive references, @param refs_per_pass references per
-     * sweep, @param passes number of sweeps.
-     */
-    StrideTrace(Addr base, std::uint32_t stride,
-                std::uint64_t refs_per_pass, std::uint32_t passes);
-
-    bool next(MemRef &ref) override;
-    void reset() override;
-
-  private:
-    Addr base_;
-    std::uint32_t stride_;
-    std::uint64_t refs_per_pass_;
-    std::uint32_t passes_;
     std::uint64_t pos_ = 0;
 };
 

@@ -54,11 +54,19 @@ bitField(std::uint64_t x, unsigned lo, unsigned len)
     return (x >> lo) & maskBits(len);
 }
 
-/** Population count convenience wrapper. */
+/**
+ * Population count, inline and branch-free: the SWAR sum of bit
+ * pairs, nibbles and bytes, gathered by one multiply. std::popcount
+ * compiles to a libgcc call on a baseline x86-64 target (no POPCNT),
+ * which the lookup scans pay on every miss.
+ */
 constexpr unsigned
 popcount(std::uint64_t x)
 {
-    return static_cast<unsigned>(std::popcount(x));
+    x -= (x >> 1) & 0x5555555555555555ULL;
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+    return static_cast<unsigned>((x * 0x0101010101010101ULL) >> 56);
 }
 
 } // namespace assoc

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <numeric>
 #include <vector>
@@ -446,17 +447,26 @@ TEST(InvariantAuditor, FlagsAProbeOverReportingStrategy)
     EXPECT_GT(auditor.audited(), 0u);
 }
 
-TEST(InvariantAuditor, FlagsAWrongEqBit)
+/** Changes a hand-built copy of an access's input; @p tags is
+ *  scratch the copy may point its stored tags at. */
+using Corrupt = std::function<void(core::LookupInput &in,
+                                   std::vector<std::uint32_t> &tags)>;
+
+/**
+ * Audit every read-in of a short run twice with the lookup's true
+ * result: once with the input as built (clean), once after
+ * @p corrupt changed a copy of it. @return the corrupted audits;
+ * @p log holds what the auditor reported.
+ */
+std::uint64_t
+auditCorrupted(ViolationLog &log, const Corrupt &corrupt)
 {
-    // Every scan walks the input's eq mask, so the auditor redoes
-    // the compare per way. Each access is audited twice with the
-    // lookup's true result: once with the input as built (clean),
-    // once with one eq bit flipped by hand (exactly one violation).
-    class FlipOneBit : public mem::L2Observer
+    class Twice : public mem::L2Observer
     {
       public:
-        FlipOneBit(core::ProbeMeter &meter, InvariantAuditor &auditor)
-            : meter_(meter), auditor_(auditor)
+        Twice(core::ProbeMeter &meter, InvariantAuditor &auditor,
+              const Corrupt &corrupt)
+            : meter_(meter), auditor_(auditor), corrupt_(corrupt)
         {}
 
         void
@@ -469,38 +479,75 @@ TEST(InvariantAuditor, FlagsAWrongEqBit)
             const core::LookupResult res = meter_.strategy().lookup(in);
             auditor_.audit(meter_, view, in, res);
             core::LookupInput bad = in;
-            bad.eq ^= std::uint64_t{1} << (view.set % in.assoc);
+            corrupt_(bad, tags_);
             auditor_.audit(meter_, view, bad, res);
-            ++flipped;
+            ++corrupted;
         }
 
-        std::uint64_t flipped = 0;
+        std::uint64_t corrupted = 0;
 
       private:
         core::ProbeMeter &meter_;
         InvariantAuditor &auditor_;
-        std::vector<std::uint32_t> scratch_;
+        const Corrupt &corrupt_;
+        std::vector<std::uint32_t> scratch_, tags_;
     };
 
     mem::HierarchyConfig cfg{mem::CacheGeometry(512, 16, 1),
                              mem::CacheGeometry(2048, 32, 4), true};
     mem::TwoLevelHierarchy hier(cfg);
-    ViolationLog log;
     InvariantAuditor auditor(&log);
     core::MeterConfig mcfg;
     mcfg.tag_bits = 16;
     core::ProbeMeter meter(std::make_unique<core::NaiveLookup>(), mcfg);
-    FlipOneBit flip(meter, auditor);
-    hier.addObserver(&flip);
+    Twice twice(meter, auditor, corrupt);
+    hier.addObserver(&twice);
 
     trace::UniformRandomTrace src(0x2000, 16, 512, 2000, 3, 0.3);
     hier.run(src);
+    return twice.corrupted;
+}
 
-    ASSERT_GT(flip.flipped, 0u);
-    EXPECT_EQ(flip.flipped, log.count());
+TEST(InvariantAuditor, FlagsAWrongEqBit)
+{
+    // Every scan walks the input's eq mask, so the auditor redoes
+    // the compare per way: one flipped bit is one violation.
+    ViolationLog log;
+    const std::uint64_t corrupted = auditCorrupted(
+        log, [](core::LookupInput &in, std::vector<std::uint32_t> &) {
+            in.eq ^= std::uint64_t{1} << (in.set % in.assoc);
+        });
+
+    ASSERT_GT(corrupted, 0u);
+    EXPECT_EQ(corrupted, log.count());
     ASSERT_FALSE(log.messages().empty());
     EXPECT_NE(std::string::npos,
               log.messages().front().find("eq mask"))
+        << log.messages().front();
+}
+
+TEST(InvariantAuditor, FlagsAWrongStoredTag)
+{
+    // The auditor cuts each way's t-bit tag from the cache's lines
+    // itself: one changed stored tag is one violation. The changed
+    // way is one the compare does not match before or after, so the
+    // eq mask and every scan stay as they were.
+    ViolationLog log;
+    const std::uint64_t corrupted = auditCorrupted(
+        log, [](core::LookupInput &in, std::vector<std::uint32_t> &tags) {
+            unsigned w = in.set % in.assoc;
+            while ((in.eq >> w) & 1)
+                w = (w + 1) % in.assoc;
+            tags.assign(in.stored_tags, in.stored_tags + in.assoc);
+            tags[w] ^= (tags[w] ^ 1) == in.incoming_tag ? 2 : 1;
+            in.stored_tags = tags.data();
+        });
+
+    ASSERT_GT(corrupted, 0u);
+    EXPECT_EQ(corrupted, log.count());
+    ASSERT_FALSE(log.messages().empty());
+    EXPECT_NE(std::string::npos,
+              log.messages().front().find("stored tag"))
         << log.messages().front();
 }
 

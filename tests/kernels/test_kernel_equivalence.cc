@@ -176,44 +176,6 @@ TEST(KernelEquivalence, PartialMaskAllTransformsAllFieldWidths)
     }
 }
 
-TEST(KernelEquivalence, PlaneDecodeHelpersAgree)
-{
-    const LookupKernels &ref = scalarKernels();
-    Pcg32 rng(0x5eed0003, 13);
-    for (const LookupKernels *k : registeredKernels()) {
-        // The packed recency order covers up to 16 ways.
-        for (unsigned n = 1; n <= 16; ++n) {
-            std::uint64_t word = rng.next64();
-            std::uint8_t want[16 + 3], got[16 + 3];
-            for (unsigned off : kOffsets) {
-                ref.expand_nibbles(word, n, want + off);
-                k->expand_nibbles(word, n, got + off);
-                for (unsigned i = 0; i < n; ++i)
-                    ASSERT_EQ(want[off + i], got[off + i])
-                        << k->name << " n=" << n << " off=" << off;
-            }
-        }
-        for (unsigned n = 1; n <= 64; ++n) {
-            for (unsigned shift : {0u, 1u, 7u, 14u, 31u}) {
-                for (unsigned off : kOffsets) {
-                    std::vector<std::uint32_t> in(n + off),
-                        want(n + off), got(n + off);
-                    for (std::uint32_t &v : in)
-                        v = rng.next();
-                    ref.shift_tags(in.data() + off, n, shift,
-                                   want.data() + off);
-                    k->shift_tags(in.data() + off, n, shift,
-                                  got.data() + off);
-                    for (unsigned i = 0; i < n; ++i)
-                        ASSERT_EQ(want[off + i], got[off + i])
-                            << k->name << " n=" << n
-                            << " shift=" << shift;
-                }
-            }
-        }
-    }
-}
-
 /**
  * Strategy-level equivalence: every lookup strategy must produce the
  * identical (hit, way, probes) triple under every registered table.

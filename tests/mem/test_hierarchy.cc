@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <iterator>
 #include <vector>
 
+#include "core/probe_meter.h"
+#include "core/tagbits.h"
 #include "mem/hierarchy.h"
 #include "trace/atum_like.h"
 #include "util/logging.h"
@@ -343,7 +346,12 @@ TEST(TwoLevelHierarchy, NullObserverPanics)
     EXPECT_THROW(h.addObserver(nullptr), PanicError);
 }
 
-/** Copies a view, and its decoded planes while they are alive. */
+/** Tag widths the view test slices at: below, at and above the
+ *  24-bit full tag of a 1K-32 4-way cache. */
+constexpr unsigned kSliceWidths[] = {12, 24, 32};
+
+/** Copies a view, its planes and core::sliceInput's tags at each
+ *  of kSliceWidths while they are alive. */
 class PlaneObserver : public L2Observer
 {
   public:
@@ -352,31 +360,43 @@ class PlaneObserver : public L2Observer
     {
         const unsigned a = view.cache->geom().assoc();
         last = view;
-        tags.assign(view.full_tags, view.full_tags + a);
+        blocks.assign(view.blocks, view.blocks + a);
         order.assign(view.mru_order, view.mru_order + a);
+        for (unsigned i = 0; i < std::size(kSliceWidths); ++i) {
+            const core::LookupInput in =
+                core::sliceInput(view, kSliceWidths[i], scratch_);
+            sliced[i].assign(in.stored_tags, in.stored_tags + a);
+        }
         ++seen;
     }
 
     L2AccessView last{};
-    std::vector<std::uint32_t> tags;
+    std::vector<BlockAddr> blocks;
     std::vector<std::uint8_t> order;
+    std::vector<std::uint32_t> sliced[std::size(kSliceWidths)];
     int seen = 0;
+
+  private:
+    std::vector<std::uint32_t> scratch_;
 };
 
 TEST(ObserverFanout, ViewIsTheCachesPreAccessSet)
 {
     WriteBackCache cache(CacheGeometry(1024, 32, 4));
-    const BlockAddr sets = cache.geom().sets();
-    // Three of set 1's four ways hold a block; the middle one is
-    // touched so the recency order differs from the fill order.
-    for (BlockAddr b : {1 + sets, 1 + 2 * sets, 1 + 3 * sets})
-        cache.fill(b, false);
-    cache.touch(1, cache.findWay(1 + 2 * sets));
+    const CacheGeometry &geom = cache.geom();
+    ASSERT_EQ(geom.fullTagBits(), 24u);
+    // Set 1 holds four blocks whose tags use all 24 bits; one is
+    // then invalidated (its frame keeps the block) and another is
+    // touched, so the recency order differs from the fill order.
+    for (std::uint32_t tag : {0xabcdefu, 0x123456u, 0xfedcbau, 0x0f0f0fu})
+        cache.fill(geom.blockAddrFrom(tag, 1), false);
+    cache.invalidate(geom.blockAddrFrom(0x123456u, 1));
+    cache.touch(1, cache.findWay(geom.blockAddrFrom(0xfedcbau, 1)));
 
     ObserverFanout fanout(4);
     PlaneObserver obs;
     fanout.add(&obs);
-    const BlockAddr block = 1 + 3 * sets;
+    const BlockAddr block = geom.blockAddrFrom(0x0f0f0fu, 1);
     const int way = cache.findWay(block);
     fanout.notify(cache, L2ReqType::WriteBack, block, way, 2);
 
@@ -384,7 +404,7 @@ TEST(ObserverFanout, ViewIsTheCachesPreAccessSet)
     EXPECT_EQ(obs.last.type, L2ReqType::WriteBack);
     EXPECT_EQ(obs.last.set, 1u);
     EXPECT_EQ(obs.last.block, block);
-    EXPECT_EQ(obs.last.full_tag, cache.geom().fullTagOf(block));
+    EXPECT_EQ(obs.last.full_tag, geom.fullTagOf(block));
     EXPECT_EQ(obs.last.cache, &cache);
     EXPECT_EQ(obs.last.hit_way, way);
     EXPECT_EQ(obs.last.hint_way, 2);
@@ -392,10 +412,17 @@ TEST(ObserverFanout, ViewIsTheCachesPreAccessSet)
     EXPECT_EQ(obs.last.valid, cache.validMask(1));
     EXPECT_EQ(std::popcount(obs.last.valid), 3);
     EXPECT_EQ(obs.order, cache.mruOrder(1));
-    for (unsigned w = 0; w < 4; ++w)
-        EXPECT_EQ(obs.tags[w],
-                  cache.geom().fullTagOf(
-                      cache.line(1, static_cast<int>(w)).block));
+    // The block plane is the cache's, invalid way included, and
+    // every width's stored tag is cut from each way's block.
+    for (unsigned w = 0; w < 4; ++w) {
+        const BlockAddr b = cache.line(1, static_cast<int>(w)).block;
+        EXPECT_EQ(obs.blocks[w], b) << "way " << w;
+        for (unsigned i = 0; i < std::size(kSliceWidths); ++i)
+            EXPECT_EQ(obs.sliced[i][w],
+                      core::sliceTag(geom.fullTagOf(b), kSliceWidths[i]))
+                << "way " << w << " t=" << kSliceWidths[i];
+    }
+    EXPECT_EQ(obs.sliced[0][cache.findWay(block)], 0xf0fu);
 }
 
 TEST(ObserverFanout, ForwardsFlushesAndCountsItsPlanes)
@@ -408,9 +435,9 @@ TEST(ObserverFanout, ForwardsFlushesAndCountsItsPlanes)
     EXPECT_EQ(a.flushes, 1);
     EXPECT_EQ(b.flushes, 1);
     EXPECT_THROW(fanout.add(nullptr), PanicError);
-    // A full tag and an order byte per way.
-    EXPECT_EQ(fanout.footprintBytes(),
-              16u * (sizeof(std::uint32_t) + 1));
+    // An order byte per way: the view reads the cache's block
+    // plane in place.
+    EXPECT_EQ(fanout.footprintBytes(), 16u);
 }
 
 } // namespace

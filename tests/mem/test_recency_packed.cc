@@ -159,29 +159,44 @@ TEST(RecencyPacked, ColdStartRotationVariesBySet)
 
 TEST(RecencyPacked, SnapshotMatchesPerLineReads)
 {
-    WriteBackCache cache(CacheGeometry(2048, 16, 8));
-    Pcg32 rng(11);
-    for (int i = 0; i < 500; ++i) {
-        BlockAddr b = rng.below(256);
-        int way = cache.findWay(b);
-        if (way < 0)
-            cache.fill(b, rng.chance(0.3));
-        else
-            cache.touch(cache.geom().setOf(b), way);
-    }
-    const unsigned a = cache.geom().assoc();
-    std::vector<std::uint32_t> tags(a);
-    std::vector<std::uint8_t> order(a);
-    for (std::uint32_t set = 0; set < cache.geom().sets(); ++set) {
-        cache.snapshotSet(set, tags.data(), order.data());
-        const std::uint64_t valid = cache.validMask(set);
-        EXPECT_EQ(0u, valid >> a);
-        std::vector<std::uint8_t> mru = cache.mruOrder(set);
-        for (unsigned w = 0; w < a; ++w) {
-            Line l = cache.line(set, static_cast<int>(w));
-            EXPECT_EQ((valid >> w) & 1, l.valid ? 1u : 0u);
-            EXPECT_EQ(tags[w], cache.geom().fullTagOf(l.block));
-            EXPECT_EQ(order[w], mru[w]);
+    // What the observer fan-out reads per access: the block plane in
+    // place, the validity word, and the recency order decoded into
+    // scratch. 16 ways decode the packed word, 32 copy the bytes.
+    for (unsigned a : {16u, 32u}) {
+        WriteBackCache cache(CacheGeometry(4096, 16, a));
+        const std::uint32_t sets = cache.geom().sets();
+        std::vector<RefOrders> ref;
+        for (std::uint32_t set = 0; set < sets; ++set)
+            ref.emplace_back(a, set);
+        Pcg32 rng(11 + a);
+        for (int i = 0; i < 2000; ++i) {
+            BlockAddr b = rng.below(2 * sets * a); // twice capacity
+            const std::uint32_t set = cache.geom().setOf(b);
+            int way = cache.findWay(b);
+            if (way < 0)
+                way = cache.fill(b, rng.chance(0.3)).way;
+            else
+                cache.touch(set, way);
+            RefOrders::promote(ref[set].mru,
+                               static_cast<std::uint8_t>(way));
+        }
+        // Guard bytes past the a-byte order catch an overlong write.
+        std::vector<std::uint8_t> order(a + 4, 0xee);
+        for (std::uint32_t set = 0; set < sets; ++set) {
+            const BlockAddr *blocks = cache.setBlocks(set);
+            const std::uint64_t valid = cache.validMask(set);
+            cache.mruOrderInto(set, order.data());
+            EXPECT_EQ(0u, valid >> a);
+            for (unsigned w = 0; w < a; ++w) {
+                Line l = cache.line(set, static_cast<int>(w));
+                EXPECT_EQ((valid >> w) & 1, l.valid ? 1u : 0u);
+                EXPECT_EQ(blocks[w], l.block);
+            }
+            EXPECT_TRUE(std::equal(ref[set].mru.begin(),
+                                   ref[set].mru.end(), order.begin()))
+                << "a=" << a << " set " << set;
+            for (unsigned i = a; i < a + 4; ++i)
+                EXPECT_EQ(order[i], 0xee) << "a=" << a;
         }
     }
 }

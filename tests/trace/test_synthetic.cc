@@ -7,44 +7,6 @@ namespace assoc {
 namespace trace {
 namespace {
 
-TEST(SequentialScan, EmitsArithmeticSequence)
-{
-    SequentialScan scan(0x1000, 4, 5, RefType::Ifetch);
-    MemRef r;
-    for (unsigned i = 0; i < 5; ++i) {
-        ASSERT_TRUE(scan.next(r));
-        EXPECT_EQ(r.addr, 0x1000u + 4 * i);
-        EXPECT_EQ(r.type, RefType::Ifetch);
-    }
-    EXPECT_FALSE(scan.next(r));
-}
-
-TEST(SequentialScan, EveryNewBlockMisses)
-{
-    mem::WriteBackCache cache(mem::CacheGeometry(1024, 16, 4));
-    SequentialScan scan(0, 16, 256); // one ref per block
-    MemRef r;
-    std::uint64_t misses = 0;
-    while (scan.next(r)) {
-        mem::BlockAddr b = cache.geom().blockAddrOf(r.addr);
-        if (cache.findWay(b) < 0) {
-            ++misses;
-            cache.fill(b, false);
-        }
-    }
-    EXPECT_EQ(misses, 256u); // pure cold-miss stream
-}
-
-TEST(SequentialScan, ResetReplays)
-{
-    SequentialScan scan(0, 8, 3);
-    MemRef a, b;
-    ASSERT_TRUE(scan.next(a));
-    scan.reset();
-    ASSERT_TRUE(scan.next(b));
-    EXPECT_EQ(a, b);
-}
-
 TEST(LoopTrace, AllHitsOnceWarmWhenItFits)
 {
     // 8-block loop in a 16-frame fully-associative cache.
@@ -152,38 +114,12 @@ TEST(UniformRandomTrace, ResetReplaysTheSameStream)
     EXPECT_EQ(i, first.size());
 }
 
-TEST(StrideTrace, SweepsAndRepeats)
-{
-    StrideTrace t(0x100, 64, 4, 2);
-    MemRef r;
-    for (int pass = 0; pass < 2; ++pass) {
-        for (unsigned i = 0; i < 4; ++i) {
-            ASSERT_TRUE(t.next(r));
-            EXPECT_EQ(r.addr, 0x100u + i * 64);
-        }
-    }
-    EXPECT_FALSE(t.next(r));
-}
-
-TEST(StrideTrace, SetConflictStride)
-{
-    // Stride = sets * block bytes maps every reference to set 0.
-    mem::CacheGeometry g(1024, 16, 4); // 16 sets
-    std::uint32_t stride = g.sets() * g.blockBytes();
-    StrideTrace t(0, stride, 8, 1);
-    MemRef r;
-    while (t.next(r))
-        EXPECT_EQ(g.setOf(g.blockAddrOf(r.addr)), 0u);
-}
-
 TEST(Synthetic, RejectBadParameters)
 {
-    EXPECT_THROW(SequentialScan(0, 0, 1), FatalError);
     EXPECT_THROW(LoopTrace(0, 0, 1, 1), FatalError);
     EXPECT_THROW(LoopTrace(0, 16, 0, 1), FatalError);
     EXPECT_THROW(UniformRandomTrace(0, 16, 0, 1), FatalError);
     EXPECT_THROW(UniformRandomTrace(0, 16, 4, 1, 1, 1.5), FatalError);
-    EXPECT_THROW(StrideTrace(0, 0, 1, 1), FatalError);
 }
 
 } // namespace

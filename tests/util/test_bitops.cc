@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "util/bitops.h"
+#include "util/rng.h"
 
 namespace assoc {
 namespace {
@@ -63,6 +66,30 @@ TEST(BitOps, Popcount)
     EXPECT_EQ(popcount(0), 0u);
     EXPECT_EQ(popcount(0xff), 8u);
     EXPECT_EQ(popcount(~std::uint64_t{0}), 64u);
+    static_assert(popcount(0x8000000000000001ULL) == 2);
+}
+
+TEST(BitOps, PopcountMatchesTheStandardCount)
+{
+    auto same = [](std::uint64_t x) {
+        EXPECT_EQ(popcount(x), static_cast<unsigned>(std::popcount(x)))
+            << std::hex << x;
+    };
+    same(0);
+    same(~std::uint64_t{0});
+    for (unsigned i = 0; i < 64; ++i) {
+        const std::uint64_t bit = std::uint64_t{1} << i;
+        same(bit);
+        same(~bit);
+        if (i + 1 < 64)
+            same(bit | bit << 1); // adjacent pair
+    }
+    Pcg32 rng(0xb175);
+    for (int i = 0; i < 10000; ++i) {
+        const std::uint64_t x = rng.next64();
+        same(x);
+        same(x & rng.next64()); // sparser words
+    }
 }
 
 } // namespace
