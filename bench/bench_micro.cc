@@ -306,7 +306,7 @@ BM_CacheTouch(benchmark::State &state)
     const unsigned a = cache.geom().assoc();
     Pcg32 rng(8);
     // Fully warm one stretch of sets so touch() always promotes a
-    // valid way through the packed recency word.
+    // valid way through the set's recency-order words.
     for (std::uint32_t set = 0; set < 256; ++set)
         for (unsigned w = 0; w < a; ++w)
             cache.fill(static_cast<mem::BlockAddr>(
@@ -334,14 +334,12 @@ BM_CacheSnapshotSet(benchmark::State &state)
         cache.fill(static_cast<mem::BlockAddr>(
                        (w + 1) * cache.geom().sets()),
                    false);
-    // What the observer fan-out reads per access: the block plane
-    // in place, the validity word and the decoded recency order.
-    std::vector<std::uint8_t> order(a);
+    // What the observer fan-out reads per access: the block plane,
+    // the validity word and the recency order, all in place.
     for (auto _ : state) {
         benchmark::DoNotOptimize(cache.setBlocks(0));
         benchmark::DoNotOptimize(cache.validMask(0));
-        cache.mruOrderInto(0, order.data());
-        benchmark::DoNotOptimize(order.data());
+        benchmark::DoNotOptimize(cache.setOrder(0));
         benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations());

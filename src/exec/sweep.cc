@@ -241,7 +241,7 @@ runOneJob(const std::vector<sim::RunSpec> &specs,
                 : nullptr;
         sim::RunSpec spec = specs[i];
         spec.cancel = &token;
-        spec.checkpoint_every = opts.checkpoint_every;
+        spec.checkpoint_every = SweepOptions::checkpoint_every;
         spec.budget = budget;
 
         if (guards.watchdog)

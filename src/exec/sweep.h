@@ -106,7 +106,7 @@ struct SweepOptions
     std::uint64_t job_mem_budget = 0;
     /** Accesses between cancellation checkpoints inside a job (see
      *  sim::RunSpec::checkpoint_every). */
-    std::uint64_t checkpoint_every = 4096;
+    static constexpr std::uint64_t checkpoint_every = 4096;
     /** Watchdog sampling/escalation tuning (log=false in tests). */
     Watchdog::Options watchdog;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cstring>
 
 #include "core/kernels.h"
 #include "util/logging.h"
@@ -53,54 +52,37 @@ planeLoad(const T &loc)
         .load(std::memory_order_relaxed);
 }
 
-/** A 1 in the low bit of each 4-bit slot. */
-constexpr std::uint64_t kNibbleLsb = 0x1111111111111111ull;
-/** A 1 in the high bit of each 4-bit slot. */
-constexpr std::uint64_t kNibbleMsb = 0x8888888888888888ull;
+/** A 1 in the low bit of each byte slot. */
+constexpr std::uint64_t kByteLsb = 0x0101010101010101ull;
+/** A 1 in the high bit of each byte slot. */
+constexpr std::uint64_t kByteMsb = 0x8080808080808080ull;
 
-/** Mask covering packed slots [0, n), n <= 16. */
+/** Mask covering the byte slots [0, n) of one word, n < 8. */
 inline std::uint64_t
-slotMask(unsigned n)
+lowSlots(unsigned n)
 {
-    return n >= 16 ? ~std::uint64_t{0}
-                   : ((std::uint64_t{1} << (4 * n)) - 1);
+    return ~(~std::uint64_t{0} << (8 * n));
 }
 
 /**
- * Position of the slot holding @p way among the first @p a slots of
- * @p w. SWAR zero-nibble scan: XOR against the broadcast way turns
- * the match into a zero nibble; borrow propagation can only set
- * false-positive bits *above* the lowest true zero, so the lowest
- * set bit of the detector is always the first match.
+ * Position of the slot holding @p way in one order's @p words words.
+ * SWAR zero-byte scan: XOR against the broadcast way turns the match
+ * into a zero byte; borrow propagation can only set false-positive
+ * bits *above* the lowest true zero of the same word, so the first
+ * word with a detection holds the match at its lowest set bit.
+ * Padding slots hold 0xff and never match.
  */
 inline unsigned
-slotFind(std::uint64_t w, unsigned a, unsigned way)
+slotFind(const std::uint64_t *order, unsigned words, unsigned way)
 {
-    std::uint64_t x = (w ^ (way * kNibbleLsb)) | ~slotMask(a);
-    std::uint64_t zero = (x - kNibbleLsb) & ~x & kNibbleMsb;
-    panicIf(zero == 0, "way missing from packed recency order");
-    return static_cast<unsigned>(std::countr_zero(zero)) / 4;
-}
-
-/** Move the slot at @p pos to slot 0, shifting [0, pos) up one. */
-inline std::uint64_t
-slotPromote(std::uint64_t w, unsigned pos)
-{
-    std::uint64_t way = (w >> (4 * pos)) & 0xf;
-    std::uint64_t below = w & slotMask(pos);
-    std::uint64_t above = w & ~slotMask(pos + 1);
-    return above | (below << 4) | way;
-}
-
-/** Move the slot at @p pos to slot a-1, shifting (pos, a) down. */
-inline std::uint64_t
-slotDemote(std::uint64_t w, unsigned pos, unsigned a)
-{
-    std::uint64_t way = (w >> (4 * pos)) & 0xf;
-    std::uint64_t low = w & slotMask(pos);
-    std::uint64_t high = w & ~slotMask(a);
-    std::uint64_t mid = (w & (slotMask(a) & ~slotMask(pos + 1))) >> 4;
-    return high | (way << (4 * (a - 1))) | mid | low;
+    const std::uint64_t broadcast = way * kByteLsb;
+    for (unsigned i = 0; i < words; ++i) {
+        const std::uint64_t x = order[i] ^ broadcast;
+        const std::uint64_t zero = (x - kByteLsb) & ~x & kByteMsb;
+        if (zero != 0)
+            return 8 * i + static_cast<unsigned>(std::countr_zero(zero)) / 8;
+    }
+    panic("way missing from recency order");
 }
 
 } // namespace
@@ -108,22 +90,18 @@ slotDemote(std::uint64_t w, unsigned pos, unsigned a)
 WriteBackCache::WriteBackCache(const CacheGeometry &geom,
                                ReplPolicy policy, std::uint64_t seed)
     : geom_(geom), policy_(policy), rng_(seed, 0xbadc0de),
-      assoc_(geom.assoc()), packed_(geom.assoc() <= 16),
+      assoc_(geom.assoc()), words_((geom.assoc() + 7) / 8),
       blocks_(static_cast<std::size_t>(geom.sets()) * geom.assoc(), 0),
       valid_(geom.sets(), 0), dirty_(geom.sets(), 0),
-      plru_(geom.sets(), 0)
+      mru_(static_cast<std::size_t>(geom.sets()) * words_, 0),
+      fifo_(mru_.size(), 0)
 {
     fatalIf(assoc_ > kMaxAssoc,
             "associativity " + std::to_string(assoc_) +
                 " unsupported: a cache has at most " +
                 std::to_string(kMaxAssoc) + " ways");
-    if (packed_) {
-        mru_packed_.assign(geom_.sets(), 0);
-        fifo_packed_.assign(geom_.sets(), 0);
-    } else {
-        mru_wide_.assign(blocks_.size(), 0);
-        fifo_wide_.assign(blocks_.size(), 0);
-    }
+    if (policy_ == ReplPolicy::TreePlru)
+        plru_.assign(geom_.sets(), 0);
     for (std::uint32_t set = 0; set < geom_.sets(); ++set)
         resetOrder(set);
 }
@@ -136,19 +114,18 @@ WriteBackCache::resetOrder(std::uint32_t set)
     // physical way order across sets (a real cache's power-on LRU
     // state has no such correlation, and the serial schemes' scan
     // costs would otherwise be biased).
-    if (packed_) {
+    std::uint64_t *mru = &mru_[orderIndex(set)];
+    std::uint64_t *fifo = &fifo_[orderIndex(set)];
+    for (unsigned k = 0; k < words_; ++k) {
         std::uint64_t w = 0;
-        for (unsigned i = 0; i < assoc_; ++i)
-            w |= static_cast<std::uint64_t>((i + set) % assoc_)
-                 << (4 * i);
-        mru_packed_[set] = w;
-        fifo_packed_[set] = w;
-    } else {
-        std::uint8_t *mru = &mru_wide_[index(set, 0)];
-        std::uint8_t *fifo = &fifo_wide_[index(set, 0)];
-        for (unsigned i = 0; i < assoc_; ++i)
-            mru[i] = static_cast<std::uint8_t>((i + set) % assoc_);
-        std::memcpy(fifo, mru, assoc_);
+        for (unsigned j = 0; j < 8; ++j) {
+            const unsigned i = 8 * k + j;
+            const std::uint64_t way =
+                i < assoc_ ? (i + set) % assoc_ : 0xff;
+            w |= way << (8 * j);
+        }
+        mru[k] = w;
+        fifo[k] = w;
     }
 }
 
@@ -181,9 +158,11 @@ WriteBackCache::probeRelaxed(BlockAddr b, unsigned *probes) const
     const std::size_t base = index(set, 0);
     // Walk the recency order from MRU to LRU so the probe count
     // prices the paper's serial MRU scan. A concurrently mutating
-    // writer can tear the view (duplicate or out-of-range ways);
-    // bounds are guarded so a torn decode cannot fault, and the
-    // caller's seqlock validation discards the result.
+    // writer can tear the view (a way twice and another missing,
+    // when a promote or demote spans order words); the walk reads
+    // only the set's slots and stops at any that is not a way, so a
+    // torn view cannot fault, and the caller's seqlock validation
+    // discards the result.
     //
     // Tag compares run as one torn-read-tolerant kernel eq mask (the
     // AVX2 body trades per-element relaxed loads for plain vector
@@ -191,16 +170,14 @@ WriteBackCache::probeRelaxed(BlockAddr b, unsigned *probes) const
     // only tests bit membership.
     std::uint64_t e = core::activeKernels().eq_mask_relaxed(
         &blocks_[base], planeLoad(valid_[set]), assoc_, b);
-    std::uint64_t packed_order = 0;
-    if (packed_)
-        packed_order = planeLoad(mru_packed_[set]);
-    for (unsigned pos = 0; pos < assoc_; ++pos) {
-        unsigned way =
-            packed_ ? static_cast<unsigned>(
-                          (packed_order >> (4 * pos)) & 0xf)
-                    : planeLoad(mru_wide_[base + pos]);
+    const std::uint64_t *order = &mru_[orderIndex(set)];
+    std::uint64_t word = 0;
+    for (unsigned pos = 0; pos < assoc_; ++pos, word >>= 8) {
+        if (pos % 8 == 0)
+            word = planeLoad(order[pos / 8]);
+        const unsigned way = static_cast<unsigned>(word & 0xff);
         if (way >= assoc_)
-            break; // torn order word; validation will reject
+            break; // not a way; validation will reject
         if ((e >> way) & 1) {
             *probes = pos + 1;
             return static_cast<int>(way);
@@ -211,77 +188,61 @@ WriteBackCache::probeRelaxed(BlockAddr b, unsigned *probes) const
 }
 
 void
-WriteBackCache::orderPromote(std::vector<std::uint64_t> &packed,
-                             std::vector<std::uint8_t> &wide,
+WriteBackCache::orderPromote(std::vector<std::uint64_t> &order,
                              std::uint32_t set, unsigned way)
 {
-    if (packed_) {
-        std::uint64_t w = packed[set];
-        planeStore(packed[set],
-                   slotPromote(w, slotFind(w, assoc_, way)));
-        return;
+    // Slots [0, pos) move up one byte: whole words below pos's word
+    // shift left, each top byte carrying into the next word's slot
+    // 0, and the way enters slot 0 of the first word.
+    std::uint64_t *words = &order[orderIndex(set)];
+    const unsigned pos = slotFind(words, words_, way);
+    const unsigned k = pos / 8, j = pos % 8;
+    std::uint64_t carry = way;
+    for (unsigned i = 0; i < k; ++i) {
+        const std::uint64_t w = words[i];
+        planeStore(words[i], (w << 8) | carry);
+        carry = w >> 56;
     }
-    std::uint8_t *order = &wide[index(set, 0)];
-    std::uint8_t *it = static_cast<std::uint8_t *>(
-        std::memchr(order, static_cast<int>(way), assoc_));
-    panicIf(it == nullptr, "way missing from recency order");
-    // Shift [0, pos) up one slot, back to front, as atomic byte
-    // stores (memmove would be an unpublished plain write).
-    for (std::uint8_t *p = it; p != order; --p)
-        planeStore(*p, *(p - 1));
-    planeStore(order[0], static_cast<std::uint8_t>(way));
+    const std::uint64_t w = words[k];
+    const std::uint64_t below = w & lowSlots(j);
+    const std::uint64_t above = w & ((~std::uint64_t{0} << 8) << (8 * j));
+    planeStore(words[k], above | (below << 8) | carry);
 }
 
 void
-WriteBackCache::orderDemote(std::vector<std::uint64_t> &packed,
-                            std::vector<std::uint8_t> &wide,
+WriteBackCache::orderDemote(std::vector<std::uint64_t> &order,
                             std::uint32_t set, unsigned way)
 {
-    if (packed_) {
-        std::uint64_t w = packed[set];
-        planeStore(packed[set],
-                   slotDemote(w, slotFind(w, assoc_, way), assoc_));
-        return;
+    // Slots (pos, a) move down one byte: each word from pos's on
+    // takes the next word's slot 0 into its top slot, and the way
+    // enters slot a - 1. Only a last word below 8 ways has padding
+    // above its top slot, and the padding stays.
+    std::uint64_t *words = &order[orderIndex(set)];
+    const unsigned pos = slotFind(words, words_, way);
+    const unsigned last = words_ - 1;
+    for (unsigned i = pos / 8; i <= last; ++i) {
+        const unsigned top = i < last ? 7 : (assoc_ - 1) % 8;
+        const std::uint64_t moved =
+            lowSlots(top) & ~lowSlots(i == pos / 8 ? pos % 8 : 0);
+        const std::uint64_t top_slot = std::uint64_t{0xff} << (8 * top);
+        const std::uint64_t in = i < last ? words[i + 1] & 0xff : way;
+        const std::uint64_t w = words[i];
+        planeStore(words[i], (w & ~(moved | top_slot)) |
+                                 ((w >> 8) & moved) | (in << (8 * top)));
     }
-    std::uint8_t *order = &wide[index(set, 0)];
-    std::uint8_t *it = static_cast<std::uint8_t *>(
-        std::memchr(order, static_cast<int>(way), assoc_));
-    panicIf(it == nullptr, "way missing from recency order");
-    for (std::uint8_t *p = it; p != order + assoc_ - 1; ++p)
-        planeStore(*p, *(p + 1));
-    planeStore(order[assoc_ - 1], static_cast<std::uint8_t>(way));
 }
 
 unsigned
-WriteBackCache::orderBack(const std::vector<std::uint64_t> &packed,
-                          const std::vector<std::uint8_t> &wide,
+WriteBackCache::orderBack(const std::vector<std::uint64_t> &order,
                           std::uint32_t set) const
 {
-    if (packed_)
-        return static_cast<unsigned>(
-            (packed[set] >> (4 * (assoc_ - 1))) & 0xf);
-    return wide[index(set, 0) + assoc_ - 1];
-}
-
-void
-WriteBackCache::orderDecode(const std::vector<std::uint64_t> &packed,
-                            const std::vector<std::uint8_t> &wide,
-                            std::uint32_t set, std::uint8_t *out) const
-{
-    if (packed_) {
-        const std::uint64_t word = packed[set];
-        for (unsigned i = 0; i < assoc_; ++i)
-            out[i] = static_cast<std::uint8_t>((word >> (4 * i)) & 0xf);
-        return;
-    }
-    std::memcpy(out, &wide[index(set, 0)], assoc_);
+    return slots(order, set)[assoc_ - 1];
 }
 
 void
 WriteBackCache::makeMru(std::uint32_t set, int way)
 {
-    orderPromote(mru_packed_, mru_wide_, set,
-                 static_cast<unsigned>(way));
+    orderPromote(mru_, set, static_cast<unsigned>(way));
 }
 
 void
@@ -345,15 +306,14 @@ WriteBackCache::victimWay(std::uint32_t set) const
     // only leave it by being filled), so the back of the order is
     // an empty frame whenever one exists (a miss can fill any empty
     // block frame of the set), under every policy.
-    unsigned back = orderBack(mru_packed_, mru_wide_, set);
+    unsigned back = orderBack(mru_, set);
     if (!validBit(set, back))
         return static_cast<int>(back);
     switch (policy_) {
       case ReplPolicy::Lru:
         return static_cast<int>(back);
       case ReplPolicy::Fifo:
-        return static_cast<int>(orderBack(fifo_packed_, fifo_wide_,
-                                          set));
+        return static_cast<int>(orderBack(fifo_, set));
       case ReplPolicy::Random:
         return static_cast<int>(rng_.below(assoc_));
       case ReplPolicy::TreePlru:
@@ -388,7 +348,7 @@ WriteBackCache::fill(BlockAddr b, bool dirty)
 
     // Fill-age bookkeeping (drives the Fifo policy; cheap enough to
     // maintain unconditionally).
-    orderPromote(fifo_packed_, fifo_wide_, set, w);
+    orderPromote(fifo_, set, w);
     if (policy_ == ReplPolicy::TreePlru && assoc_ > 1)
         plruTouch(set, res.way);
     return res;
@@ -410,8 +370,8 @@ WriteBackCache::invalidate(BlockAddr b)
     // orders so empty frames are reused first and invalid frames
     // stay a suffix of the fill-age order too (victimWay() under
     // Fifo and the order checkers rely on the suffix invariant).
-    orderDemote(mru_packed_, mru_wide_, set, w);
-    orderDemote(fifo_packed_, fifo_wide_, set, w);
+    orderDemote(mru_, set, w);
+    orderDemote(fifo_, set, w);
     return was_dirty;
 }
 
@@ -428,23 +388,15 @@ WriteBackCache::flush()
 std::vector<std::uint8_t>
 WriteBackCache::mruOrder(std::uint32_t set) const
 {
-    std::vector<std::uint8_t> out(assoc_);
-    mruOrderInto(set, out.data());
-    return out;
-}
-
-void
-WriteBackCache::mruOrderInto(std::uint32_t set, std::uint8_t *out) const
-{
-    orderDecode(mru_packed_, mru_wide_, set, out);
+    const std::uint8_t *order = setOrder(set);
+    return std::vector<std::uint8_t>(order, order + assoc_);
 }
 
 std::vector<std::uint8_t>
 WriteBackCache::fifoOrder(std::uint32_t set) const
 {
-    std::vector<std::uint8_t> out(assoc_);
-    orderDecode(fifo_packed_, fifo_wide_, set, out.data());
-    return out;
+    const std::uint8_t *order = slots(fifo_, set);
+    return std::vector<std::uint8_t>(order, order + assoc_);
 }
 
 unsigned

@@ -17,11 +17,13 @@
  *    the lookup kernels' masks (core/kernels.h) are one 64-bit word.
  *    The valid word reaches every lookup as it is (validMask()):
  *    the kernels take validity as a word, never as per-way bytes.
- *  - The per-set MRU and fill-age (FIFO) orders are packed into one
- *    std::uint64_t of 4-bit way slots each up to 16 ways (slot 0 =
- *    most recent); promotion and demotion are shift/mask updates.
- *    17 to 64 ways keep flat byte arrays.
- * Both layouts are observationally identical to the original
+ *  - The per-set MRU and fill-age (FIFO) orders are ceil(a / 8)
+ *    std::uint64_t words each, one 8-bit way slot per byte (slot 0 =
+ *    most recent or youngest); promotion and demotion are SWAR
+ *    shift/mask updates, and one layout serves every associativity
+ *    from 1 to 64. Slot i is byte i of the set's words, so the MRU
+ *    order reaches observers in place (setOrder()), undecoded.
+ * The layout is observationally identical to the original
  * vector-of-Line / vector-of-vector representation (enforced by the
  * randomized equivalence tests in tests/mem/test_recency_packed.cc).
  *
@@ -41,6 +43,7 @@
 #ifndef ASSOC_MEM_CACHE_H
 #define ASSOC_MEM_CACHE_H
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -52,6 +55,11 @@ namespace mem {
 
 /** The widest cache: one 64-bit mask word covers a set. */
 constexpr unsigned kMaxAssoc = 64;
+
+// setOrder() hands out a set's order words as bytes: slot i must be
+// byte i.
+static_assert(std::endian::native == std::endian::little,
+              "recency slots are read as bytes of their words");
 
 /**
  * One cache line (tag state only; data is not modeled). Lines are
@@ -189,14 +197,10 @@ class WriteBackCache
 
     /**
      * Recency order of @p set: way indices from most- to least-
-     * recently used. Invalid ways occupy the tail. Decoded from the
-     * packed representation: a snapshot, not a live reference.
+     * recently used. Invalid ways occupy the tail. A copy of
+     * setOrder()'s assoc() bytes, not a live reference.
      */
     std::vector<std::uint8_t> mruOrder(std::uint32_t set) const;
-
-    /** mruOrder() decoded into @p out (assoc() bytes) instead of a
-     *  new vector: the observer fan-out's per-access decode. */
-    void mruOrderInto(std::uint32_t set, std::uint8_t *out) const;
 
     /**
      * Fill-age order of @p set: way indices from youngest to oldest
@@ -208,7 +212,7 @@ class WriteBackCache
      * Block addresses of @p set's ways, assoc() of them, as the
      * cache stores them: a pointer into the block plane, not a
      * copy, so valid only until the set next changes. An invalid
-     * way keeps its last block. With validMask() and mruOrderInto()
+     * way keeps its last block. With validMask() and setOrder()
      * this is what the observer fan-out (mem/hierarchy.h) shows
      * lookup schemes without per-way line() calls.
      */
@@ -216,6 +220,18 @@ class WriteBackCache
     setBlocks(std::uint32_t set) const
     {
         return &blocks_[index(set, 0)];
+    }
+
+    /**
+     * Recency order of @p set as the cache stores it: assoc() way
+     * indices from most- to least-recently used, one byte each. A
+     * pointer into the MRU order plane, not a copy, so valid only
+     * until the set next changes.
+     */
+    const std::uint8_t *
+    setOrder(std::uint32_t set) const
+    {
+        return slots(mru_, set);
     }
 
     /** Validity word of @p set: bit w set iff way w is valid. The
@@ -241,10 +257,7 @@ class WriteBackCache
         std::uint32_t set = geom_.setOf(b);
         __builtin_prefetch(&blocks_[index(set, 0)]);
         __builtin_prefetch(&valid_[set]);
-        if (packed_)
-            __builtin_prefetch(&mru_packed_[set]);
-        else
-            __builtin_prefetch(&mru_wide_[index(set, 0)]);
+        __builtin_prefetch(&mru_[orderIndex(set)]);
 #else
         (void)b;
 #endif
@@ -259,10 +272,9 @@ class WriteBackCache
     footprintBytes() const
     {
         return blocks_.size() * sizeof(BlockAddr) +
-               (valid_.size() + dirty_.size() + mru_packed_.size() +
-                fifo_packed_.size() + plru_.size()) *
-                   sizeof(std::uint64_t) +
-               mru_wide_.size() + fifo_wide_.size();
+               (valid_.size() + dirty_.size() + mru_.size() +
+                fifo_.size() + plru_.size()) *
+                   sizeof(std::uint64_t);
     }
 
   private:
@@ -271,6 +283,13 @@ class WriteBackCache
     {
         return static_cast<std::size_t>(set) * assoc_ +
                static_cast<std::size_t>(way);
+    }
+
+    /** First word of @p set's order in mru_ and fifo_. */
+    std::size_t
+    orderIndex(std::uint32_t set) const
+    {
+        return static_cast<std::size_t>(set) * words_;
     }
 
     bool
@@ -289,22 +308,23 @@ class WriteBackCache
     void resetOrder(std::uint32_t set);
 
     /** Move @p way to the front (MRU / youngest) of one order. */
-    void orderPromote(std::vector<std::uint64_t> &packed,
-                      std::vector<std::uint8_t> &wide,
+    void orderPromote(std::vector<std::uint64_t> &order,
                       std::uint32_t set, unsigned way);
     /** Move @p way to the back (LRU / oldest) of one order. */
-    void orderDemote(std::vector<std::uint64_t> &packed,
-                     std::vector<std::uint8_t> &wide,
+    void orderDemote(std::vector<std::uint64_t> &order,
                      std::uint32_t set, unsigned way);
     /** Way at the back of one order. */
-    unsigned orderBack(const std::vector<std::uint64_t> &packed,
-                       const std::vector<std::uint8_t> &wide,
+    unsigned orderBack(const std::vector<std::uint64_t> &order,
                        std::uint32_t set) const;
-    /** Decode one order into @p out (assoc bytes): a shift loop
-     *  over the packed word, or a copy of the wide bytes. */
-    void orderDecode(const std::vector<std::uint64_t> &packed,
-                     const std::vector<std::uint8_t> &wide,
-                     std::uint32_t set, std::uint8_t *out) const;
+
+    /** Slot 0 of @p set in one order; slot i is byte i. */
+    const std::uint8_t *
+    slots(const std::vector<std::uint64_t> &order,
+          std::uint32_t set) const
+    {
+        return reinterpret_cast<const std::uint8_t *>(
+            &order[orderIndex(set)]);
+    }
 
     void plruTouch(std::uint32_t set, int way);
     int plruVictim(std::uint32_t set) const;
@@ -314,7 +334,7 @@ class WriteBackCache
     mutable Pcg32 rng_; ///< Random-policy victim draws
 
     unsigned assoc_; ///< cached geom_.assoc()
-    bool packed_;    ///< 4-bit packed orders (up to 16 ways)
+    unsigned words_; ///< order words per set: ceil(assoc_ / 8)
 
     /** Block-address plane, sets * assoc contiguous entries.
      *  Invalid frames keep their last block (or 0 when never
@@ -325,16 +345,17 @@ class WriteBackCache
     /** Dirty bitmasks, one word per set. */
     std::vector<std::uint64_t> dirty_;
 
-    /** Packed MRU order (up to 16 ways): 4-bit way slots, slot 0 =
-     *  most recently used. One word per set. */
-    std::vector<std::uint64_t> mru_packed_;
-    /** Packed fill-age order (front = youngest), Fifo policy. */
-    std::vector<std::uint64_t> fifo_packed_;
-    /** Orders for 17 to 64 ways: flat sets * assoc bytes. */
-    std::vector<std::uint8_t> mru_wide_;
-    std::vector<std::uint8_t> fifo_wide_;
+    /** MRU order, words_ words per set: slot i is bits
+     *  [8 (i mod 8), 8 (i mod 8) + 8) of the set's word i / 8, slot
+     *  0 the most recently used way. Slots at and above assoc_
+     *  hold 0xff, never a way. */
+    std::vector<std::uint64_t> mru_;
+    /** Fill-age order in the same layout (slot 0 = youngest fill);
+     *  drives the Fifo policy. */
+    std::vector<std::uint64_t> fifo_;
 
-    /** Tree-PLRU direction bits, one word per set (TreePlru). */
+    /** Tree-PLRU direction bits, one word per set; empty under
+     *  every other policy. */
     std::vector<std::uint64_t> plru_;
 };
 

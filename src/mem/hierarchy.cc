@@ -47,8 +47,6 @@ HierarchyStats::hintAccuracy() const
     return n == 0 ? 0.0 : static_cast<double>(hint_correct) / n;
 }
 
-ObserverFanout::ObserverFanout(unsigned assoc) : order_(assoc) {}
-
 void
 ObserverFanout::add(L2Observer *obs)
 {
@@ -69,13 +67,11 @@ ObserverFanout::deliver(const WriteBackCache &cache, L2ReqType type,
     view.cache = &cache;
     view.hit_way = hit_way;
     view.hint_way = hint_way;
-    // The set as every observer reads it: the cache's block plane
-    // and validity word in place, and the packed recency order
-    // decoded once into the flat plane core::LookupInput expects.
+    // The set as every observer reads it: the cache's block plane,
+    // validity word and recency order, in place.
     view.blocks = cache.setBlocks(view.set);
     view.valid = cache.validMask(view.set);
-    cache.mruOrderInto(view.set, order_.data());
-    view.mru_order = order_.data();
+    view.mru_order = cache.setOrder(view.set);
     for (L2Observer *obs : observers_)
         obs->observe(view);
 }
@@ -116,7 +112,6 @@ LevelOne::access(const trace::MemRef &ref, std::uint32_t pos,
 TwoLevelHierarchy::TwoLevelHierarchy(const HierarchyConfig &cfg)
     : cfg_(cfg), l1_(cfg.l1, cfg.write_policy),
       l2_(cfg.l2, cfg.l2_replacement),
-      fanout_(cfg.l2.assoc()),
       way_hint_(static_cast<std::size_t>(cfg.l1.sets()) *
                     cfg.l1.assoc(),
                 -1)

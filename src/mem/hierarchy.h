@@ -25,8 +25,8 @@
  * level-two access before it commits. One ObserverFanout per
  * observed level (this level two, and a ThirdLevelCache's level
  * three) builds each access's view and delivers it: the set's block
- * plane and validity word as the cache keeps them, and its recency
- * order decoded once into the fan-out's scratch.
+ * plane, validity word and recency order, all as the cache keeps
+ * them, with nothing decoded or copied.
  */
 
 #ifndef ASSOC_MEM_HIERARCHY_H
@@ -57,13 +57,13 @@ enum class L2ReqType : std::uint8_t {
  *
  * The per-way planes are the accessed set as the level's
  * ObserverFanout shows it to every observer: @c blocks points into
- * the cache's own block plane and @c mru_order into the fan-out's
- * scratch, and both are only valid for the duration of observe().
+ * the cache's own block plane and @c mru_order into its MRU order
+ * plane, and both are only valid for the duration of observe().
  * With the set's validity word they carry everything
  * core::LookupInput needs (core::sliceInput cuts each way's t-bit
  * tag from its block), so probe meters feed strategies without
- * touching the cache's packed state; @c cache remains available for
- * anything else (auditors, tests).
+ * calling into the cache; @c cache remains available for anything
+ * else (auditors, tests).
  */
 struct L2AccessView
 {
@@ -80,7 +80,8 @@ struct L2AccessView
     const BlockAddr *blocks = nullptr;
     /** Validity word of the set: bit w set iff way w is valid. */
     std::uint64_t valid = 0;
-    /** Way indices from most- to least-recently used. */
+    /** Way indices from most- to least-recently used
+     *  (WriteBackCache::setOrder). */
     const std::uint8_t *mru_order = nullptr;
 };
 
@@ -100,23 +101,19 @@ class L2Observer
 /**
  * The observers of one cache level and the one place their view is
  * built: each observed access points the view at the set's block
- * plane and validity word, decodes its recency order once into a
- * scratch plane sized to the level's associativity, and every
+ * plane, validity word and recency order in place, and every
  * observer sees the same L2AccessView. TwoLevelHierarchy owns one
  * for the level two, ThirdLevelCache one for the level three.
  */
 class ObserverFanout
 {
   public:
-    explicit ObserverFanout(unsigned assoc);
-
     /** Attach an observer (not owned). */
     void add(L2Observer *obs);
 
     /**
      * Show every observer the access of @p block in @p cache before
-     * it commits. Without an observer no view is built and no order
-     * is decoded.
+     * it commits. Without an observer no view is built.
      */
     void
     notify(const WriteBackCache &cache, L2ReqType type, BlockAddr block,
@@ -129,15 +126,11 @@ class ObserverFanout
     /** Forward a flush (cold-start boundary) to every observer. */
     void onFlush();
 
-    /** Bytes held by the recency-order scratch plane. */
-    std::uint64_t footprintBytes() const { return order_.size(); }
-
   private:
     void deliver(const WriteBackCache &cache, L2ReqType type,
                  BlockAddr block, int hit_way, int hint_way);
 
     std::vector<L2Observer *> observers_;
-    std::vector<std::uint8_t> order_;
 };
 
 /**
@@ -495,14 +488,12 @@ class TwoLevelHierarchy
     const HierarchyConfig &config() const { return cfg_; }
 
     /** Bytes held by both levels' line planes plus the way-hint
-     *  plane and the observers' order scratch (what a MemBudget is
-     *  charged). */
+     *  plane (what a MemBudget is charged). */
     std::uint64_t
     footprintBytes() const
     {
         return l1().footprintBytes() + l2_.footprintBytes() +
-               way_hint_.size() * sizeof(std::int16_t) +
-               fanout_.footprintBytes();
+               way_hint_.size() * sizeof(std::int16_t);
     }
 
   private:

@@ -25,7 +25,7 @@ ThirdLevelStats::writeBackFraction() const
 ThirdLevelCache::ThirdLevelCache(const CacheGeometry &l3,
                                  const CacheGeometry &l2,
                                  ReplPolicy policy)
-    : l2_geom_(l2), l3_(l3, policy), fanout_(l3.assoc())
+    : l2_geom_(l2), l3_(l3, policy)
 {
     fatalIf(l2.blockBytes() > l3.blockBytes(),
             "level-two block size exceeds level-three block size");

@@ -1,10 +1,11 @@
 /**
  * @file
- * Randomized equivalence tests for the packed recency orders: the
- * 4-bit-slot uint64 representation (and the byte arrays of wider sets)
- * must evolve exactly like a straightforward reference vector under
- * every operation the cache performs — promote on touch/fill,
- * demote on invalidate, rotation reset on flush.
+ * Randomized equivalence tests for the recency orders: the byte-slot
+ * words (eight way slots to a std::uint64_t, ceil(a / 8) words per
+ * set and order) must evolve exactly like a straightforward
+ * reference vector under every operation the cache performs —
+ * promote on touch/fill, demote on invalidate, rotation reset on
+ * flush — and setOrder() must be that plane itself.
  */
 
 #include <algorithm>
@@ -134,18 +135,19 @@ TEST_P(RecencyEquivalence, MatchesReferenceVectors)
     runEquivalence(GetParam(), 0xc0ffee + GetParam());
 }
 
-// 2..16 exercises the packed 4-bit representation (including the
-// full 16-slot word); 32 and 64 exercise the byte arrays, 64 with
-// every bit of the set's mask word in use.
+// 1, 2 and 4 leave padding above the last slot of a set's one
+// word; 8 fills the word exactly; 16, 32 and 64 carry slots across
+// 2, 4 and 8 words, 64 with every bit of the set's mask word in use.
 // (CacheGeometry only admits power-of-two associativities.)
 INSTANTIATE_TEST_SUITE_P(Assoc, RecencyEquivalence,
-                         ::testing::Values(2u, 4u, 8u, 16u, 32u, 64u));
+                         ::testing::Values(1u, 2u, 4u, 8u, 16u, 32u,
+                                           64u));
 
-TEST(RecencyPacked, ColdStartRotationVariesBySet)
+TEST(Recency, ColdStartRotationVariesBySet)
 {
     // The initial orders are a per-set rotation (not identical
-    // lists), so cold misses spread across ways — decoded state
-    // must reproduce exactly that rotation.
+    // lists), so cold misses spread across ways — the stored
+    // orders must reproduce exactly that rotation.
     WriteBackCache cache(CacheGeometry(4096, 16, 4));
     const unsigned a = 4;
     for (std::uint32_t set : {0u, 1u, 5u, cache.geom().sets() - 1}) {
@@ -157,11 +159,11 @@ TEST(RecencyPacked, ColdStartRotationVariesBySet)
     }
 }
 
-TEST(RecencyPacked, SnapshotMatchesPerLineReads)
+TEST(Recency, SnapshotMatchesPerLineReads)
 {
-    // What the observer fan-out reads per access: the block plane in
-    // place, the validity word, and the recency order decoded into
-    // scratch. 16 ways decode the packed word, 32 copy the bytes.
+    // What the observer fan-out reads per access: the block plane,
+    // the validity word and the recency order, all in place. 16
+    // ways span two order words, 32 four.
     for (unsigned a : {16u, 32u}) {
         WriteBackCache cache(CacheGeometry(4096, 16, a));
         const std::uint32_t sets = cache.geom().sets();
@@ -180,23 +182,61 @@ TEST(RecencyPacked, SnapshotMatchesPerLineReads)
             RefOrders::promote(ref[set].mru,
                                static_cast<std::uint8_t>(way));
         }
-        // Guard bytes past the a-byte order catch an overlong write.
-        std::vector<std::uint8_t> order(a + 4, 0xee);
         for (std::uint32_t set = 0; set < sets; ++set) {
             const BlockAddr *blocks = cache.setBlocks(set);
             const std::uint64_t valid = cache.validMask(set);
-            cache.mruOrderInto(set, order.data());
+            const std::uint8_t *order = cache.setOrder(set);
             EXPECT_EQ(0u, valid >> a);
             for (unsigned w = 0; w < a; ++w) {
                 Line l = cache.line(set, static_cast<int>(w));
                 EXPECT_EQ((valid >> w) & 1, l.valid ? 1u : 0u);
                 EXPECT_EQ(blocks[w], l.block);
             }
-            EXPECT_TRUE(std::equal(ref[set].mru.begin(),
-                                   ref[set].mru.end(), order.begin()))
+            EXPECT_TRUE(
+                std::equal(ref[set].mru.begin(), ref[set].mru.end(), order))
                 << "a=" << a << " set " << set;
-            for (unsigned i = a; i < a + 4; ++i)
-                EXPECT_EQ(order[i], 0xee) << "a=" << a;
+        }
+    }
+}
+
+TEST(Recency, SetOrderIsTheCachesOwnPlane)
+{
+    // setOrder() points into the cache's MRU order: the pointer does
+    // not move when its set changes, its a bytes are mruOrder() after
+    // every operation, and no padding slot (a < 8) reaches a copy.
+    for (unsigned a : {1u, 2u, 4u, 8u, 16u, 64u}) {
+        WriteBackCache cache(CacheGeometry(64 * a, 16, a));
+        const std::uint32_t sets = cache.geom().sets();
+        Pcg32 rng(29 + a);
+        for (int step = 0; step < 3000; ++step) {
+            const BlockAddr b = rng.below(2 * sets * a);
+            const std::uint32_t set = cache.geom().setOf(b);
+            const std::uint8_t *before = cache.setOrder(set);
+            const double roll = rng.uniform();
+            const int way = cache.findWay(b);
+            if (roll < 0.6) {
+                if (way >= 0)
+                    cache.touch(set, way);
+                else
+                    cache.fill(b, false);
+            } else if (roll < 0.95) {
+                cache.invalidate(b);
+            } else {
+                cache.flush();
+            }
+            ASSERT_EQ(cache.setOrder(set), before)
+                << "a=" << a << " step " << step;
+            const std::vector<std::uint8_t> mru = cache.mruOrder(set);
+            ASSERT_TRUE(std::equal(mru.begin(), mru.end(), before))
+                << "a=" << a << " step " << step;
+            for (const std::vector<std::uint8_t> &order :
+                 {mru, cache.fifoOrder(set)}) {
+                std::vector<std::uint8_t> sorted = order;
+                std::sort(sorted.begin(), sorted.end());
+                for (unsigned i = 0; i < a; ++i)
+                    ASSERT_EQ(sorted[i], i)
+                        << "a=" << a << " step " << step;
+            }
         }
     }
 }
