@@ -376,7 +376,7 @@ replayRefs()
         cfg.segments = 1;
         cfg.refs_per_segment = 100000;
         trace::AtumLikeGenerator gen(cfg);
-        return std::make_shared<const std::vector<trace::MemRef>>(
+        return std::make_shared<const trace::RefArray>(
             trace::materialize(gen, gen.totalRefs()));
     }();
     return refs;
@@ -385,7 +385,7 @@ replayRefs()
 void
 BM_HierarchySimulation(benchmark::State &state)
 {
-    const std::vector<trace::MemRef> &refs = *replayRefs();
+    const trace::RefArray &refs = *replayRefs();
     mem::HierarchyConfig hcfg{mem::CacheGeometry(16384, 16, 1),
                               mem::CacheGeometry(262144, 32, 4),
                               true};
@@ -404,7 +404,7 @@ BENCHMARK(BM_HierarchySimulation);
 void
 BM_HierarchyWithMeters(benchmark::State &state)
 {
-    const std::vector<trace::MemRef> &refs = *replayRefs();
+    const trace::RefArray &refs = *replayRefs();
     mem::HierarchyConfig hcfg{mem::CacheGeometry(16384, 16, 1),
                               mem::CacheGeometry(262144, 32, 4),
                               true};

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <new>
@@ -13,6 +14,7 @@
 
 #include "exec/fault.h"
 #include "exec/journal.h"
+#include "trace/ftr_reader.h"
 #include "util/fnv.h"
 #include "util/logging.h"
 
@@ -114,7 +116,8 @@ runJobs(std::vector<std::function<void()>> jobs, unsigned threads,
 }
 
 trace::VectorTraceSource::Buffer
-synthesizeAtumTrace(const trace::AtumLikeConfig &cfg, unsigned threads)
+synthesizeAtumTrace(const trace::AtumLikeConfig &cfg, unsigned threads,
+                    std::vector<std::size_t> *part_starts)
 {
     const std::uint64_t total = trace::AtumLikeGenerator(cfg).totalRefs();
     // Below this bound the total neither wraps nor passes max_size(),
@@ -122,22 +125,207 @@ synthesizeAtumTrace(const trace::AtumLikeConfig &cfg, unsigned threads)
     if (cfg.refs_per_segment >=
         std::vector<trace::MemRef>().max_size() / cfg.segments)
         throw std::bad_alloc();
-    auto refs = std::make_shared<std::vector<trace::MemRef>>(
-        static_cast<std::size_t>(total));
+    auto refs =
+        std::make_shared<trace::RefArray>(static_cast<std::size_t>(total));
     // Segment k starts after k segments and their flush markers.
-    const std::size_t stride = static_cast<std::size_t>(
-        cfg.refs_per_segment + (cfg.flush_between_segments ? 1 : 0));
+    const bool flush = cfg.flush_between_segments;
+    const std::size_t stride =
+        static_cast<std::size_t>(cfg.refs_per_segment + (flush ? 1 : 0));
+    if (part_starts)
+        part_starts->assign(flush ? cfg.segments : 1, 0);
     std::vector<std::function<void()>> jobs;
     jobs.reserve(cfg.segments);
     for (unsigned k = 0; k < cfg.segments; ++k)
-        jobs.push_back([&cfg, &refs, stride, k] {
+        jobs.push_back([&cfg, &refs, part_starts, flush, stride, k] {
             trace::MemRef *out = refs->data() + k * stride;
             trace::AtumLikeGenerator(cfg).emitSegment(k, out);
-            if (cfg.flush_between_segments && k + 1 < cfg.segments)
+            if (flush && k + 1 < cfg.segments) {
                 out[cfg.refs_per_segment] = trace::MemRef::flush();
+                if (part_starts)
+                    (*part_starts)[k + 1] = (k + 1) * stride;
+            }
         });
     runJobs(std::move(jobs), threads);
     return refs;
+}
+
+namespace {
+
+/** A trace held in memory for a whole sweep. */
+struct SharedTrace
+{
+    /** The records (null = each job streams). */
+    trace::VectorTraceSource::Buffer refs;
+    /** Where the level-one filter cuts the trace: 0, then positions
+     *  just after flush markers, where a level one is cold again. */
+    std::vector<std::size_t> part_starts;
+    /** The buffer's charge on the sweep-global budget. */
+    MemCharge charge;
+    /** The workers that filled the buffer. */
+    unsigned workers = 0;
+};
+
+/** Runs of frames per decode worker: runs end unevenly, so a few
+ *  per worker keep every worker busy to the end. */
+constexpr std::size_t kRunsPerWorker = 4;
+
+/** Fewest references in a decoded file's part. Each part is a filter
+ *  job that starts a cold level one and may leave one request chunk
+ *  partly used, so a file with a flush marker every few references is
+ *  cut only at the markers that close this many; a level one is cold
+ *  after any marker, so fewer cuts change no request. */
+constexpr std::size_t kMinPartRefs = std::size_t{1} << 16;
+
+/** Where the file and the stream must be after indexed frame @p i:
+ *  the next frame's place, or the footer and the record total. */
+trace::ftr::IndexEntry
+frameEnd(const std::vector<trace::ftr::IndexEntry> &index, std::size_t i,
+         std::uint64_t data_end, std::uint64_t total)
+{
+    return i + 1 < index.size() ? index[i + 1]
+                                : trace::ftr::IndexEntry{data_end, total};
+}
+
+/**
+ * Whether the frames of @p index can tile the frame data and the
+ * stream: the first at record 0 right after the file header, and
+ * each one's place, up to the footer at @p data_end and the record
+ * @p total, far enough on to hold its header, its payload CRC and a
+ * payload byte per record. Every slice then lies inside a buffer of
+ * @p total records, and that buffer is smaller than the file. Each
+ * frame's own header is held to its place as it is decoded.
+ */
+bool
+indexTiles(const std::vector<trace::ftr::IndexEntry> &index,
+           std::uint64_t data_end, std::uint64_t total)
+{
+    namespace ftr = trace::ftr;
+    if (index.empty() || index[0].offset != ftr::kHeaderBytes ||
+        index[0].start_index != 0)
+        return false;
+    for (std::size_t i = 0; i < index.size(); ++i) {
+        const ftr::IndexEntry end = frameEnd(index, i, data_end, total);
+        if (end.start_index < index[i].start_index ||
+            end.offset < index[i].offset ||
+            end.offset - index[i].offset <
+                ftr::kFrameHeaderBytes + ftr::kFrameCrcBytes +
+                    (end.start_index - index[i].start_index))
+            return false;
+    }
+    return true;
+}
+
+/**
+ * Decode the .ftr file @p path once into a shared buffer when it is
+ * clean and fully indexed (see runSweepChecked() over a path),
+ * charged to @p budget (the sweep-global one; null = no accounting)
+ * before anything is allocated. Each run of frames is one runJobs()
+ * job on @p threads workers, with a reader of its own whose payload
+ * scratch is charged to @p budget too, and it stops when @p cancel
+ * trips between frames. An empty SharedTrace means "stream instead".
+ * Throws std::bad_alloc when the buffer cannot be allocated.
+ */
+SharedTrace
+decodeShared(const std::string &path, MemBudget *budget,
+             const CancelToken *cancel, unsigned threads)
+{
+    namespace ftr = trace::ftr;
+    Expected<trace::TraceFormat> format = trace::detectTraceFormat(path);
+    if (!format.ok() || format.value() != trace::TraceFormat::Ftr)
+        return {};
+    // Opened fail-fast: a footer that would need rebuilding refuses
+    // at once, and silently; each streaming job warns for itself.
+    const trace::FtrTraceSource file(path);
+    const std::vector<ftr::IndexEntry> &index = file.frameIndex();
+    const std::uint64_t total = file.totalRecords();
+    if (file.failed() || file.indexRebuilt() || total == 0 ||
+        !indexTiles(index, file.dataEnd(), total))
+        return {};
+    Expected<MemCharge> charge = MemCharge::charge(
+        budget, total * sizeof(trace::MemRef), "shared trace");
+    if (!charge.ok())
+        return {};
+    auto refs =
+        std::make_shared<trace::RefArray>(static_cast<std::size_t>(total));
+
+    const std::size_t frames = index.size();
+    const std::size_t most_runs =
+        kRunsPerWorker * workerCount(threads, frames);
+    const std::size_t per_run = (frames + most_runs - 1) / most_runs;
+    const std::size_t runs = (frames + per_run - 1) / per_run;
+    // Per run: the position after each flush marker in its slice.
+    std::vector<std::vector<std::size_t>> after_flush(runs);
+    std::atomic<bool> failed{false};
+    std::vector<std::function<void()>> jobs;
+    jobs.reserve(runs);
+    for (std::size_t r = 0; r < runs; ++r)
+        jobs.push_back([&, r] {
+            trace::FtrFrameReader reader(
+                std::make_unique<std::ifstream>(path, std::ios::binary),
+                path);
+            reader.setMemBudget(budget);
+            const std::size_t last = std::min(frames, (r + 1) * per_run);
+            for (std::size_t i = r * per_run; i < last; ++i) {
+                if (failed || !reader.opened() ||
+                    (cancel && cancel->cancelled())) {
+                    failed = true;
+                    return;
+                }
+                const ftr::IndexEntry end =
+                    frameEnd(index, i, file.dataEnd(), total);
+                ftr::FrameHeader fh;
+                Error hard;
+                const auto into = [&](const ftr::FrameHeader &h,
+                                      Error &refused) -> trace::MemRef * {
+                    // The frame must fill exactly its place.
+                    if (h.start_index != index[i].start_index ||
+                        h.start_index + h.record_count != end.start_index ||
+                        index[i].offset + ftr::kFrameHeaderBytes +
+                                h.payload_len + ftr::kFrameCrcBytes !=
+                            end.offset) {
+                        refused = Error::data("frame out of its place");
+                        return nullptr;
+                    }
+                    return refs->data() + h.start_index;
+                };
+                if (reader.readFrame(index[i].offset, end.offset, fh, into,
+                                     hard) !=
+                    trace::FtrFrameReader::Check::Good) {
+                    failed = true;
+                    return;
+                }
+                for (std::size_t p = index[i].start_index;
+                     p < end.start_index; ++p)
+                    if ((*refs)[p].isFlush())
+                        after_flush[r].push_back(p + 1);
+            }
+        });
+    runJobs(std::move(jobs), threads);
+    if (failed)
+        return {};
+
+    SharedTrace shared;
+    shared.part_starts.push_back(0);
+    for (const std::vector<std::size_t> &starts : after_flush)
+        for (std::size_t start : starts)
+            if (start - shared.part_starts.back() >= kMinPartRefs)
+                shared.part_starts.push_back(start);
+    shared.refs = std::move(refs);
+    shared.charge = charge.take();
+    shared.workers = workerCount(threads, runs);
+    return shared;
+}
+
+} // namespace
+
+trace::VectorTraceSource::Buffer
+decodeFtrTrace(const std::string &path, unsigned threads,
+               std::vector<std::size_t> *part_starts)
+{
+    SharedTrace shared = decodeShared(path, nullptr, nullptr, threads);
+    if (part_starts)
+        *part_starts = std::move(shared.part_starts);
+    return shared.refs;
 }
 
 namespace {
@@ -301,53 +489,38 @@ runOneJob(const std::vector<sim::RunSpec> &specs,
     return res;
 }
 
-/** A synthesized trace held in memory for a whole sweep. */
-struct SharedTrace
-{
-    /** The records (null = each job streams). */
-    trace::VectorTraceSource::Buffer refs;
-    /** Cursors over the buffer (empty = each job streams). */
-    TraceFactory factory;
-    std::uint64_t bytes = 0;
-    /** The buffer's charge on the sweep-global budget. */
-    MemCharge charge;
-};
-
 /**
  * Synthesize @p cfg's stream once into an immutable buffer, charged
  * to @p budget (the sweep-global one; null = no accounting) before
  * anything is allocated, and filled by synthesizeAtumTrace() on
- * @p threads workers. An empty factory means "stream instead": the
- * generator rejects the config (each job then fails with the same
- * error, exactly as when streaming), or the budget or the allocator
- * refuses the buffer (a trace that is not addressable included).
+ * @p threads workers; its parts are its segments. An empty
+ * SharedTrace means "stream instead": the generator rejects the
+ * config (each job then fails with the same error, exactly as when
+ * streaming), or the budget or the allocator refuses the buffer (a
+ * trace that is not addressable included).
  */
 SharedTrace
 shareAtumTrace(const trace::AtumLikeConfig &cfg, MemBudget *budget,
                unsigned threads)
 {
-    SharedTrace shared;
     try {
         const std::uint64_t bytes = trace::AtumLikeGenerator(cfg).totalRefs() *
                                     sizeof(trace::MemRef);
         Expected<MemCharge> charge =
             MemCharge::charge(budget, bytes, "shared trace");
         if (!charge.ok())
-            return shared;
-        trace::VectorTraceSource::Buffer refs =
-            synthesizeAtumTrace(cfg, threads);
-        shared.factory = [refs](std::size_t) {
-            return std::make_unique<trace::VectorTraceSource>(refs);
-        };
-        shared.refs = std::move(refs);
-        shared.bytes = bytes;
+            return {};
+        SharedTrace shared;
+        shared.refs = synthesizeAtumTrace(cfg, threads, &shared.part_starts);
         shared.charge = charge.take();
+        shared.workers = workerCount(threads, cfg.segments);
+        return shared;
     } catch (const FatalError &) {
         // The generator's config check (an ErrorException) or one of
         // its process models' checks failed.
     } catch (const std::bad_alloc &) {
     }
-    return shared;
+    return {};
 }
 
 /** Records per stream chunk: the most a segment's stream holds
@@ -370,8 +543,8 @@ struct StreamPart
  * budget refuses a chunk, or @p stop is set at a chunk boundary.
  */
 bool
-filterPart(const mem::CacheGeometry &l1,
-           const std::vector<trace::MemRef> &refs, std::size_t begin,
+filterPart(const mem::CacheGeometry &l1, const trace::RefArray &refs,
+           std::size_t begin,
            std::size_t end, MemBudget *budget,
            const std::atomic<bool> &stop, StreamPart &part)
 {
@@ -441,10 +614,10 @@ struct LevelOneStreams
  * Filter each level one that at least two of the jobs left to run
  * share (sim::levelOneDecoupled() specs, grouped by level-one
  * geometry) once over the shared trace @p refs, into an immutable
- * request stream. When @p cfg writes a flush marker after each
- * segment, each segment starts from a cold level one, as the fill
- * does, and is its own runJobs() job on @p threads workers;
- * otherwise each level one is one job. Every chunk is charged to
+ * request stream. @p part_starts cuts the trace into parts, each
+ * starting from a cold level one (0, then positions just after flush
+ * markers); each level one and part is its own runJobs() job on
+ * @p threads workers. A part may be empty. Every chunk is charged to
  * @p budget (the sweep-global one) before it is allocated. A
  * refused charge or a std::bad_alloc drops that level one's stream,
  * and its jobs replay the shared trace in lockstep.
@@ -452,9 +625,9 @@ struct LevelOneStreams
 LevelOneStreams
 filterLevelOnes(const std::vector<sim::RunSpec> &specs,
                 const std::vector<bool> &have,
-                const trace::AtumLikeConfig &cfg,
-                const std::vector<trace::MemRef> &refs,
-                MemBudget *budget, unsigned threads)
+                const std::vector<std::size_t> &part_starts,
+                const trace::RefArray &refs, MemBudget *budget,
+                unsigned threads)
 {
     LevelOneStreams out;
     out.of.assign(specs.size(), nullptr);
@@ -484,12 +657,7 @@ filterLevelOnes(const std::vector<sim::RunSpec> &specs,
     if (groups.empty())
         return out;
 
-    // Segment k, and the flush marker after it, start at k * stride.
-    const bool split = cfg.flush_between_segments;
-    const std::size_t parts = split ? cfg.segments : 1;
-    const std::size_t stride = split ? static_cast<std::size_t>(
-                                           cfg.refs_per_segment + 1)
-                                     : refs.size();
+    const std::size_t parts = part_starts.size();
     std::vector<StreamPart> part(groups.size() * parts);
     std::unique_ptr<std::atomic<bool>[]> refused(
         new std::atomic<bool>[groups.size()]());
@@ -499,12 +667,12 @@ filterLevelOnes(const std::vector<sim::RunSpec> &specs,
         for (std::size_t k = 0; k < parts; ++k)
             jobs.push_back([&, g, k] {
                 const std::size_t end =
-                    std::min(refs.size(), (k + 1) * stride);
+                    k + 1 < parts ? part_starts[k + 1] : refs.size();
                 StreamPart &p = part[g * parts + k];
                 bool ok = false;
                 try {
-                    ok = filterPart(groups[g].l1, refs, k * stride, end,
-                                    budget, refused[g], p);
+                    ok = filterPart(groups[g].l1, refs, part_starts[k],
+                                    end, budget, refused[g], p);
                 } catch (...) {
                     // std::bad_alloc, or a level one the cache
                     // rejects: each of its jobs then fails alone.
@@ -540,14 +708,21 @@ filterLevelOnes(const std::vector<sim::RunSpec> &specs,
 }
 
 /**
- * The checked sweep. With @p shareable (the config @p make_trace
+ * The input a sweep's jobs may share: builds its SharedTrace on the
+ * sweep-global budget, the sweep's token and its workers.
+ */
+using ShareTrace = std::function<SharedTrace(
+    MemBudget *budget, const CancelToken *cancel, unsigned threads)>;
+
+/**
+ * The checked sweep. With @p share (the input @p make_trace
  * streams), a sweep with at least two jobs left to run replays one
- * shared synthesis instead; see runSweepChecked() in sweep.h.
+ * shared buffer instead, when @p share builds one; see the
+ * runSweepChecked() overloads in sweep.h.
  */
 SweepResult
 runChecked(const std::vector<sim::RunSpec> &specs,
-           const TraceFactory &make_trace,
-           const trace::AtumLikeConfig *shareable,
+           const TraceFactory &make_trace, const ShareTrace &share,
            const SweepOptions &opts)
 {
     SweepResult result;
@@ -597,34 +772,37 @@ runChecked(const std::vector<sim::RunSpec> &specs,
         }
     }
 
-    // Generate once, replay many. The buffer is held until the sweep
-    // returns and charged to the sweep-global budget only: no job
-    // budget pays for it. Declared after global_budget, so released
-    // before it.
+    // Generate (or read) once, replay many. The buffer is held until
+    // the sweep returns and charged to the sweep-global budget only:
+    // no job budget pays for it. Declared after global_budget, so
+    // released before it.
     SharedTrace shared;
     const std::size_t remaining = static_cast<std::size_t>(
         std::count(have.begin(), have.end(), false));
-    if (shareable && remaining >= 2 &&
+    if (share && remaining >= 2 &&
         !(guards.cancel && guards.cancel->cancelled())) {
         const auto t0 = std::chrono::steady_clock::now();
-        shared = shareAtumTrace(*shareable, guards.budget, opts.jobs);
+        shared = share(guards.budget, guards.cancel, opts.jobs);
         const auto ms =
             std::chrono::duration_cast<std::chrono::milliseconds>(
                 std::chrono::steady_clock::now() - t0)
                 .count();
-        if (shared.factory && opts.progress)
+        if (shared.refs)
+            result.shared_trace_bytes =
+                shared.refs->size() * sizeof(trace::MemRef);
+        if (shared.refs && opts.progress)
             opts.progress->note(
-                "shared trace: " +
-                std::to_string(shared.bytes / sizeof(trace::MemRef)) +
-                " records, " + std::to_string(shared.bytes) +
-                " bytes, " +
-                std::to_string(
-                    workerCount(opts.jobs, shareable->segments)) +
+                "shared trace: " + std::to_string(shared.refs->size()) +
+                " records, " + std::to_string(result.shared_trace_bytes) +
+                " bytes, " + std::to_string(shared.workers) +
                 " fill workers, " + std::to_string(ms) + " ms");
     }
-    const TraceFactory &jobs_trace =
-        shared.factory ? shared.factory : make_trace;
-    result.shared_trace_bytes = shared.bytes;
+    TraceFactory cursors;
+    if (shared.refs)
+        cursors = [refs = shared.refs](std::size_t) {
+            return std::make_unique<trace::VectorTraceSource>(refs);
+        };
+    const TraceFactory &jobs_trace = shared.refs ? cursors : make_trace;
 
     // Simulate each shared level one once: its jobs replay only its
     // level-two requests. Held, and charged, until the sweep returns.
@@ -646,8 +824,8 @@ runChecked(const std::vector<sim::RunSpec> &specs,
     if (shared.refs && room &&
         !(guards.cancel && guards.cancel->cancelled())) {
         const auto t0 = std::chrono::steady_clock::now();
-        streams = filterLevelOnes(specs, have, *shareable, *shared.refs,
-                                  guards.budget, opts.jobs);
+        streams = filterLevelOnes(specs, have, shared.part_starts,
+                                  *shared.refs, guards.budget, opts.jobs);
         reserve.release();
         const auto ms =
             std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -762,7 +940,7 @@ SweepResult
 runSweepChecked(const std::vector<sim::RunSpec> &specs,
                 const TraceFactory &make_trace, const SweepOptions &opts)
 {
-    return runChecked(specs, make_trace, nullptr, opts);
+    return runChecked(specs, make_trace, {}, opts);
 }
 
 SweepResult
@@ -770,8 +948,31 @@ runSweepChecked(const std::vector<sim::RunSpec> &specs,
                 const trace::AtumLikeConfig &trace_cfg,
                 const SweepOptions &opts)
 {
-    return runChecked(specs, atumTraceFactory(trace_cfg), &trace_cfg,
-                      opts);
+    return runChecked(
+        specs, atumTraceFactory(trace_cfg),
+        [&trace_cfg](MemBudget *budget, const CancelToken *,
+                     unsigned threads) {
+            return shareAtumTrace(trace_cfg, budget, threads);
+        },
+        opts);
+}
+
+SweepResult
+runSweepChecked(const std::vector<sim::RunSpec> &specs,
+                const std::string &path, ErrorPolicy policy,
+                const SweepOptions &opts)
+{
+    return runChecked(
+        specs, fileTraceFactory(path, policy),
+        [&path](MemBudget *budget, const CancelToken *cancel,
+                unsigned threads) {
+            try {
+                return decodeShared(path, budget, cancel, threads);
+            } catch (const std::bad_alloc &) {
+                return SharedTrace();
+            }
+        },
+        opts);
 }
 
 } // namespace exec

@@ -15,10 +15,13 @@
  * and every job replays that one immutable buffer through its own
  * cursor (generate once, replay many). The segments of the trace
  * share no state, so the buffer is filled one segment per job on
- * the sweep's own workers. Every job replays the same stream either
- * way, so the outputs are identical. Over that buffer, each level one
- * that two or more decoupled jobs share is then simulated once, and
- * those jobs replay only its level-two requests.
+ * the sweep's own workers. Given a trace file's path, it decodes a
+ * clean .ftr file once into such a buffer, one run of frames per job
+ * on the same workers, and streams anything else. Every job replays
+ * the same stream either way, so the outputs are identical. Over
+ * that buffer, each level one that two or more decoupled jobs share
+ * is then simulated once, and those jobs replay only its level-two
+ * requests.
  *
  * runJobs() is the one job runner: each worker takes the next job
  * from one shared cursor. With one worker the same loop runs inline,
@@ -126,28 +129,52 @@ TraceFactory atumTraceFactory(const trace::AtumLikeConfig &cfg);
 
 /**
  * Synthesize @p cfg's whole stream into one buffer of
- * AtumLikeGenerator::totalRefs() records, allocated once. Each
- * segment's slice, plus the flush marker after it, is one runJobs()
- * job on @p threads workers (0 = all hardware threads, 1 = inline,
- * in order), written by its own generator through
+ * AtumLikeGenerator::totalRefs() records, allocated once and never
+ * zeroed. Each segment's slice, plus the flush marker after it, is
+ * one runJobs() job on @p threads workers (0 = all hardware threads,
+ * 1 = inline, in order), written first by its own generator through
  * AtumLikeGenerator::emitSegment(). The buffer equals
  * trace::materialize() of one serial generator record for record,
- * at any @p threads. Throws ErrorException for a config
- * validateConfig() rejects, and std::bad_alloc when the buffer (or a
- * job's generator) cannot be allocated.
+ * at any @p threads. @p part_starts, when given, receives where each
+ * part of the trace starts: 0, then the position after each flush
+ * marker between segments, as the fill jobs write them. Throws
+ * ErrorException for a config validateConfig() rejects, and
+ * std::bad_alloc when the buffer (or a job's generator) cannot be
+ * allocated.
  */
 trace::VectorTraceSource::Buffer
-synthesizeAtumTrace(const trace::AtumLikeConfig &cfg, unsigned threads);
+synthesizeAtumTrace(const trace::AtumLikeConfig &cfg, unsigned threads,
+                    std::vector<std::size_t> *part_starts = nullptr);
 
 /**
  * A TraceFactory that opens @p path once per job, with the format
  * (din / ftr) detected from extension or magic. @p policy
  * governs damaged-record handling; under ErrorMode::Skip every job
  * sees the identical post-skip stream, so sweep results stay
- * deterministic even over a damaged trace.
+ * deterministic even over a damaged trace. The streaming fallback
+ * of the path overload of runSweepChecked().
  */
 TraceFactory fileTraceFactory(const std::string &path,
                               ErrorPolicy policy = ErrorPolicy());
+
+/**
+ * Decode the .ftr file @p path whole into one buffer of its header's
+ * record total, allocated once and never zeroed, when the file is
+ * clean and fully indexed (the rule runSweepChecked() over a path
+ * applies); null otherwise. Each run of indexed frames is one
+ * runJobs() job on @p threads workers, reading through a
+ * trace::FtrFrameReader of its own, so every frame passes the
+ * streaming reader's checks and decodes straight into its slice. The
+ * buffer then equals trace::materialize() of a trace::FtrTraceSource
+ * record for record, at any @p threads. @p part_starts, when given,
+ * receives where the level-one filter may cut the trace: 0, then the
+ * position after each flush marker (as the decode jobs find them)
+ * that closes a part of at least 64K references. Throws
+ * std::bad_alloc when the buffer cannot be allocated.
+ */
+trace::VectorTraceSource::Buffer
+decodeFtrTrace(const std::string &path, unsigned threads,
+               std::vector<std::size_t> *part_starts = nullptr);
 
 /**
  * Run independent @p jobs on @p threads workers (0 = all hardware
@@ -203,22 +230,62 @@ runSweepChecked(const std::vector<sim::RunSpec> &specs,
  *
  * Over the shared buffer, the jobs left to run whose level one is
  * sim::levelOneDecoupled() are grouped by level-one geometry. Each
- * group of two or more is filtered once, on the same workers (one
- * job per level one and segment when flush markers separate the
- * segments), into an immutable mem::L2RequestStream, and its jobs
- * replay it through sim::runTrace's filtered replay
+ * group of two or more is filtered once, on the same workers, into
+ * an immutable mem::L2RequestStream: one job per level one and part
+ * of the trace, cut where a level one is cold again, just after a
+ * flush marker (here, one part per segment). Its jobs replay the
+ * stream through sim::runTrace's filtered replay
  * (JobResult::filtered). Each stream chunk is charged to the
  * sweep-global budget before it is allocated and held until the
  * sweep returns; under a limit the room the largest concurrent job
  * hierarchies need stays reserved while the streams are filtered. A
  * refused chunk or a std::bad_alloc leaves that group's jobs in
  * lockstep over the shared trace, with identical outputs. A second
- * verbose stderr line gives the streams' level ones, jobs,
- * requests, bytes and wall milliseconds.
+ * verbose stderr line gives the streams' level ones, jobs, requests,
+ * bytes and wall milliseconds.
  */
 SweepResult
 runSweepChecked(const std::vector<sim::RunSpec> &specs,
                 const trace::AtumLikeConfig &trace_cfg,
+                const SweepOptions &opts = {});
+
+/**
+ * runSweepChecked() over the trace file @p path, read once for the
+ * whole sweep when that is safe. The file is decoded once into an
+ * immutable buffer (decodeFtrTrace()), which the jobs and the level
+ * ones share exactly as in the config overload, when all of these
+ * hold:
+ *
+ *  - at least two jobs are left after the journal restore, and the
+ *    sweep's token has not tripped;
+ *  - the file is .ftr (trace::detectTraceFormat()), its CRC-checked
+ *    header and footer read cleanly (no index rebuilt by a scan),
+ *    and its record total is not zero;
+ *  - the indexed frames tile the file and the stream exactly: the
+ *    first starts at record 0 right after the file header, each
+ *    starts where the previous one ended in the file and in the
+ *    stream, and the last ends at the footer and at the total;
+ *  - the sweep-global budget accepts total * sizeof(MemRef) bytes,
+ *    charged before anything is allocated and held until the sweep
+ *    returns;
+ *  - every frame passes the streaming reader's checks (header,
+ *    payload CRC, exact decode), the allocator provides the buffer,
+ *    and the token does not trip between frames.
+ *
+ * Over the buffer, the level ones are filtered as in the config
+ * overload, cut at the part starts decodeFtrTrace() reports.
+ *
+ * Otherwise every job streams its own reader, exactly as with
+ * fileTraceFactory(@p path, @p policy): a damaged or unindexed
+ * .ftr, a .din, or a budget below the buffer give the same outputs,
+ * skipped records and errors as that factory. Over a clean file
+ * both paths replay the identical stream, so the outputs are
+ * identical. A clean multi-gigabyte file swept without a budget is
+ * held whole in memory; pass opts.mem_budget to bound it.
+ */
+SweepResult
+runSweepChecked(const std::vector<sim::RunSpec> &specs,
+                const std::string &path, ErrorPolicy policy,
                 const SweepOptions &opts = {});
 
 } // namespace exec

@@ -113,11 +113,8 @@ encodeFramePayload(const MemRef *recs, std::size_t n,
 
 bool
 decodeFramePayload(const std::uint8_t *p, std::size_t len,
-                   std::uint32_t expect_records,
-                   std::vector<MemRef> &out)
+                   std::uint32_t expect_records, MemRef *out)
 {
-    out.clear();
-    out.reserve(expect_records);
     std::uint32_t prev_addr = 0;
     std::uint8_t prev_pid = 0;
     std::size_t pos = 0;
@@ -138,11 +135,8 @@ decodeFramePayload(const std::uint8_t *p, std::size_t len,
                 return false;
             prev_pid = p[pos++];
         }
-        MemRef r;
-        r.addr = prev_addr;
-        r.type = static_cast<RefType>(meta & 0x3);
-        r.pid = prev_pid;
-        out.push_back(r);
+        out[i] = MemRef{prev_addr, static_cast<RefType>(meta & 0x3),
+                        prev_pid};
     }
     return pos == len; // slack bytes mean a miscounted frame
 }

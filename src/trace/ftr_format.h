@@ -163,14 +163,14 @@ void encodeFramePayload(const MemRef *recs, std::size_t n,
                         std::vector<std::uint8_t> &out);
 
 /**
- * Decode a frame payload of exactly @p len bytes into @p out
- * (cleared first). False unless exactly @p expect_records decode and
- * the input is consumed exactly — any slack or overrun means the
- * frame is corrupt despite a matching CRC-sized read.
+ * Decode a frame payload of exactly @p len bytes into the
+ * @p expect_records records at @p out. False unless exactly
+ * @p expect_records decode and the input is consumed exactly — any
+ * slack or overrun means the frame is corrupt despite a matching
+ * CRC-sized read (what @p out then holds is unspecified).
  */
 bool decodeFramePayload(const std::uint8_t *p, std::size_t len,
-                        std::uint32_t expect_records,
-                        std::vector<MemRef> &out);
+                        std::uint32_t expect_records, MemRef *out);
 
 /** One frame's seek point. */
 struct IndexEntry

@@ -12,43 +12,25 @@ namespace trace {
 
 using ftr::getU32;
 
-FtrTraceSource::FtrTraceSource(const std::string &path,
-                               ErrorPolicy policy)
-    : name_(path), policy_(policy)
-{
-    auto f = std::make_unique<std::ifstream>(path, std::ios::binary);
-    if (!*f) {
-        header_error_ = Error::io("cannot open ftr trace '" + name_ +
-                                  "'");
-        error_ = header_error_;
-        done_ = true;
-        return;
-    }
-    in_ = std::move(f);
-    openAndValidate();
-}
+FtrFrameReader::FtrFrameReader(std::unique_ptr<std::istream> in,
+                               std::string name)
+    : in_(std::move(in)), name_(std::move(name))
+{}
 
-FtrTraceSource::FtrTraceSource(std::unique_ptr<std::istream> in,
-                               std::string name, ErrorPolicy policy)
-    : name_(std::move(name)), policy_(policy), in_(std::move(in))
+std::uint64_t
+FtrFrameReader::fileSize(Error &hard)
 {
-    if (!in_ || in_->fail()) {
-        header_error_ = Error::io("cannot open ftr trace '" + name_ +
-                                  "'");
-        error_ = header_error_;
-        done_ = true;
-        return;
+    in_->clear();
+    in_->seekg(0, std::ios::end);
+    if (!in_->good()) {
+        hard = Error::io("cannot determine the size of '" + name_ + "'");
+        return 0;
     }
-    openAndValidate();
-}
-
-FtrTraceSource::~FtrTraceSource()
-{
-    stopProducer();
+    return static_cast<std::uint64_t>(in_->tellg());
 }
 
 std::size_t
-FtrTraceSource::readAt(std::uint64_t off, std::uint8_t *dst,
+FtrFrameReader::readAt(std::uint64_t off, std::uint8_t *dst,
                        std::size_t n, Error &hard)
 {
     in_->clear();
@@ -70,19 +52,91 @@ FtrTraceSource::readAt(std::uint64_t off, std::uint8_t *dst,
     return got;
 }
 
+FtrFrameReader::Check
+FtrFrameReader::readFrame(std::uint64_t off, std::uint64_t data_end,
+                          ftr::FrameHeader &fh, const Destination &into,
+                          Error &hard)
+{
+    std::array<std::uint8_t, ftr::kFrameHeaderBytes> hdr{};
+    std::size_t got = readAt(off, hdr.data(), hdr.size(), hard);
+    if (hard.failed())
+        return Check::Hard;
+    if (got < hdr.size())
+        return Check::Corrupt; // torn off mid-header
+    if (!ftr::decodeFrameHeader(hdr.data(), fh))
+        return Check::Corrupt;
+    std::uint64_t body = static_cast<std::uint64_t>(fh.payload_len) +
+                         ftr::kFrameCrcBytes;
+    if (off + ftr::kFrameHeaderBytes + body > data_end)
+        return Check::Corrupt; // frame sticks past frame data
+
+    if (body > buf_charge_.bytes()) {
+        Expected<MemCharge> c = MemCharge::charge(
+            budget_, body, "'" + name_ + "' frame payload buffer");
+        if (!c.ok()) {
+            hard = Error(c.error());
+            return Check::Hard;
+        }
+        buf_charge_ = c.take();
+    }
+    buf_.resize(static_cast<std::size_t>(body));
+    got = readAt(off + ftr::kFrameHeaderBytes, buf_.data(), buf_.size(),
+                 hard);
+    if (hard.failed())
+        return Check::Hard;
+    if (got < buf_.size())
+        return Check::Corrupt; // torn off mid-payload
+    if (getU32(buf_.data() + fh.payload_len) !=
+        crc32c(buf_.data(), fh.payload_len))
+        return Check::Corrupt;
+
+    MemRef *out = into(fh, hard);
+    if (hard.failed())
+        return Check::Hard;
+    if (!ftr::decodeFramePayload(buf_.data(), fh.payload_len,
+                                 fh.record_count, out))
+        return Check::Corrupt;
+    return Check::Good;
+}
+
+FtrTraceSource::FtrTraceSource(const std::string &path,
+                               ErrorPolicy policy)
+    : FtrTraceSource(std::make_unique<std::ifstream>(path,
+                                                     std::ios::binary),
+                     path, policy)
+{}
+
+FtrTraceSource::FtrTraceSource(std::unique_ptr<std::istream> in,
+                               std::string name, ErrorPolicy policy)
+    : name_(std::move(name)), policy_(policy),
+      frames_(std::move(in), name_)
+{
+    if (!frames_.opened()) {
+        header_error_ = Error::io("cannot open ftr trace '" + name_ +
+                                  "'");
+        error_ = header_error_;
+        done_ = true;
+        return;
+    }
+    openAndValidate();
+}
+
+FtrTraceSource::~FtrTraceSource()
+{
+    stopProducer();
+}
+
 void
 FtrTraceSource::openAndValidate()
 {
-    in_->clear();
-    in_->seekg(0, std::ios::end);
-    if (!in_->good()) {
-        header_error_ =
-            Error::io("cannot determine the size of '" + name_ + "'");
+    Error hard;
+    file_size_ = frames_.fileSize(hard);
+    if (hard.failed()) {
+        header_error_ = hard;
     } else {
-        file_size_ = static_cast<std::uint64_t>(in_->tellg());
         std::array<std::uint8_t, ftr::kHeaderBytes> hdr{};
-        Error hard;
-        std::size_t got = readAt(0, hdr.data(), hdr.size(), hard);
+        std::size_t got =
+            frames_.readAt(0, hdr.data(), hdr.size(), hard);
         if (hard.failed()) {
             header_error_ = hard;
         } else {
@@ -115,8 +169,8 @@ FtrTraceSource::loadIndex()
             break;
         std::array<std::uint8_t, ftr::kTrailerBytes> tr{};
         Error hard;
-        if (readAt(file_size_ - ftr::kTrailerBytes, tr.data(),
-                   tr.size(), hard) != tr.size() ||
+        if (frames_.readAt(file_size_ - ftr::kTrailerBytes, tr.data(),
+                           tr.size(), hard) != tr.size() ||
             hard.failed()) {
             if (hard.failed()) {
                 header_error_ = hard;
@@ -133,7 +187,7 @@ FtrTraceSource::loadIndex()
         std::vector<std::uint8_t> block(
             static_cast<std::size_t>(blen));
         std::uint64_t boff = file_size_ - ftr::kTrailerBytes - blen;
-        if (readAt(boff, block.data(), block.size(), hard) !=
+        if (frames_.readAt(boff, block.data(), block.size(), hard) !=
                 block.size() ||
             hard.failed()) {
             if (hard.failed()) {
@@ -191,7 +245,8 @@ FtrTraceSource::rebuildIndexByScan()
     std::vector<std::uint8_t> win(kScanChunk);
     while (pos + ftr::kFrameHeaderBytes <= file_size_) {
         Error hard;
-        std::size_t got = readAt(pos, hdr.data(), hdr.size(), hard);
+        std::size_t got =
+            frames_.readAt(pos, hdr.data(), hdr.size(), hard);
         if (hard.failed()) {
             header_error_ = hard;
             return;
@@ -223,7 +278,7 @@ FtrTraceSource::rebuildIndexByScan()
                scan + ftr::kFrameHeaderBytes <= file_size_) {
             std::size_t want = static_cast<std::size_t>(std::min<
                 std::uint64_t>(kScanChunk, file_size_ - scan));
-            got = readAt(scan, win.data(), want, hard);
+            got = frames_.readAt(scan, win.data(), want, hard);
             if (hard.failed()) {
                 header_error_ = hard;
                 return;
@@ -237,7 +292,7 @@ FtrTraceSource::rebuildIndexByScan()
                 if (cand + ftr::kFrameHeaderBytes > file_size_)
                     continue;
                 std::size_t hgot =
-                    readAt(cand, hdr.data(), hdr.size(), hard);
+                    frames_.readAt(cand, hdr.data(), hdr.size(), hard);
                 if (hard.failed()) {
                     header_error_ = hard;
                     return;
@@ -265,55 +320,28 @@ FtrTraceSource::tryFrameAt(std::uint64_t off, ftr::FrameHeader &fh,
 {
     s.recs.clear();
     s.charge.release();
-    std::array<std::uint8_t, ftr::kFrameHeaderBytes> hdr{};
-    std::size_t got = readAt(off, hdr.data(), hdr.size(), hard);
-    if (hard.failed())
-        return FrameCheck::Hard;
-    if (got < hdr.size())
-        return FrameCheck::Corrupt; // torn off mid-header
-    if (!ftr::decodeFrameHeader(hdr.data(), fh))
-        return FrameCheck::Corrupt;
-    std::uint64_t body = static_cast<std::uint64_t>(fh.payload_len) +
-                         ftr::kFrameCrcBytes;
-    if (off + ftr::kFrameHeaderBytes + body > data_end_)
-        return FrameCheck::Corrupt; // frame sticks past frame data
-
-    if (body > buf_charge_.bytes()) {
-        Expected<MemCharge> c = MemCharge::charge(
-            budget_, body, "'" + name_ + "' frame payload buffer");
-        if (!c.ok()) {
-            hard = Error(c.error());
-            return FrameCheck::Hard;
-        }
-        buf_charge_ = c.take();
-    }
-    buf_.resize(static_cast<std::size_t>(body));
-    got = readAt(off + ftr::kFrameHeaderBytes, buf_.data(),
-                 buf_.size(), hard);
-    if (hard.failed())
-        return FrameCheck::Hard;
-    if (got < buf_.size())
-        return FrameCheck::Corrupt; // torn off mid-payload
-    if (getU32(buf_.data() + fh.payload_len) !=
-        crc32c(buf_.data(), fh.payload_len))
-        return FrameCheck::Corrupt;
-
-    Expected<MemCharge> rc = MemCharge::charge(
-        budget_,
-        static_cast<std::uint64_t>(fh.record_count) * sizeof(MemRef),
-        "'" + name_ + "' decoded frame");
-    if (!rc.ok()) {
-        hard = Error(rc.error());
-        return FrameCheck::Hard;
-    }
-    s.charge = rc.take();
-    if (!ftr::decodeFramePayload(buf_.data(), fh.payload_len,
-                                 fh.record_count, s.recs)) {
+    const FrameCheck c = frames_.readFrame(
+        off, data_end_, fh,
+        [&](const ftr::FrameHeader &h, Error &refused) -> MemRef * {
+            Expected<MemCharge> rc = MemCharge::charge(
+                budget_,
+                static_cast<std::uint64_t>(h.record_count) *
+                    sizeof(MemRef),
+                "'" + name_ + "' decoded frame");
+            if (!rc.ok()) {
+                refused = Error(rc.error());
+                return nullptr;
+            }
+            s.charge = rc.take();
+            s.recs.resize(h.record_count);
+            return s.recs.data();
+        },
+        hard);
+    if (c != FrameCheck::Good) {
         s.recs.clear();
         s.charge.release();
-        return FrameCheck::Corrupt;
     }
-    return FrameCheck::Good;
+    return c;
 }
 
 bool
@@ -335,7 +363,7 @@ FtrTraceSource::resync(std::uint64_t from, ftr::FrameHeader &fh,
         }
         std::size_t want = static_cast<std::size_t>(
             std::min<std::uint64_t>(kScanChunk, data_end_ - pos));
-        std::size_t got = readAt(pos, win.data(), want, hard);
+        std::size_t got = frames_.readAt(pos, win.data(), want, hard);
         if (hard.failed())
             return false;
         if (got < 4)

@@ -35,6 +35,10 @@
  * producer decoded before waiting for queue room) plus one payload
  * scratch buffer. Cancellation is polled at frame granularity on the
  * producer and every ~1k records on the consumer.
+ *
+ * Every frame is read through FtrFrameReader::readFrame(), the one
+ * verify-and-decode routine: exec's parallel decode of a clean file
+ * into a sweep's shared buffer reads its frames through it too.
  */
 
 #ifndef ASSOC_TRACE_FTR_READER_H
@@ -42,6 +46,7 @@
 
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <istream>
 #include <memory>
 #include <mutex>
@@ -54,6 +59,66 @@
 
 namespace assoc {
 namespace trace {
+
+/**
+ * Verified frame reads from one ftr file through one stream of its
+ * own (std::istream is not shared across threads), with one payload
+ * scratch buffer charged to the attached budget. Not thread-safe:
+ * one per thread.
+ */
+class FtrFrameReader
+{
+  public:
+    /** Outcome of reading one frame at a byte offset. */
+    enum class Check {
+        Good,    ///< fully verified and decoded
+        Corrupt, ///< damage (bad CRC/decode/short data) — resyncable
+        Hard,    ///< unskippable failure (IO error, budget, refusal)
+    };
+
+    /** Where a verified frame's records go: fh.record_count
+     *  writable records, or set @p refused to refuse the frame. */
+    using Destination = std::function<MemRef *(
+        const ftr::FrameHeader &fh, Error &refused)>;
+
+    /** Read through @p in (may be null when the file could not be
+     *  opened; then nothing may be read); @p name labels errors. */
+    FtrFrameReader(std::unique_ptr<std::istream> in, std::string name);
+
+    /** False when there is no readable stream. */
+    bool opened() const { return in_ && !in_->fail(); }
+
+    /** The file's size in bytes; an IO error lands in @p hard. */
+    std::uint64_t fileSize(Error &hard);
+
+    /** Read up to @p n bytes at byte offset @p off into @p dst. A
+     *  device failure (never skippable) lands in @p hard. @return
+     *  the bytes read: fewer than @p n at end of file. */
+    std::size_t readAt(std::uint64_t off, std::uint8_t *dst,
+                       std::size_t n, Error &hard);
+
+    /**
+     * Read and verify the frame at byte offset @p off: header magic,
+     * CRC and caps (ftr::decodeFrameHeader()), the whole frame ending
+     * by @p data_end, the payload CRC, and an exact decode of
+     * fh.record_count records straight into @p into's destination,
+     * asked for once the payload CRC has checked out. A refusal by
+     * @p into is Hard, with its error in @p hard.
+     */
+    Check readFrame(std::uint64_t off, std::uint64_t data_end,
+                    ftr::FrameHeader &fh, const Destination &into,
+                    Error &hard);
+
+    /** Charge the payload scratch here (null = no accounting). */
+    void setMemBudget(MemBudget *b) { budget_ = b; }
+
+  private:
+    std::unique_ptr<std::istream> in_;
+    std::string name_;
+    MemBudget *budget_ = nullptr;
+    std::vector<std::uint8_t> buf_; ///< frame payload scratch
+    MemCharge buf_charge_;
+};
 
 /** Streaming TraceSource over an ftr file. */
 class FtrTraceSource : public TraceSource
@@ -101,9 +166,18 @@ class FtrTraceSource : public TraceSource
         return index_;
     }
 
+    /** Byte offset where the frames stop: the footer's, when the
+     *  footer was read. */
+    std::uint64_t dataEnd() const { return data_end_; }
+
     /** Attach before streaming begins (or after reset()). */
     void setCancelToken(const CancelToken *t) override { cancel_ = t; }
-    void setMemBudget(MemBudget *b) override { budget_ = b; }
+    void
+    setMemBudget(MemBudget *b) override
+    {
+        budget_ = b;
+        frames_.setMemBudget(b);
+    }
 
   private:
     /** Decoded frames queued between producer and consumer. The
@@ -127,18 +201,11 @@ class FtrTraceSource : public TraceSource
         bool end = false;
     };
 
-    /** Outcome of validating one frame at a byte offset. */
-    enum class FrameCheck {
-        Good,    ///< fully verified and decoded
-        Corrupt, ///< damage (bad CRC/decode/short data) — resyncable
-        Hard,    ///< unskippable failure (IO error, budget)
-    };
+    using FrameCheck = FtrFrameReader::Check;
 
     void openAndValidate();
     void loadIndex();
     void rebuildIndexByScan();
-    std::size_t readAt(std::uint64_t off, std::uint8_t *dst,
-                       std::size_t n, Error &hard);
     FrameCheck tryFrameAt(std::uint64_t off, ftr::FrameHeader &fh,
                           Slot &s, Error &hard);
     bool resync(std::uint64_t from, ftr::FrameHeader &fh, Slot &s,
@@ -153,7 +220,7 @@ class FtrTraceSource : public TraceSource
 
     std::string name_;
     ErrorPolicy policy_;
-    std::unique_ptr<std::istream> in_;
+    FtrFrameReader frames_;
 
     // Set once at open.
     ftr::FileHeader header_;
@@ -177,8 +244,6 @@ class FtrTraceSource : public TraceSource
     std::uint64_t core_damage_ = 0;
     bool core_end_ = false;
     Error core_err_;
-    std::vector<std::uint8_t> buf_; ///< frame payload scratch
-    MemCharge buf_charge_;
 
     // Consumer-side state.
     std::vector<MemRef> cur_;

@@ -5,9 +5,10 @@
  * Sources are resettable so every configuration replays the
  * byte-identical stream. Generators and file readers stream, so a
  * single replay holds only its pull buffer. A sweep that replays
- * one synthesized trace in several jobs materializes it once
- * instead (exec::runSweepChecked) and gives every job a
- * VectorTraceSource cursor over the shared, immutable buffer.
+ * one synthesized trace or one clean .ftr file in several jobs
+ * materializes it once instead (exec::runSweepChecked) and gives
+ * every job a VectorTraceSource cursor over the shared, immutable
+ * RefArray.
  */
 
 #ifndef ASSOC_TRACE_TRACE_SOURCE_H
@@ -17,7 +18,9 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "trace/memref.h"
@@ -131,21 +134,67 @@ materialize(TraceSource &src, std::size_t expected = 0)
 }
 
 /**
+ * A fixed number of records in storage that is allocated but never
+ * initialized: MemRef is an implicit-lifetime aggregate, so a record
+ * exists once it is written. Whoever fills the array writes every
+ * record, so each page is first touched by the job that fills its
+ * slice, and no thread zeroes the whole array first.
+ */
+class RefArray
+{
+  public:
+    /** @p n unwritten records; throws std::bad_alloc when they
+     *  cannot be allocated. */
+    explicit RefArray(std::size_t n) : refs_(allocate(n)), size_(n) {}
+    /** A copy of @p refs. */
+    explicit RefArray(const std::vector<MemRef> &refs)
+        : RefArray(refs.size())
+    {
+        std::copy(refs.begin(), refs.end(), data());
+    }
+
+    MemRef *data() { return refs_.get(); }
+    const MemRef *data() const { return refs_.get(); }
+    std::size_t size() const { return size_; }
+    const MemRef *begin() const { return data(); }
+    const MemRef *end() const { return data() + size_; }
+    const MemRef &operator[](std::size_t i) const { return refs_[i]; }
+
+  private:
+    struct Free
+    {
+        void operator()(MemRef *p) const { ::operator delete(p); }
+    };
+
+    static MemRef *
+    allocate(std::size_t n)
+    {
+        if (n > std::numeric_limits<std::ptrdiff_t>::max() /
+                    sizeof(MemRef))
+            throw std::bad_alloc();
+        return static_cast<MemRef *>(::operator new(n * sizeof(MemRef)));
+    }
+
+    std::unique_ptr<MemRef[], Free> refs_;
+    std::size_t size_;
+};
+
+/**
  * Cursor over an immutable in-memory trace (tests, small traces, a
- * sweep's shared synthesized trace). The records are held by a
- * shared_ptr to const, so any number of cursors, on any threads,
- * can replay one buffer; each cursor keeps only its position.
+ * sweep's shared trace). The records are held by a shared_ptr to
+ * const, so any number of cursors, on any threads, can replay one
+ * buffer; each cursor keeps only its position.
  */
 class VectorTraceSource : public TraceSource
 {
   public:
     /** Shared, immutable backing records. */
-    using Buffer = std::shared_ptr<const std::vector<MemRef>>;
+    using Buffer = std::shared_ptr<const RefArray>;
 
     VectorTraceSource() : VectorTraceSource(std::vector<MemRef>()) {}
-    explicit VectorTraceSource(std::vector<MemRef> refs)
-        : refs_(std::make_shared<const std::vector<MemRef>>(
-              std::move(refs)))
+    /** A cursor over a copy of @p refs. */
+    explicit VectorTraceSource(const std::vector<MemRef> &refs)
+        : refs_(std::make_shared<const RefArray>(refs))
     {}
     /** A cursor over @p refs; nothing is copied. A template, so a
      *  braced list of records always means the vector overload. */
@@ -164,13 +213,12 @@ class VectorTraceSource : public TraceSource
 
     void reset() override { pos_ = 0; }
 
-    /** Bulk copy straight out of the backing vector. */
+    /** Bulk copy straight out of the backing records. */
     std::size_t
     nextBatch(MemRef *out, std::size_t max) override
     {
         std::size_t n = std::min(max, refs_->size() - pos_);
-        std::copy_n(refs_->begin() + static_cast<std::ptrdiff_t>(pos_),
-                    n, out);
+        std::copy_n(refs_->begin() + pos_, n, out);
         pos_ += n;
         return n;
     }
@@ -179,7 +227,7 @@ class VectorTraceSource : public TraceSource
     std::size_t size() const { return refs_->size(); }
 
     /** Access to the underlying records. */
-    const std::vector<MemRef> &refs() const { return *refs_; }
+    const RefArray &refs() const { return *refs_; }
 
   private:
     Buffer refs_;

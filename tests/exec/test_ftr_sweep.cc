@@ -219,23 +219,40 @@ TEST_F(FtrSweepTest, KilledMidTraceResumesToByteIdenticalJson)
 
     // Phase 2: resume from the journal. Job 0 must be restored
     // verbatim; the rest replay; the merged result — down to the
-    // serialized JSON bytes — must equal the uninterrupted run.
+    // serialized JSON bytes — must equal the uninterrupted run. The
+    // jobs left stream their own readers, or, through the path
+    // overload, replay the file read once; each resume starts from
+    // its own copy of the journal, since resuming appends to it.
+    const std::string copy = journal_ + "2";
+    {
+        std::ifstream in(journal_, std::ios::binary);
+        std::ofstream out(copy, std::ios::binary | std::ios::trunc);
+        out << in.rdbuf();
+    }
     SweepOptions phase2;
     phase2.jobs = 1;
-    phase2.resume_path = journal_;
     phase2.spec_hash = hashSpecs(specs);
-    SweepResult resumed =
-        runSweepChecked(specs, fileTraceFactory(path_), phase2);
-    ASSERT_TRUE(resumed.allOk());
-    EXPECT_TRUE(resumed.jobs[0].from_journal);
-    EXPECT_FALSE(resumed.jobs[1].from_journal);
+    for (bool read_once : {false, true}) {
+        phase2.resume_path = read_once ? copy : journal_;
+        SweepResult resumed =
+            read_once ? runSweepChecked(specs, path_, ErrorPolicy(), phase2)
+                      : runSweepChecked(specs, fileTraceFactory(path_),
+                                        phase2);
+        ASSERT_TRUE(resumed.allOk());
+        EXPECT_TRUE(resumed.jobs[0].from_journal);
+        EXPECT_FALSE(resumed.jobs[1].from_journal);
+        EXPECT_EQ(resumed.shared_trace_bytes,
+                  read_once ? recs_.size() * sizeof(trace::MemRef) : 0u);
 
-    std::vector<sim::RunOutput> merged;
-    for (const JobResult &j : resumed.jobs)
-        merged.push_back(j.output);
-    std::ostringstream got_json;
-    writeSweepJson(got_json, specs, merged);
-    EXPECT_EQ(got_json.str(), want_json.str());
+        std::vector<sim::RunOutput> merged;
+        for (const JobResult &j : resumed.jobs)
+            merged.push_back(j.output);
+        std::ostringstream got_json;
+        writeSweepJson(got_json, specs, merged);
+        EXPECT_EQ(got_json.str(), want_json.str())
+            << (read_once ? "read once" : "streamed");
+    }
+    std::remove(copy.c_str());
 }
 
 TEST_F(FtrSweepTest, SkipAccountingSurvivesTheJournalRoundTrip)

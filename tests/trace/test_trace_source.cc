@@ -72,11 +72,10 @@ TEST(VectorTraceSource, ResetReplaysIdentically)
 
 TEST(VectorTraceSource, CursorsShareOneBufferWithOwnPositions)
 {
-    VectorTraceSource::Buffer buf =
-        std::make_shared<const std::vector<MemRef>>(
-            std::vector<MemRef>{{0x1, RefType::Read, 0},
-                                {0x2, RefType::Write, 0},
-                                {0x3, RefType::Ifetch, 0}});
+    VectorTraceSource::Buffer buf = std::make_shared<const RefArray>(
+        std::vector<MemRef>{{0x1, RefType::Read, 0},
+                            {0x2, RefType::Write, 0},
+                            {0x3, RefType::Ifetch, 0}});
     VectorTraceSource a(buf), b(buf);
     EXPECT_EQ(a.refs().data(), buf->data()) << "a cursor copied";
     EXPECT_EQ(b.refs().data(), buf->data()) << "a cursor copied";
@@ -125,7 +124,8 @@ TEST(Materialize, DrainsTheWholeStreamIntoAnExactReservation)
     MemRef r;
     ASSERT_TRUE(src.next(r)); // materialize starts from the top
     std::vector<MemRef> got = materialize(src, src.size());
-    EXPECT_EQ(got, src.refs());
+    EXPECT_EQ(got, std::vector<MemRef>(src.refs().begin(),
+                                       src.refs().end()));
     EXPECT_EQ(got.capacity(), src.size());
 }
 

@@ -21,7 +21,13 @@
  *   sweep <in>       replay the file through a small scheme sweep
  *                    (--json, --journal/--resume, --jobs,
  *                    --mem-budget, --errors) — the end-to-end
- *                    recovery path CI exercises on damaged corpora
+ *                    recovery path CI exercises on damaged corpora.
+ *                    A clean .ftr is decoded once, frames in
+ *                    parallel, into one buffer its jobs share (and
+ *                    its level one is simulated once), when the
+ *                    --mem-budget admits it; a damaged or unindexed
+ *                    file, a .din, or a smaller budget streams one
+ *                    reader per job, with the same output
  *
  *   $ trace_pack gen /tmp/big.ftr --refs=8M --frame-records=64K
  *   $ trace_pack convert /tmp/big.ftr /tmp/big.din
@@ -168,8 +174,8 @@ cmdSweep(const ArgParser &args, const std::string &path)
     if (plan.cancel_after >= 0)
         opts.inject = &inject;
 
-    exec::SweepResult result = exec::runSweepChecked(
-        specs, exec::fileTraceFactory(path, policy), opts);
+    exec::SweepResult result =
+        exec::runSweepChecked(specs, path, policy, opts);
 
     std::uint64_t skipped = 0;
     std::size_t ok = 0;
